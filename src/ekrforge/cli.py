@@ -6,18 +6,15 @@ passing, 1 when any certificate fails, 2 on usage or input errors.
 
 Determinism: with a fixed invocation (including --seed) the JSON output
 is byte-identical across runs; wall-clock fields are emitted as 0 unless
---timings is given.  --threads (default from EKRFORGE_THREADS) fans the
-verify suites out over a thread pool; results are re-sorted before
-emission so the output does not depend on scheduling.
+--timings is given.  verify runs its suites one after another and
+emits them sorted by id.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .certify import Certificate, SUITES
@@ -26,20 +23,14 @@ from .covers import covers as cover_enum
 from .covers import saturate, tau
 from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
                             build_S, full_star, lex_family)
-from .familyio import FamilyFormatError, read_family, render_family
+from .familyio import (FamilyFormatError, read_family, render_family,
+                       write_family)
 from .families import elements_of, trace
 from .oracles import trace_bound_check
 from .properties import PROPERTY_SUITES
 from .search import max_intersecting, max_intersecting_degcap
 
 USAGE_ERROR = 2
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EKRFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_budget(text: str) -> float:
@@ -101,6 +92,10 @@ def _load_family(path: str):
 
 def _cmd_construct(args) -> int:
     kind = args.kind
+    if kind in ("g", "star", "hm"):
+        missing = [f"--{flag}" for flag in ("n", "k") if getattr(args, flag) is None]
+        if missing:
+            raise UsageError(f"construct {kind} needs {' and '.join(missing)}")
     if kind == "g":
         fam = build_G(args.n, args.k)
     elif kind == "s":
@@ -215,13 +210,7 @@ def _cmd_verify(args) -> int:
         return Certificate(cert.id, cert.statement, params, cert.verdict,
                            cert.witnesses, cert.wall_time_ms, cert.details)
 
-    threads = args.threads
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            certs = list(pool.map(run_one, names))
-    else:
-        certs = [run_one(n) for n in names]
-    certs.sort(key=lambda c: c.id)
+    certs = sorted((run_one(n) for n in names), key=lambda c: c.id)
     _emit_certs(certs, args)
     return 0 if all(c.passed for c in certs) else 1
 
@@ -255,14 +244,10 @@ def _cmd_oracle(args) -> int:
     if args.format == "text":
         _emit(f"value {result.value} status {result.status} nodes {result.nodes}\n",
               args.out)
-        if args.witness_out:
-            from .familyio import write_family
-            write_family(result.witness, args.witness_out)
     else:
         _emit_certs([cert], args)
-        if args.witness_out:
-            from .familyio import write_family
-            write_family(result.witness, args.witness_out)
+    if args.witness_out:
+        write_family(result.witness, args.witness_out)
     return 0 if cert.passed else 1
 
 
@@ -294,7 +279,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--timings", action="store_true",
                    help="emit measured wall times in JSON (breaks byte-stability)")
 

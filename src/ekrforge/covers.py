@@ -109,9 +109,15 @@ def saturate(family: UniformFamily) -> UniformFamily:
     """
     if not is_intersecting(family):
         raise ValueError("saturate requires an intersecting family")
+    return _saturate_in_order(family, ksets_colex(family.n, family.k))
+
+
+def _saturate_in_order(family: UniformFamily, order) -> UniformFamily:
+    """Add each candidate of ``order`` in turn that meets every member
+    accumulated so far; with every k-set in ``order`` the result is maximal."""
     present = set(family.masks)
     current = list(family.masks)
-    for cand in ksets_colex(family.n, family.k):
+    for cand in order:
         if cand in present:
             continue
         for m in current:

@@ -25,7 +25,7 @@ import random
 from typing import Iterable, Optional
 
 from .constructions import build_R, build_S
-from .covers import is_intersecting, tau
+from .covers import _saturate_in_order, is_intersecting, tau
 from .families import UniformFamily, ksets_colex, mask_of
 
 
@@ -35,18 +35,7 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
         raise ValueError("saturate_random requires an intersecting family")
     order = list(ksets_colex(family.n, family.k))
     rng.shuffle(order)
-    present = set(family.masks)
-    current = list(family.masks)
-    for cand in order:
-        if cand in present:
-            continue
-        for m in current:
-            if not cand & m:
-                break
-        else:
-            current.append(cand)
-            present.add(cand)
-    return UniformFamily.from_masks(family.n, family.k, current)
+    return _saturate_in_order(family, order)
 
 
 def random_kset_mask(n: int, k: int, rng: random.Random) -> int:

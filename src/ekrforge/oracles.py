@@ -157,6 +157,30 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
 
 # ── trace bounds ─────────────────────────────────────────────────────────────
 
+def _sperner_pairs(stats, u_elems: Sequence[int], n: int, k: int):
+    """Yield (A, B, α(A), α(B)) for the disjoint nonempty window subsets
+    A, B to which the Sperner α-inequality applies.
+
+    The inequality has no window hypothesis, only the n-threshold
+    n >= 2k - |A| - |B| + |U| and α defined on both sides.  ``u_elems``
+    is the sorted window U, ``stats`` its trace statistics.
+    """
+    u_size = len(u_elems)
+    subsets = []
+    for size in range(1, u_size + 1):
+        subsets.extend(mask_of(c, n) for c in combinations(u_elems, size))
+    for s_a, s_b in combinations(subsets, 2):
+        if s_a & s_b:
+            continue
+        if n < 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
+            continue
+        alpha_a = stats.alpha_of(s_a)
+        alpha_b = stats.alpha_of(s_b)
+        if alpha_a is None or alpha_b is None:
+            continue
+        yield s_a, s_b, alpha_a, alpha_b
+
+
 def trace_bound_check(family: UniformFamily, window, pairs=None) -> Certificate:
     """Evaluate every applicable trace inequality of the window machinery.
 
@@ -250,20 +274,7 @@ def trace_bound_check(family: UniformFamily, window, pairs=None) -> Certificate:
     elif window_ok and u_size == 5:
         skip("four-trace-sperner", "needs n > 2k")
 
-    # Sperner α-inequality: no window hypothesis, only the n-threshold and
-    # defined α on both sides
-    subsets = []
-    for size in range(1, u_size + 1):
-        subsets.extend(mask_of(c, n) for c in combinations(u_elems, size))
-    for s_a, s_b in combinations(subsets, 2):
-        if s_a & s_b:
-            continue
-        if n < 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
-            continue
-        alpha_a = stats.alpha_of(s_a)
-        alpha_b = stats.alpha_of(s_b)
-        if alpha_a is None or alpha_b is None:
-            continue
+    for s_a, s_b, alpha_a, alpha_b in _sperner_pairs(stats, u_elems, n, k):
         record("sperner-alpha", alpha_a + alpha_b <= Fraction(1),
                A=elements_of(s_a), B=elements_of(s_b),
                sum=str(alpha_a + alpha_b))

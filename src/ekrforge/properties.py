@@ -18,10 +18,11 @@ from .binomial import binom
 from .certify import Certificate, make_certificate
 from .classify import ClassificationTag, classify_T3
 from .covers import all_covers, covers, tau
-from .families import are_cross_intersecting, ksets_colex, mask_of
+from .families import are_cross_intersecting, trace
 from .constructions import lex_family
 from .generators import random_saturated_family, sample_saturated_tau3
-from .oracles import trace_bound_check
+from .oracles import (_meets_all_mask, _side_items, _sperner_pairs,
+                      trace_bound_check)
 
 
 def suite_prop14(samples: int = 200, seed: int = 0,
@@ -124,20 +125,8 @@ def suite_sperner_random(samples: int = 60, seed: int = 0,
         for _ in range(per_point):
             fam = random_saturated_family(n, k, rng, "free")
             u_elems = tuple(rng.sample(range(1, n + 1), rng.choice((4, 5, 6))))
-            from .families import trace as trace_stats
-            stats = trace_stats(fam, u_elems)
-            u_size = len(u_elems)
-            subsets = []
-            for size in range(1, u_size + 1):
-                subsets.extend(mask_of(c, n) for c in combinations(sorted(u_elems), size))
-            for s_a, s_b in combinations(subsets, 2):
-                if s_a & s_b:
-                    continue
-                if n < 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
-                    continue
-                alpha_a, alpha_b = stats.alpha_of(s_a), stats.alpha_of(s_b)
-                if alpha_a is None or alpha_b is None:
-                    continue
+            stats = trace(fam, u_elems)
+            for s_a, s_b, alpha_a, alpha_b in _sperner_pairs(stats, sorted(u_elems), n, k):
                 checked_pairs += 1
                 if alpha_a + alpha_b > 1:
                     witnesses.append({"n": n, "k": k, "U": list(u_elems),
@@ -149,17 +138,22 @@ def suite_sperner_random(samples: int = 60, seed: int = 0,
         witnesses, t0)
 
 
-def _bmax_bitsets(n: int, a: int, b: int):
-    items_a = list(ksets_colex(n, a))
-    items_b = list(ksets_colex(n, b))
-    compat = []
-    for am in items_a:
-        bits = 0
-        for idx, bm in enumerate(items_b):
-            if am & bm:
-                bits |= 1 << idx
-        compat.append(bits)
-    return items_a, items_b, compat
+def _bmax_of(n: int, a: int, b: int):
+    """Sizes of C([n],a) and C([n],b), and the map from a bitset of a-sets
+    to the bitset of B_max, the b-sets meeting every one of them."""
+    items_a, items_b = _side_items(n, a), _side_items(n, b)
+    compat = [_meets_all_mask(items_b, am) for am in items_a]
+    full_b = (1 << len(items_b)) - 1
+
+    def bmax(mask: int) -> int:
+        acc = full_b
+        while mask:
+            vb = mask & -mask
+            acc &= compat[vb.bit_length() - 1]
+            mask ^= vb
+        return acc
+
+    return len(items_a), len(items_b), bmax
 
 
 def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
@@ -173,35 +167,21 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
     t0 = time.perf_counter()
     witnesses = []
     # exhaustive at (5,2,2)
-    items_a, items_b, compat = _bmax_bitsets(5, 2, 2)
-    full_b = (1 << len(items_b)) - 1
-    for mask in range(1, 1 << len(items_a)):
-        bmax = full_b
-        mm = mask
-        while mm:
-            vb = mm & -mm
-            bmax &= compat[vb.bit_length() - 1]
-            mm ^= vb
-        ca, cb = mask.bit_count(), bmax.bit_count()
+    count_a, _, bmax = _bmax_of(5, 2, 2)
+    for mask in range(1, 1 << count_a):
+        ca, cb = mask.bit_count(), bmax(mask).bit_count()
         la, lb = lex_family(5, 2, ca), lex_family(5, 2, cb)
         if not are_cross_intersecting(la, lb):
             witnesses.append({"case": "exhaustive-522", "A_count": ca, "B_count": cb})
     # randomized at (6,2,3)
     rng = random.Random(seed)
-    items_a, items_b, compat = _bmax_bitsets(6, 2, 3)
-    full_b = (1 << len(items_b)) - 1
+    count_a, count_b, bmax = _bmax_of(6, 2, 3)
     for _ in range(samples):
-        mask = rng.getrandbits(len(items_a))
+        mask = rng.getrandbits(count_a)
         if not mask:
             continue
-        bmax = full_b
-        mm = mask
-        while mm:
-            vb = mm & -mm
-            bmax &= compat[vb.bit_length() - 1]
-            mm ^= vb
         # random admissible B inside B_max
-        bsel = bmax & rng.getrandbits(len(items_b))
+        bsel = bmax(mask) & rng.getrandbits(count_b)
         ca, cb = mask.bit_count(), bsel.bit_count()
         la, lb = lex_family(6, 2, ca), lex_family(6, 3, cb)
         if not are_cross_intersecting(la, lb):

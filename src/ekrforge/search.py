@@ -170,14 +170,56 @@ def _apply_perm(mask: int, table) -> int:
     return out
 
 
-def _constraint_masks(n: int, r_min: int) -> list[int]:
-    """Sets that must be avoided by some member: pairs for τ>=3 (pairs subsume
-    singletons), singletons for τ>=2."""
-    if r_min >= 3:
-        return [mask_of(p, n) for p in combinations(range(1, n + 1), 2)]
-    if r_min == 2:
-        return [1 << i for i in range(n)]
-    return []
+@dataclass(frozen=True)
+class _Branch:
+    """One search space: the k-sets a family may use, the members forced
+    in from the start, and the sets that some member must avoid."""
+
+    universe: tuple[int, ...]
+    forced: tuple[int, ...]
+    constraints: tuple[int, ...]
+
+
+def _avoidance(n: int, r_min: int) -> tuple[int, ...]:
+    """Covering number >= r_min holds iff every (r_min-1)-subset of [n] is
+    avoided by some member (avoiding a set avoids its subsets too)."""
+    if r_min <= 1:
+        return ()
+    return tuple(mask_of(c, n) for c in combinations(range(1, n + 1), r_min - 1))
+
+
+def _plain_branch(n: int, k: int, r_min: int) -> _Branch:
+    """Every k-set, with the first member forced to {1..k}."""
+    if r_min not in (1, 2, 3):
+        raise ValueError("r_min must be 1, 2, or 3")
+    return _Branch(tuple(ksets_colex(n, k)), (mask_of(range(1, k + 1), n),),
+                   _avoidance(n, r_min))
+
+
+def _structural_branches(n: int, k: int):
+    """The structural case split of a τ ≥ 3 search, mirroring the proof.
+
+    Branch A: families with covering number exactly 3 are isomorphic to
+    one in which {1,2,3} is a cover, so the universe shrinks to the k-sets
+    meeting {1,2,3} and no member is forced (the relabeling freedom is
+    spent).  Branches B_i: covering number at least 4, enforced by
+    avoiding every triple.  With the first member normalised to [1..k],
+    some member avoids {1,2,3}; it meets [1..k] in a nonempty subset of
+    [4..k], say of size i, and the stabiliser of [1..k] maps it onto the
+    representative [k-i+1..k] ∪ [k+1..2k-i], which B_i forces as the
+    second member.  Solutions of every branch are feasible for τ ≥ 3, and
+    every τ ≥ 3 family lands in one of them up to isomorphism, so the
+    combined maximum, and the union of the branches' optima, is exact.
+    """
+    universe = tuple(ksets_colex(n, k))
+    cover3 = mask_of((1, 2, 3), n)
+    yield _Branch(tuple(m for m in universe if m & cover3), (), _avoidance(n, 3))
+    first = mask_of(range(1, k + 1), n)
+    triples = _avoidance(n, 4)
+    for i in range(1, k - 2):
+        second = mask_of(list(range(k - i + 1, k + 1))
+                         + list(range(k + 1, 2 * k - i + 1)), n)
+        yield _Branch(universe, (first, second), triples)
 
 
 def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
@@ -195,6 +237,44 @@ def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
             rest &= ~(1 << u)
             cur &= disj[u] & ~((1 << (u + 1)) - 1)
     return groups
+
+
+def _candidate_graph(universe, forced) -> tuple[list[int], list[int], list[int]]:
+    """The candidates (universe members other than the forced ones that
+    meet each of them) with their intersecting and disjoint bitsets."""
+    forced_set = set(forced)
+    cand_masks = [m for m in universe
+                  if m not in forced_set and all(m & f for f in forced)]
+    nc = len(cand_masks)
+    compat = [0] * nc
+    disj = [0] * nc
+    for i in range(nc):
+        mi = cand_masks[i]
+        for j in range(i + 1, nc):
+            if mi & cand_masks[j]:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+            else:
+                disj[i] |= 1 << j
+                disj[j] |= 1 << i
+    return cand_masks, compat, disj
+
+
+def _beats(size: int, key: tuple[int, ...], best: int,
+           best_masks: tuple[int, ...]) -> bool:
+    """Witness tie-break, for a family of ``size`` >= ``best`` with sorted
+    masks ``key``: the larger family wins, then the colex-smaller tuple."""
+    return size > best or not best_masks or key < best_masks
+
+
+def _timebox(recurse, *start) -> str:
+    """Run a recursion to the end or until it raises ``_Budget``; an
+    exhausted budget leaves a lower bound, not a proof."""
+    try:
+        recurse(*start)
+    except _Budget:
+        return TIMEBOXED
+    return PROVED
 
 
 def _default_incumbent(n: int, k: int, r_min: int) -> UniformFamily | None:
@@ -216,66 +296,33 @@ def _default_incumbent(n: int, k: int, r_min: int) -> UniformFamily | None:
 
 
 def _verify(witness: UniformFamily, r_min: int) -> None:
+    """Post-hoc check of a released witness, through the covers module."""
     if not is_intersecting(witness):
         raise AssertionError("search produced a non-intersecting witness")
     if r_min >= 2 and tau(witness) < r_min:
         raise AssertionError(f"search witness has covering number < {r_min}")
 
 
-def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
-                     seed_incumbent: bool = True,
-                     collect_optima: bool = False,
-                     forced_first: bool = True,
-                     universe: list[int] | None = None,
-                     extra_constraints: list[int] | None = None,
-                     forced_members: list[int] | None = None,
-                     incumbent_family: UniformFamily | None = None,
-                     collect_floor: int = 0,
-                     ) -> SearchResult | tuple[SearchResult, list[tuple[int, ...]]]:
-    """Exact m(n,k,r) with optimality proof, or a timeboxed lower bound.
+def _search(n: int, k: int, branch: _Branch, budget: float,
+            incumbent: UniformFamily | None = None,
+            collect_floor: int | None = None
+            ) -> tuple[SearchResult, list[tuple[int, ...]]]:
+    """Largest intersecting family of universe members that contains the
+    forced members and leaves every constraint set avoided by some member.
 
-    ``collect_optima`` switches to exhaustive collection of every
-    optimum-size family (the incumbent prune becomes non-strict); with a
-    ``collect_floor`` only families of at least that size are gathered,
-    and an empty collection reports that the floor was never reached.
-    The remaining keyword arguments support the structural-seeding mode
-    and are not part of the basic contract; any supplied
-    ``forced_members`` must themselves be justified by a symmetry
-    argument of the caller.
+    Returns ``(result, optima)``.  Without a ``collect_floor`` a feasible
+    ``incumbent`` warm-starts the bound and ``optima`` is empty.  With one,
+    every maximum-size family of at least that size is collected (the
+    incumbent prune becomes non-strict); an empty collection reports that
+    the floor was never reached, and the value and witness carry no claim.
+    The caller verifies the witness it releases.
     """
-    if r_min not in (1, 2, 3):
-        raise ValueError("r_min must be 1, 2, or 3")
     if n < 2 * k:
         raise ValueError("max_intersecting requires n >= 2k")
     t_start = time.perf_counter()
     deadline = t_start + budget
-
-    allsets = universe if universe is not None else list(ksets_colex(n, k))
-    if forced_members is not None:
-        chosen0 = list(forced_members)
-    elif forced_first:
-        chosen0 = [mask_of(range(1, k + 1), n)]
-    else:
-        chosen0 = []
-    cand_masks = [m for m in allsets
-                  if m not in set(chosen0) and all(m & f for f in chosen0)]
-    nc = len(cand_masks)
-    full = (1 << nc) - 1
-    compat = [0] * nc
-    disj = [0] * nc
-    for i in range(nc):
-        mi = cand_masks[i]
-        for j in range(i + 1, nc):
-            if mi & cand_masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-            else:
-                disj[i] |= 1 << j
-                disj[j] |= 1 << i
-
-    constraints = _constraint_masks(n, r_min)
-    if extra_constraints:
-        constraints = constraints + list(extra_constraints)
+    forced, constraints = branch.forced, branch.constraints
+    cand_masks, compat, disj = _candidate_graph(branch.universe, forced)
     avoiders = []
     for cm in constraints:
         bits = 0
@@ -283,47 +330,35 @@ def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
             if not m & cm:
                 bits |= 1 << i
         avoiders.append(bits)
-    # constraints already satisfied by the forced member
+    # constraints already satisfied by the forced members
     sat0 = 0
     for ci, cm in enumerate(constraints):
-        if any(not pm & cm for pm in chosen0):
+        if any(not pm & cm for pm in forced):
             sat0 |= 1 << ci
     all_sat = (1 << len(constraints)) - 1
 
+    collect = collect_floor is not None
     best = 0
     best_masks: tuple[int, ...] = ()
     optima: set[tuple[int, ...]] = set()
-    if collect_optima:
+    if collect:
         best = collect_floor
-    else:
-        seeded = incumbent_family if incumbent_family is not None else (
-            _default_incumbent(n, k, r_min) if seed_incumbent else None)
-        if seeded is not None:
-            if not is_intersecting(seeded) or (r_min >= 2 and tau(seeded) < r_min):
-                raise ValueError("incumbent family is not feasible")
-            best = len(seeded)
-            best_masks = seeded.masks
+    elif incumbent is not None:
+        best, best_masks = len(incumbent), incumbent.masks
     nodes = 0
 
     def note_solution(chosen: list[int]) -> None:
         nonlocal best, best_masks
         size = len(chosen)
-        if collect_optima:
-            if size > best:
-                best = size
-                optima.clear()
-                best_masks = ()
-            if size == best:
-                key = tuple(sorted(chosen))
-                optima.add(key)
-                if not best_masks or key < best_masks:
-                    best_masks = key
+        if size < best:
             return
-        if size > best or (size == best and
-                           (not best_masks or tuple(sorted(chosen)) < best_masks)):
+        key = tuple(sorted(chosen))
+        if collect:
             if size > best:
-                best = size
-            best_masks = tuple(sorted(chosen))
+                optima.clear()
+            optima.add(key)
+        if _beats(size, key, best, best_masks):
+            best, best_masks = size, key
 
     def drop_satisfied(mask_new: int, unsat: int) -> int:
         uu = unsat
@@ -360,7 +395,7 @@ def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
             note_solution(chosen)
         # bound
         ub = len(chosen) + _greedy_cover_bound(cand, disj)
-        if collect_optima:
+        if collect:
             if ub < best:
                 return
         elif ub <= best:
@@ -411,24 +446,57 @@ def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
         chosen.pop()
         recurse(chosen, cand & ~vb, 0, excluded | vb)
 
-    status = PROVED
-    try:
-        recurse(list(chosen0), full, all_sat & ~sat0, 0)
-    except _Budget:
-        status = TIMEBOXED
-
-    elapsed = time.perf_counter() - t_start
+    status = _timebox(recurse, list(forced), (1 << len(cand_masks)) - 1,
+                      all_sat & ~sat0, 0)
     witness = UniformFamily.from_masks(n, k, best_masks)
-    if collect_optima and not optima:
-        # the collection floor was never reached; value and witness carry no claim
-        result = SearchResult(best, witness, status, nodes, elapsed, budget)
-        return result, []
-    if len(witness) != best:
+    if (optima or not collect) and len(witness) != best:
         raise AssertionError("witness size disagrees with the proven value")
-    _verify(witness, r_min)
-    result = SearchResult(best, witness, status, nodes, elapsed, budget)
-    if collect_optima:
-        return result, sorted(optima)
+    result = SearchResult(best, witness, status, nodes,
+                          time.perf_counter() - t_start, budget)
+    return result, sorted(optima)
+
+
+def _split_search(n: int, k: int, budget: float,
+                  incumbent: UniformFamily | None = None, collect: bool = False
+                  ) -> tuple[SearchResult, list[tuple[int, ...]]]:
+    """Run every branch of ``_structural_branches`` and combine them as if
+    they were one search, with the same return shape as ``_search``.
+
+    Branch A gets the whole budget, each B_i what is left of it but at
+    least one second.  When collecting, B_i only gathers families at least
+    as large as A's optimum, since smaller ones cannot be optimal overall.
+    """
+    t0 = time.perf_counter()
+    runs = []
+    left, floor = budget, (0 if collect else None)
+    for branch in _structural_branches(n, k):
+        runs.append(_search(n, k, branch, left, incumbent, floor))
+        left = max(1.0, budget - (time.perf_counter() - t0))
+        if collect:
+            floor = runs[0][0].value
+    found = [res for res, raw in runs if raw or not collect]
+    best = min(found, key=lambda res: (-res.value, res.witness.masks),
+               default=runs[0][0])
+    optima = sorted({masks for res, raw in runs if res.value == best.value
+                     for masks in raw})
+    status = PROVED if all(res.status == PROVED for res, _ in runs) else TIMEBOXED
+    result = SearchResult(best.value, best.witness, status,
+                          sum(res.nodes for res, _ in runs),
+                          time.perf_counter() - t0, budget)
+    return result, optima
+
+
+def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
+                     seed_incumbent: bool = True) -> SearchResult:
+    """Exact m(n,k,r) with optimality proof, or a timeboxed lower bound.
+
+    ``seed_incumbent`` warm-starts the bound with a known feasible family
+    (the star, Hilton-Milner, or G(n,k)).
+    """
+    branch = _plain_branch(n, k, r_min)
+    incumbent = _default_incumbent(n, k, r_min) if seed_incumbent else None
+    result, _ = _search(n, k, branch, budget, incumbent)
+    _verify(result.witness, r_min)
     return result
 
 
@@ -436,7 +504,11 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
                             ) -> SearchResult:
     """Maximum intersecting family with every degree capped per the
     degree-bounded theorem: Δ(F) ≤ C(n-1,k-1) - C(n-ℓ-1,k-1); the result
-    must stay within C(n-1,k-1) - C(n-ℓ-1,k-1) + C(n-ℓ-1,k-ℓ)."""
+    must stay within C(n-1,k-1) - C(n-ℓ-1,k-1) + C(n-ℓ-1,k-ℓ).
+
+    A plain include/exclude search: domination pruning and forced
+    inclusion are unsound under a degree cap, so it has its own recursion.
+    """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
     if n <= 2 * k:
@@ -446,21 +518,8 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     t_start = time.perf_counter()
     deadline = t_start + budget
 
-    cand_masks = list(ksets_colex(n, k))
     first = mask_of(range(1, k + 1), n)
-    cand_masks = [m for m in cand_masks if m != first and m & first]
-    nc = len(cand_masks)
-    compat = [0] * nc
-    disj = [0] * nc
-    for i in range(nc):
-        mi = cand_masks[i]
-        for j in range(i + 1, nc):
-            if mi & cand_masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-            else:
-                disj[i] |= 1 << j
-                disj[j] |= 1 << i
+    cand_masks, compat, disj = _candidate_graph(ksets_colex(n, k), (first,))
 
     best = 0
     best_masks: tuple[int, ...] = ()
@@ -477,10 +536,10 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         if nodes % 4096 == 0 and time.perf_counter() > deadline:
             raise _Budget
         size = len(chosen)
-        if size > best or (size == best and tuple(sorted(chosen)) < best_masks):
-            if size > best:
-                best = size
-            best_masks = tuple(sorted(chosen))
+        if size >= best:
+            key = tuple(sorted(chosen))
+            if _beats(size, key, best, best_masks):
+                best, best_masks = size, key
         if size + _greedy_cover_bound(cand, disj) <= best:
             return
         if not cand:
@@ -515,12 +574,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     degs0 = [0] * n
     for x in range(k):
         degs0[x] = 1
-    status = PROVED
-    try:
-        recurse([first], (1 << nc) - 1, degs0)
-    except _Budget:
-        status = TIMEBOXED
-    elapsed = time.perf_counter() - t_start
+    status = _timebox(recurse, [first], (1 << len(cand_masks)) - 1, degs0)
     witness = UniformFamily.from_masks(n, k, best_masks)
     _verify(witness, 1)
     if max((sum(1 for m in witness.masks if m >> i & 1) for i in range(n)), default=0) > cap:
@@ -528,7 +582,8 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     if status == PROVED and best > bound:
         raise AssertionError(
             f"degree-capped optimum {best} exceeds the theorem bound {bound}")
-    return SearchResult(best, witness, status, nodes, elapsed, budget)
+    return SearchResult(best, witness, status, nodes,
+                        time.perf_counter() - t_start, budget)
 
 
 def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
@@ -551,52 +606,12 @@ def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
 
 def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0,
                             seed_incumbent: bool = True) -> SearchResult:
-    """m(n,k,3) via the structural case split, mirroring the proof architecture.
-
-    Case A: families with covering number exactly 3 are isomorphic to one
-    in which {1,2,3} is a cover, so the universe shrinks to the k-sets
-    meeting {1,2,3} (no first-member forcing; the relabeling freedom is
-    spent).  Case B: covering number at least 4, enforced by avoiding
-    every triple, over the full universe with the forced first member.
-    Solutions of either case are feasible for τ ≥ 3, and every τ ≥ 3
-    family lands in one of them up to isomorphism, so the combined
-    maximum is exact.
-    """
-    t0 = time.perf_counter()
-    cover3 = mask_of((1, 2, 3), n)
-    universe_a = [m for m in ksets_colex(n, k) if m & cover3]
-    res_a = max_intersecting(n, k, 3, budget=budget, seed_incumbent=seed_incumbent,
-                             forced_first=False, universe=universe_a)
-    triple_constraints = [mask_of(c, n) for c in combinations(range(1, n + 1), 3)]
-    # Covering number >= 4 case.  With the first member normalised to [1..k],
-    # some member avoids {1,2,3}; it meets [1..k] in a nonempty subset of
-    # [4..k], say of size i, and the stabiliser of [1..k] maps it onto the
-    # representative [k-i+1..k] ∪ [k+1..2k-i].  One forced-pair search per i
-    # is therefore exhaustive over isomorphism classes.
-    first = mask_of(range(1, k + 1), n)
-    incumbent = build_G(n, k) if seed_incumbent else None
-    results = [res_a]
-    for i in range(1, k - 2):
-        second = mask_of(list(range(k - i + 1, k + 1))
-                         + list(range(k + 1, 2 * k - i + 1)), n)
-        remaining = max(1.0, budget - (time.perf_counter() - t0))
-        # triple avoidance subsumes pair and singleton avoidance, so r_min=1
-        # keeps the constraint set lean; feasibility for τ >= 3 is re-checked
-        # on the combined witness below
-        results.append(max_intersecting(n, k, 1, budget=remaining,
-                                        seed_incumbent=False,
-                                        extra_constraints=triple_constraints,
-                                        forced_members=[first, second],
-                                        incumbent_family=incumbent))
-    value, witness = results[0].value, results[0].witness
-    for res in results[1:]:
-        if res.value > value or (res.value == value
-                                 and res.witness.masks < witness.masks):
-            value, witness = res.value, res.witness
-    status = PROVED if all(r.status == PROVED for r in results) else TIMEBOXED
-    _verify(witness, 3)
-    return SearchResult(value, witness, status, sum(r.nodes for r in results),
-                        time.perf_counter() - t0, budget)
+    """m(n,k,3) via the structural case split of ``_structural_branches``,
+    mirroring the proof architecture."""
+    incumbent = _default_incumbent(n, k, 3) if seed_incumbent else None
+    result, _ = _split_search(n, k, budget, incumbent)
+    _verify(result.witness, 3)
+    return result
 
 
 def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
@@ -630,45 +645,16 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0,
     the optima through the forced-first-member search and deduplicating
     by canonical form covers every isomorphism class.  With
     ``structural=True`` (r_min = 3 only) the collection instead runs over
-    the structural case split of ``max_intersecting_seeded``, whose
-    branches likewise reach every isomorphism class.
+    the structural case split of ``_structural_branches``, whose branches
+    likewise reach every isomorphism class.
     """
     if not structural:
-        result, raw = max_intersecting(n, k, r_min, budget=budget,
-                                       seed_incumbent=False, collect_optima=True)
-        return _dedup_to_forms(n, k, raw), result
-    if r_min != 3:
+        result, raw = _search(n, k, _plain_branch(n, k, r_min), budget,
+                              collect_floor=0)
+    elif r_min != 3:
         raise ValueError("structural enumeration is defined for r_min = 3")
-    t0 = time.perf_counter()
-    cover3 = mask_of((1, 2, 3), n)
-    universe_a = [m for m in ksets_colex(n, k) if m & cover3]
-    branches = [max_intersecting(n, k, 3, budget=budget, seed_incumbent=False,
-                                 forced_first=False, universe=universe_a,
-                                 collect_optima=True)]
-    floor = branches[0][0].value
-    triple_constraints = [mask_of(c, n) for c in combinations(range(1, n + 1), 3)]
-    first = mask_of(range(1, k + 1), n)
-    for i in range(1, k - 2):
-        second = mask_of(list(range(k - i + 1, k + 1))
-                         + list(range(k + 1, 2 * k - i + 1)), n)
-        remaining = max(1.0, budget - (time.perf_counter() - t0))
-        # the covering-number-4 branches only matter where they tie or beat
-        # the 3-cover branch, so their collection is floored at its value
-        branches.append(max_intersecting(n, k, 1, budget=remaining,
-                                         seed_incumbent=False,
-                                         extra_constraints=triple_constraints,
-                                         forced_members=[first, second],
-                                         collect_optima=True,
-                                         collect_floor=floor))
-    value = max(res.value for res, raw in branches if raw)
-    status = PROVED if all(res.status == PROVED for res, _ in branches) \
-        else TIMEBOXED
-    raw_all = sorted({masks for res, raw in branches if res.value == value
-                      for masks in raw})
-    forms = _dedup_to_forms(n, k, raw_all)
-    witness = UniformFamily.from_masks(n, k, raw_all[0])
-    _verify(witness, 3)
-    combined = SearchResult(value, witness, status,
-                            sum(res.nodes for res, _ in branches),
-                            time.perf_counter() - t0, budget)
-    return forms, combined
+    else:
+        result, raw = _split_search(n, k, budget, collect=True)
+    if raw:
+        _verify(result.witness, r_min)
+    return _dedup_to_forms(n, k, raw), result

@@ -128,16 +128,23 @@ def test_json_output_byte_stable(capsys):
     assert json.loads(first)["wall_time_ms"] == 0
 
 
-def test_verify_threads_order_normalized(capsys):
+def test_verify_order_normalized(capsys):
     args = ["verify", "--suite", "ID-G-2K", "--suite", "ID-F-REC",
             "--suite", "ID-ENDGAME-94", "--format", "json-lines", "--k-max", "40"]
-    assert run(args + ["--threads", "1"]) == 0
-    seq = capsys.readouterr().out
-    assert run(args + ["--threads", "4"]) == 0
-    par = capsys.readouterr().out
-    assert seq == par
-    ids = [json.loads(line)["id"] for line in seq.splitlines()]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+    ids = [json.loads(line)["id"] for line in first.splitlines()]
     assert ids == sorted(ids)
+
+
+def test_construct_missing_size_is_usage_error(capsys):
+    for argv, missing in ((["construct", "g"], "--n and --k"),
+                          (["construct", "star", "--n", "7"], "--k"),
+                          (["construct", "hm", "--k", "3"], "--n")):
+        assert run(argv) == 2
+        assert f"needs {missing}" in capsys.readouterr().err
 
 
 def test_construct_fh_flow(tmp_path, capsys):

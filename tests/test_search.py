@@ -10,7 +10,8 @@ from ekrforge.constructions import build_K34, build_R, build_S, g_size_formula
 from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily
 from ekrforge.search import (are_isomorphic, canonical_form, enumerate_optima,
-                             max_intersecting, max_intersecting_degcap)
+                             max_intersecting, max_intersecting_degcap,
+                             max_intersecting_seeded)
 
 
 def test_values_against_closed_forms():
@@ -145,11 +146,28 @@ def test_enumerate_optima_6_3_1():
 
 
 def test_enumerate_optima_7_3_3():
-    forms, result = enumerate_optima(7, 3, 3, budget=300)
-    assert result.value == 10
-    assert len(forms) == 7
-    # every recorded class really has value-many members
-    assert all(len(f.masks) == 10 for f in forms)
+    routes = [enumerate_optima(7, 3, 3, budget=300, structural=structural)
+              for structural in (False, True)]
+    for forms, result in routes:
+        assert result.value == 10
+        assert len(forms) == 7
+        # every recorded class really has value-many members
+        assert all(len(f.masks) == 10 for f in forms)
+    # the structural split reaches exactly the classes of the plain search
+    assert [f.masks for f in routes[0][0]] == [f.masks for f in routes[1][0]]
+
+
+def test_structural_enumeration_without_optima():
+    """No intersecting 2-uniform family has covering number 3."""
+    forms, result = enumerate_optima(5, 2, 3, structural=True)
+    assert forms == [] and result.value == 0
+
+
+def test_seeded_split_8_4():
+    """At (8,4) the split runs branch A and one covering-number-4 branch."""
+    res = max_intersecting_seeded(8, 4, budget=300)
+    assert res.status == "proved-optimal"
+    assert res.value == 35 == g_size_formula(8, 4)
 
 
 @pytest.mark.slow
@@ -180,10 +198,8 @@ def test_optima_7_3_3_against_clique_enumeration():
 @pytest.mark.slow
 def test_seeded_search_structure():
     """The τ=3-restricted branch of the structural split proves 48 at (9,4)."""
-    from ekrforge.families import ksets_colex, mask_of
-    cover3 = mask_of((1, 2, 3), 9)
-    universe = [m for m in ksets_colex(9, 4) if m & cover3]
-    res = max_intersecting(9, 4, 3, budget=600, forced_first=False,
-                           universe=universe)
+    from ekrforge.search import _default_incumbent, _search, _structural_branches
+    branch_a = next(_structural_branches(9, 4))
+    res, _ = _search(9, 4, branch_a, 600, _default_incumbent(9, 4, 3))
     assert res.status == "proved-optimal"
     assert res.value == 48
