@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .binomial import binom
 from .constructions import build_G, build_HM, full_star
@@ -50,8 +50,9 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Relabeling-invariant encoding: the minimum colex-sorted mask tuple
-    over all ground-set permutations."""
+    """Relabeling-invariant encoding: the colex-sorted mask tuple of one
+    relabeling of the family, chosen by ``canonical_form`` so that two
+    families get the same form exactly when they are isomorphic."""
 
     n: int
     k: int
@@ -63,33 +64,145 @@ class _Budget(Exception):
 
 
 def canonical_form(family: UniformFamily) -> CanonicalForm:
-    """Minimum relabeled mask tuple over all permutations of [n].
+    """Canonical labelling by individualisation-refinement on the points
+    of [n] (McKay & Piperno, Practical graph isomorphism II, 2014).
 
-    Pruned sweep: the minimum image tuple necessarily starts with the mask
-    of {1..k}, so only permutations sending some member onto {1..k} can
-    win.  The outer loop ranges over (member, bijection-onto-[1..k])
-    pairs, the inner one over the placements of the remaining elements.
+    Search tree.  A node is an ordered partition of the points, refined
+    by ``_refine`` until it is equitable.  A discrete partition is a leaf:
+    its cell order is a bijection λ onto [n], and its image is the sorted
+    mask tuple of λ(F).  At any other node the first non-singleton cell
+    is the target, and the children individualise its points one at a
+    time (the point becomes a singleton cell in front of the rest).
+
+    Invariance.  Refinement, the choice of the target cell and
+    individualisation read only the family and the cell order, never a
+    point's label, so a relabeling σ maps the tree of F onto the tree of
+    σF and both trees have the same set of leaf images.  The form is the
+    minimum of that set: equal for isomorphic families, and, being λ(F)
+    for a bijection λ, equal only for isomorphic families.
+
+    Pruning skips only subtrees whose leaf images repeat those of an
+    explored sibling.  If an automorphism γ of F maps a node's partition
+    onto itself and one child point x to another y, γ maps the subtree of
+    x onto the subtree of y.  Such γ come from twins (points lying in
+    exactly the same members, swapped by a transposition: only one point
+    per twin class is individualised, and a target cell that is one twin
+    class is ordered without branching) and from leaves with equal images
+    (λ₂⁻¹λ₁ is an automorphism fixing every singleton on the two leaves'
+    common path, so the search also returns at once to the node where
+    the paths part, whose other children it prunes by the orbits of the
+    automorphisms found so far).
     """
-    n, k = family.n, family.k
-    masks = family.masks
+    n, k, masks = family.n, family.k, family.masks
     if not masks:
         return CanonicalForm(n, k, ())
-    elems = list(range(n))
-    best: tuple[int, ...] | None = None
-    for member in masks:
-        member_elems = [b - 1 for b in _bit_positions(member)]
-        rest = [x for x in elems if x not in member_elems]
-        for head in permutations(range(k)):
-            table = [0] * n
-            for idx, x in enumerate(member_elems):
-                table[x] = head[idx]
-            for tail in permutations(range(k, n)):
-                for idx, x in enumerate(rest):
-                    table[x] = tail[idx]
-                relabeled = tuple(sorted(_apply_perm(m, table) for m in masks))
-                if best is None or relabeled < best:
-                    best = relabeled
-    return CanonicalForm(n, k, best)
+    members = [[b - 1 for b in _bit_positions(m)] for m in masks]
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for j, pts in enumerate(members):
+        for x in pts:
+            incidence[x].append(j)
+    classes: dict[tuple[int, ...], int] = {}
+    twin = [classes.setdefault(tuple(inc), x) for x, inc in enumerate(incidence)]
+    autos: list[list[int]] = []
+    # (image, labelling, path) of the first leaf, then of the best if other
+    refs: list[tuple[tuple[int, ...], list[int], list[int]]] = []
+
+    def leaf(cells: list[list[int]], path: list[int]) -> int:
+        lab = [0] * n
+        for pos, (x,) in enumerate(cells):
+            lab[x] = pos
+        image = tuple(sorted(_apply_perm(m, lab) for m in masks))
+        resume = len(path)
+        for ref_image, ref_lab, ref_path in refs:
+            if image == ref_image:
+                at = [0] * n
+                for x in range(n):
+                    at[lab[x]] = x
+                autos.append([at[ref_lab[x]] for x in range(n)])
+                common = 0
+                while path[common] == ref_path[common]:
+                    common += 1
+                resume = min(resume, common)
+        if not refs or image < refs[-1][0]:
+            refs[1:] = [(image, lab, path)]
+        return resume
+
+    def node(cells: list[list[int]], path: list[int]) -> int:
+        """Explore a refined node; return the depth the search resumes at."""
+        if len(cells) == n:
+            return leaf(cells, path)
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        target = sorted(cells[t])
+        if all(twin[x] == twin[target[0]] for x in target):
+            ordered = cells[:t] + [[x] for x in target] + cells[t + 1:]
+            return node(_refine(ordered, members, incidence), path)
+        depth = len(path)
+        cell_of = [0] * n
+        for i, cell in enumerate(cells):
+            for x in cell:
+                cell_of[x] = i
+        # orbits on the target cell, seeded with its twin classes
+        head: dict[int, int] = {}
+        parent = {x: head.setdefault(twin[x], x) for x in target}
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        seen, explored = 0, []
+        for x in target:
+            for gamma in autos[seen:]:
+                if all(cell_of[gamma[y]] == cell_of[y] for y in range(n)):
+                    for y in target:
+                        ry, rz = find(y), find(gamma[y])
+                        if ry != rz:
+                            parent[max(ry, rz)] = min(ry, rz)
+            seen = len(autos)
+            rx = find(x)
+            if any(find(y) == rx for y in explored):
+                continue
+            explored.append(x)
+            child = cells[:t] + [[x], [y for y in cells[t] if y != x]] + cells[t + 1:]
+            resume = node(_refine(child, members, incidence), path + [x])
+            if resume < depth:
+                return resume
+        return depth
+
+    node(_refine([list(range(n))], members, incidence), [])
+    return CanonicalForm(n, k, refs[-1][0])
+
+
+def _refine(cells: list[list[int]], members: list[list[int]],
+            incidence: list[list[int]]) -> list[list[int]]:
+    """Split the cells of an ordered partition of the points until it is
+    equitable.  A member's type is the sorted tuple of the cells of its
+    points; a point's signature is the sorted multiset of the types of
+    the members through it.  Each cell splits by signature, the new cells
+    ordered by signature, so the result never depends on point labels.
+    """
+    n = len(incidence)
+    while True:
+        cell_of = [0] * n
+        for i, cell in enumerate(cells):
+            for x in cell:
+                cell_of[x] = i
+        types = [tuple(sorted([cell_of[x] for x in pts])) for pts in members]
+        rank = {t: r for r, t in enumerate(sorted(set(types)))}
+        kinds = [rank[t] for t in types]
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for x in cell:
+                sig = tuple(sorted([kinds[j] for j in incidence[x]]))
+                groups.setdefault(sig, []).append(x)
+            refined.extend(groups[sig] for sig in sorted(groups))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -105,49 +218,58 @@ def _iso_signature(family: UniformFamily) -> tuple:
     """Cheap relabeling invariant: degree sequence plus per-member
     intersection profiles, both sorted."""
     masks = family.masks
-    degs = sorted(sum(1 for m in masks if m >> x & 1) for x in range(family.n))
-    profiles = sorted(tuple(sorted((m & other).bit_count()
-                                   for other in masks if other != m))
-                      for m in masks)
+    degs = sorted([sum([m >> x & 1 for m in masks]) for x in range(family.n)])
+    profiles = sorted([tuple(sorted([(m & other).bit_count()
+                                     for other in masks if other != m]))
+                       for m in masks])
     return tuple(degs), tuple(profiles)
 
 
 def are_isomorphic(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
-    """Backtracking ground-set bijection test with degree refinement."""
+    """Backtracking ground-set bijection test with degree refinement.
+
+    The points of A are mapped in order of decreasing degree, each onto
+    an unused point of B of the same degree.  A member of A is checked
+    once, at the depth that maps its last point in that order: its image
+    must be a member of B.
+    """
     if (fam_a.n, fam_a.k, len(fam_a)) != (fam_b.n, fam_b.k, len(fam_b)):
         return False
     if _iso_signature(fam_a) != _iso_signature(fam_b):
         return False
     n = fam_a.n
     set_b = set(fam_b.masks)
-
-    def degree_key(masks, x):
-        return sum(1 for m in masks if m >> x & 1)
-
-    deg_a = [degree_key(fam_a.masks, x) for x in range(n)]
-    deg_b = [degree_key(fam_b.masks, x) for x in range(n)]
+    members = [[b - 1 for b in _bit_positions(m)] for m in fam_a.masks]
+    deg_a = [0] * n
+    for pts in members:
+        for x in pts:
+            deg_a[x] += 1
+    deg_b = [sum([m >> y & 1 for m in fam_b.masks]) for y in range(n)]
     order = sorted(range(n), key=lambda x: (-deg_a[x], x))
-    candidates = [[y for y in range(n) if deg_b[y] == deg_a[x]] for x in range(n)]
+    rank = [0] * n
+    for depth, x in enumerate(order):
+        rank[x] = depth
+    closing: list[list[list[int]]] = [[] for _ in range(n)]
+    for pts in members:
+        closing[max((rank[x] for x in pts), default=0)].append(pts)
+    candidates = [[y for y in range(n) if deg_b[y] == deg_a[x]] for x in order]
     mapping = [-1] * n
     used = [False] * n
 
     def feasible(depth: int) -> bool:
-        assigned = {order[i] for i in range(depth + 1)}
-        for m in fam_a.masks:
-            bits = [b - 1 for b in _bit_positions(m)]
-            if all(x in assigned for x in bits):
-                img = 0
-                for x in bits:
-                    img |= 1 << mapping[x]
-                if img not in set_b:
-                    return False
+        for pts in closing[depth]:
+            img = 0
+            for x in pts:
+                img |= 1 << mapping[x]
+            if img not in set_b:
+                return False
         return True
 
     def assign(depth: int) -> bool:
         if depth == n:
             return True
         x = order[depth]
-        for y in candidates[x]:
+        for y in candidates[depth]:
             if used[y]:
                 continue
             mapping[x] = y
@@ -155,7 +277,6 @@ def are_isomorphic(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
             if feasible(depth) and assign(depth + 1):
                 return True
             used[y] = False
-            mapping[x] = -1
         return False
 
     return assign(0)
@@ -296,10 +417,14 @@ def _default_incumbent(n: int, k: int, r_min: int) -> UniformFamily | None:
 
 
 def _verify(witness: UniformFamily, r_min: int) -> None:
-    """Post-hoc check of a released witness, through the covers module."""
+    """Post-hoc check of a released witness, through the covers module.
+
+    An empty witness (value 0: no family meets the covering constraint)
+    has nothing to check, and its covering number is undefined.
+    """
     if not is_intersecting(witness):
         raise AssertionError("search produced a non-intersecting witness")
-    if r_min >= 2 and tau(witness) < r_min:
+    if r_min >= 2 and witness.masks and tau(witness) < r_min:
         raise AssertionError(f"search witness has covering number < {r_min}")
 
 
@@ -619,20 +744,17 @@ def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
     """Collapse labeled optima to isomorphism classes.
 
     Classes are split by the cheap invariant signature first; inside a
-    bucket, membership is decided by the explicit bijection test, and the
-    expensive canonical form is computed once per class.
+    bucket, membership is decided by the explicit bijection test against
+    the class representatives found so far, the only families kept, and
+    the canonical form is computed once per class.
     """
     buckets: dict[tuple, list[UniformFamily]] = {}
     for masks in raw:
         fam = UniformFamily.from_masks(n, k, masks)
-        buckets.setdefault(_iso_signature(fam), []).append(fam)
-    forms: list[CanonicalForm] = []
-    for fams in buckets.values():
-        reps: list[UniformFamily] = []
-        for fam in fams:
-            if not any(are_isomorphic(fam, rep) for rep in reps):
-                reps.append(fam)
-        forms.extend(canonical_form(rep) for rep in reps)
+        reps = buckets.setdefault(_iso_signature(fam), [])
+        if not any(are_isomorphic(fam, rep) for rep in reps):
+            reps.append(fam)
+    forms = [canonical_form(rep) for reps in buckets.values() for rep in reps]
     return sorted(forms, key=lambda f: f.masks)
 
 

@@ -5,9 +5,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from ekrforge.families import UniformFamily
+from ekrforge.families import UniformFamily, elements_of
 
 
 def k34_window_family(n: int = 9) -> UniformFamily:
@@ -112,3 +112,43 @@ def brute_max_by_cliques(n: int, k: int, r_min: int) -> int:
         if r_min <= 1 or tau(fam) >= r_min:
             best = max(best, len(fam))
     return best
+
+
+def brute_canonical_form(family: UniformFamily) -> tuple[int, ...]:
+    """Minimum relabeled mask tuple over all permutations of [n].
+
+    Independent oracle for ``search.canonical_form``.  Pruned sweep: the
+    minimum image tuple necessarily starts with the mask of {1..k}, so only
+    permutations sending some member onto {1..k} can win.  The outer loop
+    ranges over (member, bijection-onto-[1..k]) pairs, the inner one over
+    the placements of the remaining elements.
+    """
+    n, k = family.n, family.k
+    masks = family.masks
+    if not masks:
+        return ()
+    elems = list(range(n))
+    best: tuple[int, ...] | None = None
+    for member in masks:
+        member_elems = [b - 1 for b in elements_of(member)]
+        rest = [x for x in elems if x not in member_elems]
+        for head in permutations(range(k)):
+            table = [0] * n
+            for idx, x in enumerate(member_elems):
+                table[x] = head[idx]
+            for tail in permutations(range(k, n)):
+                for idx, x in enumerate(rest):
+                    table[x] = tail[idx]
+                relabeled = tuple(sorted(_apply_perm(m, table) for m in masks))
+                if best is None or relabeled < best:
+                    best = relabeled
+    return best
+
+
+def _apply_perm(mask: int, table) -> int:
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << table[b.bit_length() - 1]
+        mask ^= b
+    return out

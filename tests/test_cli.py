@@ -113,6 +113,17 @@ def test_oracle_subcommand(capsys):
     assert cert["params"]["status"] == "proved-optimal"
 
 
+def test_oracle_reports_empty_optimum(capsys):
+    """No intersecting 2-uniform family has covering number 3: m(4,2,3) = 0
+    is a proved value, not an error."""
+    assert run(["oracle", "--n", "4", "--k", "2", "--r", "3",
+                "--format", "json-lines"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] == "pass"
+    assert cert["params"]["value"] == 0
+    assert cert["params"]["status"] == "proved-optimal"
+
+
 def test_lex_subcommand(capsys):
     assert run(["lex", "--n", "5", "--k", "2", "--m", "4"]) == 0
     out = capsys.readouterr().out

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from conftest import brute_max_by_cliques
+from conftest import (brute_canonical_form, brute_max_by_cliques,
+                      prop34_equality_family)
 from ekrforge.binomial import binom
-from ekrforge.constructions import build_K34, build_R, build_S, g_size_formula
+from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
+                                    full_star, g_size_formula)
 from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily
 from ekrforge.search import (are_isomorphic, canonical_form, enumerate_optima,
@@ -60,6 +62,14 @@ def test_preconditions():
         max_intersecting(5, 3, 1)
     with pytest.raises(ValueError):
         max_intersecting(7, 3, 4)
+
+
+def test_empty_optimum_is_proved():
+    """No intersecting 2-uniform family has covering number 3, so the
+    optimum is the empty family, with nothing to verify."""
+    for res in (max_intersecting(4, 2, 3), max_intersecting_seeded(5, 2)):
+        assert res.value == 0 and len(res.witness) == 0
+        assert res.status == "proved-optimal"
 
 
 def test_degcap_values():
@@ -122,16 +132,66 @@ def test_canonical_k34_placement_independent():
     assert canonical_form(moved) == base
 
 
+def _relabeled(fam: UniformFamily, seed: int) -> UniformFamily:
+    perm = list(range(1, fam.n + 1))
+    random.Random(seed).shuffle(perm)
+    return UniformFamily.from_sets(
+        fam.n, fam.k, [tuple(perm[x - 1] for x in s) for s in fam.sets()])
+
+
 def test_are_isomorphic():
-    import random as _random
-    rng = _random.Random(8)
     fam = build_S(6)
-    perm = list(range(1, 7))
-    rng.shuffle(perm)
-    relabeled = UniformFamily.from_sets(
-        6, 3, [tuple(perm[x - 1] for x in s) for s in fam.sets()])
-    assert are_isomorphic(fam, relabeled)
+    assert are_isomorphic(fam, _relabeled(fam, 8))
     assert not are_isomorphic(build_S(6), build_R(6))
+    # an 8-cycle and two 4-cycles share the degree and intersection
+    # signature: only the bijection search tells them apart
+    cycle = UniformFamily.from_sets(8, 2, [(i, i % 8 + 1) for i in range(1, 9)])
+    squares = UniformFamily.from_sets(8, 2, [(1, 2), (2, 3), (3, 4), (1, 4),
+                                             (5, 6), (6, 7), (7, 8), (5, 8)])
+    assert not are_isomorphic(cycle, squares)
+    assert are_isomorphic(cycle, _relabeled(cycle, 1))
+    empty_set = UniformFamily.from_masks(3, 0, [0])
+    assert are_isomorphic(empty_set, empty_set)
+
+
+def test_canonical_form_against_brute_force():
+    """Refinement forms induce the same classes as the permutation sweep,
+    and each form is a relabeling of its family."""
+    named = [build_S(6), build_R(6), build_K34(6), full_star(6, 3), build_HM(7, 3),
+             build_G(7, 3), build_G(8, 4), prop34_equality_family()]
+    optima = [UniformFamily(f.n, f.k, f.masks)
+              for point in ((6, 3, 1), (7, 3, 3))
+              for f in enumerate_optima(*point, budget=300)[0]]
+    assert len(optima) == 13 + 7
+    # families whose form depends on the search past the first leaf and
+    # past the first automorphism found, so they get more relabelings
+    hard = [UniformFamily.from_sets(8, 3, [(3, 5, 6), (3, 5, 7), (3, 6, 7),
+                                           (1, 5, 8), (1, 6, 8), (1, 7, 8)]),
+            UniformFamily.from_sets(8, 2, [(1, 3), (2, 4), (2, 5), (4, 5), (1, 6),
+                                           (5, 6), (2, 7), (3, 7), (6, 7), (1, 8),
+                                           (3, 8), (4, 8)]),
+            UniformFamily.from_sets(8, 3, [(1, 2, 5), (1, 2, 8), (1, 3, 5), (1, 3, 8),
+                                           (1, 4, 6), (1, 6, 7), (2, 3, 6), (2, 4, 6),
+                                           (2, 5, 7), (2, 7, 8), (3, 4, 5), (3, 4, 8),
+                                           (3, 6, 7), (4, 5, 7), (4, 7, 8)])]
+    cases = [(fam, 2) for fam in named + optima] + [(fam, 8) for fam in hard]
+    forms, brutes = [], []
+    for i, (fam, copies) in enumerate(cases):
+        for copy in [fam] + [_relabeled(fam, 10 * i + j) for j in range(copies)]:
+            forms.append(canonical_form(copy))
+            brutes.append((copy.n, copy.k, brute_canonical_form(copy)))
+    assert len(set(forms)) == len(set(brutes)) == len(set(zip(forms, brutes)))
+    for form, (_, _, brute) in set(zip(forms, brutes)):
+        assert brute_canonical_form(UniformFamily(form.n, form.k, form.masks)) == brute
+
+
+def test_canonical_form_G_11_5():
+    """Beyond the reach of the permutation sweep: |G(11,5)| = 199."""
+    g = build_G(11, 5)
+    form = canonical_form(g)
+    assert len(form.masks) == g_size_formula(11, 5) == 199
+    assert all(canonical_form(_relabeled(g, seed)) == form for seed in range(3))
+    assert are_isomorphic(UniformFamily(11, 5, form.masks), g)
 
 
 def test_enumerate_optima_6_3_1():
