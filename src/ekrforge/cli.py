@@ -2,7 +2,8 @@
 
 Subcommands: construct | tau | covers | saturate | trace | classify |
 verify | oracle | lex.  Exit codes: 0 on success / all certificates
-passing, 1 when any certificate fails, 2 on usage or input errors.
+passing, 1 when any certificate fails, 2 on usage or input errors, 3 when
+an internal check fails (a bug in ekrforge, not in the input).
 
 Determinism: with a fixed invocation (including --seed) the JSON output
 is byte-identical across runs; wall-clock fields are emitted as 0 unless
@@ -31,6 +32,7 @@ from .properties import PROPERTY_SUITES
 from .search import max_intersecting, max_intersecting_degcap
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _parse_budget(text: str) -> float:
@@ -372,6 +374,10 @@ def run(argv=None) -> int:
     except (ValueError, FamilyFormatError) as exc:
         print(f"ekrforge: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        # the post-hoc witness checks of the searches raise this
+        print(f"ekrforge: internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

@@ -17,6 +17,16 @@ k-sets in colex order:
     chosen members is forced in: adding it never hurts intersecting-ness
     and never lowers τ, so some optimum (indeed every optimum) contains it.
 
+The degree-capped search (``max_intersecting_degcap``) cannot force or
+dominate, since a cap can make a compatible candidate unusable.  It
+branches in colour order instead (MCQ, Tomita et al. 2010): each node
+lists its candidates by the same greedy disjoint groups the bound counts
+and tries them from the last group down, stopping once the groups left
+cannot lift the family past the incumbent; candidates through a point at
+the cap leave the candidate set.  The τ-searches keep the count-only
+bound: at k = 3, r = 3 they never reach a plain clique phase, where
+colour order could cut nodes, and listing the groups costs time.
+
 Every returned witness is re-verified post hoc through the covers module
 before the result is released.  Searches are single-threaded and fully
 deterministic; an exhausted budget downgrades the status to a lower
@@ -226,17 +236,23 @@ def _iso_signature(family: UniformFamily) -> tuple:
 
 
 def are_isomorphic(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
-    """Backtracking ground-set bijection test with degree refinement.
+    """Size and signature checks, then the bijection test ``_bijection``."""
+    if (fam_a.n, fam_a.k, len(fam_a)) != (fam_b.n, fam_b.k, len(fam_b)):
+        return False
+    if _iso_signature(fam_a) != _iso_signature(fam_b):
+        return False
+    return _bijection(fam_a, fam_b)
+
+
+def _bijection(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
+    """Backtracking ground-set bijection test with degree refinement, for
+    two families of equal n, k and size.
 
     The points of A are mapped in order of decreasing degree, each onto
     an unused point of B of the same degree.  A member of A is checked
     once, at the depth that maps its last point in that order: its image
     must be a member of B.
     """
-    if (fam_a.n, fam_a.k, len(fam_a)) != (fam_b.n, fam_b.k, len(fam_b)):
-        return False
-    if _iso_signature(fam_a) != _iso_signature(fam_b):
-        return False
     n = fam_a.n
     set_b = set(fam_b.masks)
     members = [[b - 1 for b in _bit_positions(m)] for m in fam_a.masks]
@@ -345,7 +361,13 @@ def _structural_branches(n: int, k: int):
 
 def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
     """Greedy partition of the candidate bitset into pairwise-disjoint groups;
-    an intersecting family picks at most one per group."""
+    an intersecting family picks at most one per group.
+
+    A group opens at the lowest candidate left and takes, lowest first,
+    every candidate left that is disjoint from all of the group so far.
+    ``cur`` only ever holds bits above the last one taken, and ``disj[u]``
+    has no bit ``u``, so no mask is needed to keep the scan moving up.
+    """
     groups = 0
     rest = cand
     while rest:
@@ -354,10 +376,38 @@ def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
         groups += 1
         cur = rest & disj[v]
         while cur:
-            u = (cur & -cur).bit_length() - 1
-            rest &= ~(1 << u)
-            cur &= disj[u] & ~((1 << (u + 1)) - 1)
+            ub = cur & -cur
+            rest ^= ub
+            cur &= disj[ub.bit_length() - 1]
     return groups
+
+
+def _colour_classes(cand: int, disj: list[int]) -> tuple[list[int], list[int]]:
+    """The groups that ``_greedy_cover_bound`` counts, listed: the candidate
+    indices in the order the groups take them, and each one's group number
+    (1, 2, ...).  The first i candidates lie in the first ``colour[i-1]``
+    groups, so an intersecting family among them has at most that many
+    members."""
+    order: list[int] = []
+    colour: list[int] = []
+    groups = 0
+    rest = cand
+    while rest:
+        vb = rest & -rest
+        rest ^= vb
+        groups += 1
+        v = vb.bit_length() - 1
+        order.append(v)
+        colour.append(groups)
+        cur = rest & disj[v]
+        while cur:
+            ub = cur & -cur
+            rest ^= ub
+            u = ub.bit_length() - 1
+            order.append(u)
+            colour.append(groups)
+            cur &= disj[u]
+    return order, colour
 
 
 def _candidate_graph(universe, forced) -> tuple[list[int], list[int], list[int]]:
@@ -631,8 +681,27 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     degree-bounded theorem: Δ(F) ≤ C(n-1,k-1) - C(n-ℓ-1,k-1); the result
     must stay within C(n-1,k-1) - C(n-ℓ-1,k-1) + C(n-ℓ-1,k-ℓ).
 
-    A plain include/exclude search: domination pruning and forced
-    inclusion are unsound under a degree cap, so it has its own recursion.
+    Colour-ordered branching (MCQ: Tomita et al., An efficient
+    branch-and-bound algorithm for finding a maximum clique with
+    computational experiments, 2010) over the candidates that meet the
+    forced first member {1..k}.  Every candidate a node holds still fits
+    under the cap.  The node splits them once into the greedy disjoint
+    groups of ``_colour_classes`` and adds them one at a time, from the
+    last group down; after its subtree a candidate leaves the node's set,
+    so each family is reached once.  The child of ``u`` keeps the
+    candidates that meet ``u``, minus every candidate through a point that
+    ``u`` has just brought up to the cap.  Domination pruning and forced
+    inclusion are unsound under a degree cap, so this search does not
+    share ``_search``'s recursion.
+
+    Soundness of the stop ``size + colour <= best``: the candidates still
+    to be tried at that point lie in the first ``colour`` groups, each of
+    pairwise-disjoint sets, so an intersecting family takes at most
+    ``colour`` of them and nothing below can beat the incumbent.  The cap
+    only removes candidates, never adds one back, and a point that has
+    reached the cap stays there in every descendant, since members are
+    only added below a node; so a removed candidate could never have been
+    added anywhere in that subtree.
     """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
@@ -645,6 +714,12 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
 
     first = mask_of(range(1, k + 1), n)
     cand_masks, compat, disj = _candidate_graph(ksets_colex(n, k), (first,))
+    points = [[b - 1 for b in _bit_positions(m)] for m in cand_masks]
+    through = [0] * n
+    for i, pts in enumerate(points):
+        for x in pts:
+            through[x] |= 1 << i
+    degs = [1 if x < k else 0 for x in range(n)]
 
     best = 0
     best_masks: tuple[int, ...] = ()
@@ -655,7 +730,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         best, best_masks = len(seed), seed.masks
     nodes = 0
 
-    def recurse(chosen: list[int], cand: int, degs: list[int]) -> None:
+    def expand(chosen: list[int], cand: int) -> None:
         nonlocal nodes, best, best_masks
         nodes += 1
         if nodes % 4096 == 0 and time.perf_counter() > deadline:
@@ -665,41 +740,26 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
             key = tuple(sorted(chosen))
             if _beats(size, key, best, best_masks):
                 best, best_masks = size, key
-        if size + _greedy_cover_bound(cand, disj) <= best:
-            return
-        if not cand:
-            return
-        vb = cand & -cand
-        v = vb.bit_length() - 1
-        m = cand_masks[v]
-        fits = True
-        mm = m
-        while mm:
-            b = mm & -mm
-            if degs[b.bit_length() - 1] + 1 > cap:
-                fits = False
-                break
-            mm ^= b
-        if fits:
-            mm = m
-            while mm:
-                b = mm & -mm
-                degs[b.bit_length() - 1] += 1
-                mm ^= b
-            chosen.append(m)
-            recurse(chosen, cand & compat[v], degs)
+        order, colour = _colour_classes(cand, disj)
+        for i in range(len(order) - 1, -1, -1):
+            if size + colour[i] <= best:
+                return
+            u = order[i]
+            child = cand & compat[u]
+            for x in points[u]:
+                degs[x] += 1
+                if degs[x] == cap:
+                    child &= ~through[x]
+            chosen.append(cand_masks[u])
+            expand(chosen, child)
             chosen.pop()
-            mm = m
-            while mm:
-                b = mm & -mm
-                degs[b.bit_length() - 1] -= 1
-                mm ^= b
-        recurse(chosen, cand & ~vb, degs)
+            for x in points[u]:
+                degs[x] -= 1
+            cand ^= 1 << u
 
-    degs0 = [0] * n
-    for x in range(k):
-        degs0[x] = 1
-    status = _timebox(recurse, [first], (1 << len(cand_masks)) - 1, degs0)
+    # cap >= C(n-2,k-2) + C(n-3,k-2) >= 2, so after the forced member
+    # (degrees at most 1) every candidate still fits
+    status = _timebox(expand, [first], (1 << len(cand_masks)) - 1)
     witness = UniformFamily.from_masks(n, k, best_masks)
     _verify(witness, 1)
     if max((sum(1 for m in witness.masks if m >> i & 1) for i in range(n)), default=0) > cap:
@@ -746,13 +806,15 @@ def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
     Classes are split by the cheap invariant signature first; inside a
     bucket, membership is decided by the explicit bijection test against
     the class representatives found so far, the only families kept, and
-    the canonical form is computed once per class.
+    the canonical form is computed once per class.  A bucket's families
+    share n, k, size and signature, so the bijection test is called
+    directly, without the checks of ``are_isomorphic``.
     """
     buckets: dict[tuple, list[UniformFamily]] = {}
     for masks in raw:
         fam = UniformFamily.from_masks(n, k, masks)
         reps = buckets.setdefault(_iso_signature(fam), [])
-        if not any(are_isomorphic(fam, rep) for rep in reps):
+        if not any(_bijection(fam, rep) for rep in reps):
             reps.append(fam)
     forms = [canonical_form(rep) for reps in buckets.values() for rep in reps]
     return sorted(forms, key=lambda f: f.masks)

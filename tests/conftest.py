@@ -152,3 +152,102 @@ def _apply_perm(mask: int, table) -> int:
         out |= 1 << table[b.bit_length() - 1]
         mask ^= b
     return out
+
+
+def reference_degcap(n: int, k: int, ell: int) -> tuple[int, tuple[int, ...], int]:
+    """The include/exclude degree-capped search that colour-ordered
+    branching replaced in ``search.max_intersecting_degcap``.
+
+    Independent reference for it: same cap, same warm start and same
+    witness tie-break (larger family, then colex-smaller sorted masks), so
+    it must give the same value and witness masks.  Each node branches on
+    the lowest candidate (include it if it fits under the cap, then
+    exclude it) and prunes by the greedy disjoint-group count.  Returns
+    ``(value, witness masks, nodes)``.
+    """
+    from ekrforge.binomial import binom
+    from ekrforge.families import ksets_colex, mask_of
+    from ekrforge.search import _degcap_seed
+
+    cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
+    first = mask_of(range(1, k + 1), n)
+    cand_masks = [m for m in ksets_colex(n, k) if m != first and m & first]
+    nc = len(cand_masks)
+    compat = [0] * nc
+    disj = [0] * nc
+    for i in range(nc):
+        for j in range(i + 1, nc):
+            if cand_masks[i] & cand_masks[j]:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+            else:
+                disj[i] |= 1 << j
+                disj[j] |= 1 << i
+
+    best = 0
+    best_masks: tuple[int, ...] = ()
+    seed = _degcap_seed(n, k, ell, cap)
+    if seed is not None:
+        best, best_masks = len(seed), seed.masks
+    nodes = 0
+
+    def recurse(chosen: list[int], cand: int, degs: list[int]) -> None:
+        nonlocal nodes, best, best_masks
+        nodes += 1
+        size = len(chosen)
+        if size >= best:
+            key = tuple(sorted(chosen))
+            if size > best or not best_masks or key < best_masks:
+                best, best_masks = size, key
+        if size + _reference_cover_bound(cand, disj) <= best:
+            return
+        if not cand:
+            return
+        vb = cand & -cand
+        v = vb.bit_length() - 1
+        m = cand_masks[v]
+        fits = True
+        mm = m
+        while mm:
+            b = mm & -mm
+            if degs[b.bit_length() - 1] + 1 > cap:
+                fits = False
+                break
+            mm ^= b
+        if fits:
+            mm = m
+            while mm:
+                b = mm & -mm
+                degs[b.bit_length() - 1] += 1
+                mm ^= b
+            chosen.append(m)
+            recurse(chosen, cand & compat[v], degs)
+            chosen.pop()
+            mm = m
+            while mm:
+                b = mm & -mm
+                degs[b.bit_length() - 1] -= 1
+                mm ^= b
+        recurse(chosen, cand & ~vb, degs)
+
+    degs0 = [0] * n
+    for x in range(k):
+        degs0[x] = 1
+    recurse([first], (1 << nc) - 1, degs0)
+    return best, best_masks, nodes
+
+
+def _reference_cover_bound(cand: int, disj: list[int]) -> int:
+    """Greedy partition into pairwise-disjoint groups, counted."""
+    groups = 0
+    rest = cand
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        groups += 1
+        cur = rest & disj[v]
+        while cur:
+            u = (cur & -cur).bit_length() - 1
+            rest &= ~(1 << u)
+            cur &= disj[u] & ~((1 << (u + 1)) - 1)
+    return groups

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ekrforge.cli
 from ekrforge.cli import run
 from ekrforge.constructions import build_G
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
@@ -122,6 +123,29 @@ def test_oracle_reports_empty_optimum(capsys):
     assert cert["verdict"] == "pass"
     assert cert["params"]["value"] == 0
     assert cert["params"]["status"] == "proved-optimal"
+
+
+def test_oracle_degcap_subcommand(capsys):
+    args = ["oracle", "--n", "8", "--k", "3", "--degree-cap-ell", "2",
+            "--format", "json-lines"]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    cert = json.loads(first)
+    assert cert["id"] == "M-ORACLE-DEGCAP"
+    assert cert["params"]["value"] == 16
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    """A failed internal check is neither a usage error nor a failed
+    certificate."""
+    def broken(*args):
+        raise AssertionError("degree cap violated by the witness")
+
+    monkeypatch.setattr(ekrforge.cli, "max_intersecting_degcap", broken)
+    assert run(["oracle", "--n", "8", "--k", "3", "--degree-cap-ell", "2"]) == 3
+    assert "internal error: degree cap violated" in capsys.readouterr().err
 
 
 def test_lex_subcommand(capsys):

@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from conftest import (brute_canonical_form, brute_max_by_cliques,
-                      prop34_equality_family)
+from conftest import (_reference_cover_bound, brute_canonical_form,
+                      brute_max_by_cliques, prop34_equality_family,
+                      reference_degcap)
 from ekrforge.binomial import binom
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
                                     full_star, g_size_formula)
 from ekrforge.covers import is_intersecting, tau
-from ekrforge.families import UniformFamily
-from ekrforge.search import (are_isomorphic, canonical_form, enumerate_optima,
-                             max_intersecting, max_intersecting_degcap,
-                             max_intersecting_seeded)
+from ekrforge.families import UniformFamily, ksets_colex, mask_of
+from ekrforge.search import (_candidate_graph, _colour_classes,
+                             _greedy_cover_bound, are_isomorphic,
+                             canonical_form, enumerate_optima, max_intersecting,
+                             max_intersecting_degcap, max_intersecting_seeded)
 
 
 def test_values_against_closed_forms():
@@ -107,6 +109,54 @@ def test_degcap_preconditions():
         max_intersecting_degcap(7, 3, 1)
     with pytest.raises(ValueError):
         max_intersecting_degcap(6, 3, 2)
+
+
+def test_degcap_against_reference():
+    """Colour-ordered branching finds the same optimum and witness as the
+    include/exclude reference, in fewer nodes."""
+    for point in ((7, 3, 2), (7, 3, 3), (8, 3, 2), (8, 3, 3)):
+        res = max_intersecting_degcap(*point, budget=300)
+        value, masks, nodes = reference_degcap(*point)
+        assert res.status == "proved-optimal"
+        assert (res.value, res.witness.masks) == (value, masks)
+        assert res.nodes < nodes
+
+
+def test_degcap_timeboxed():
+    """An exhausted budget stops the search with a lower bound that still
+    respects the cap."""
+    res = max_intersecting_degcap(9, 3, 2, budget=0.01)
+    assert res.status == "timeboxed-lower-bound"
+    cap = binom(8, 2) - binom(6, 2)
+    assert is_intersecting(res.witness) and len(res.witness) == res.value > 0
+    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 10)]
+    assert max(degs) <= cap
+
+
+def test_colour_classes_partition():
+    """The listed groups partition the candidates into pairwise-disjoint
+    sets, in group order, as many as the greedy bound counts (and as the
+    masked form of that bound in the reference search)."""
+    rng = random.Random(3)
+    for n, k in ((9, 3), (9, 4)):
+        first = mask_of(range(1, k + 1), n)
+        cand_masks, _, disj = _candidate_graph(ksets_colex(n, k), (first,))
+        for _ in range(40):
+            cand = rng.getrandbits(len(cand_masks))
+            order, colour = _colour_classes(cand, disj)
+            assert colour == sorted(colour)
+            groups: dict[int, list[int]] = {}
+            for v, c in zip(order, colour):
+                groups.setdefault(c, []).append(v)
+            assert len(groups) == _greedy_cover_bound(cand, disj) \
+                == _reference_cover_bound(cand, disj)
+            assert sorted(groups) == list(range(1, len(groups) + 1))
+            assert len(order) == len(set(order))
+            assert sum(1 << v for v in order) == cand
+            for members in groups.values():
+                for i, u in enumerate(members):
+                    for v in members[i + 1:]:
+                        assert not cand_masks[u] & cand_masks[v]
 
 
 def test_canonical_form_invariance():
