@@ -128,7 +128,7 @@ def suite_id_g_2k(k_min=3, k_max=200, **_) -> Certificate:
         {"k_min": k_min, "k_max": k_max}, witnesses, t0)
 
 
-def suite_id_ekr(k_min=3, k_max=12, n_span=60, small_check=True, **_) -> Certificate:
+def suite_id_ekr(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
     t0 = time.perf_counter()
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
@@ -137,30 +137,28 @@ def suite_id_ekr(k_min=3, k_max=12, n_span=60, small_check=True, **_) -> Certifi
         m3 = g_size_formula(n, k)
         if not m3 <= m2 <= m1:
             witnesses.append({"n": n, "k": k, "m1": m1, "m2": m2, "m3": m3})
-    if small_check:
-        for k in range(3, 6):
-            for n in range(2 * k, 2 * k + 4):
-                if len(full_star(n, k)) != binom(n - 1, k - 1):
-                    witnesses.append({"n": n, "k": k, "star": len(full_star(n, k))})
+    for k in range(3, 6):
+        for n in range(2 * k, 2 * k + 4):
+            if len(full_star(n, k)) != binom(n - 1, k - 1):
+                witnesses.append({"n": n, "k": k, "star": len(full_star(n, k))})
     return make_certificate(
         "ID-EKR", "star count matches C(n-1,k-1); formula chain m3 <= m2 <= m1",
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
 
 
-def suite_id_hm(k_min=3, k_max=12, n_span=60, small_check=True, **_) -> Certificate:
+def suite_id_hm(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
     t0 = time.perf_counter()
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k + 1, lambda k: 2 * k + n_span):
         m2 = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
         if not m2 < binom(n - 1, k - 1):
             witnesses.append({"n": n, "k": k, "m2": m2})
-    if small_check:
-        for k in range(3, 6):
-            for n in range(2 * k + 1, 2 * k + 4):
-                expected = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
-                if len(build_HM(n, k)) != expected:
-                    witnesses.append({"n": n, "k": k, "built": len(build_HM(n, k)),
-                                      "formula": expected})
+    for k in range(3, 6):
+        for n in range(2 * k + 1, 2 * k + 4):
+            expected = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
+            if len(build_HM(n, k)) != expected:
+                witnesses.append({"n": n, "k": k, "built": len(build_HM(n, k)),
+                                  "formula": expected})
     return make_certificate(
         "ID-HM", "Hilton-Milner family count matches its formula and sits below EKR",
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)

@@ -27,6 +27,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .constructions import build_R, build_S
 from .covers import covers, is_intersecting, tau
 from .families import UniformFamily, elements_of, mask_of
 
@@ -179,13 +180,11 @@ def classify_T3(family: UniformFamily) -> Classification:
 
 def p_of_r(n: int = 5) -> list[int]:
     """P(R): the seven 2-covers of R, colex order."""
-    from .constructions import build_R
     return list(covers(build_R(n), 2).masks)
 
 
 def p_of_s(n: int = 6) -> list[int]:
     """P(S): the six 2-covers of S, colex order."""
-    from .constructions import build_S
     return list(covers(build_S(n), 2).masks)
 
 
@@ -253,7 +252,6 @@ def claim5_excluded_pairs() -> list[dict]:
     For each pair, report how each member is excluded: either adding it
     to S creates a copy of R, or it is disjoint from a member of S.
     """
-    from .constructions import build_S
     s = build_S(6)
     pairs = [((2, 3, 4), (1, 5, 6)), ((2, 3, 5), (1, 4, 6)), ((2, 4, 5), (1, 3, 6)),
              ((3, 4, 5), (1, 2, 6)), ((3, 4, 6), (1, 2, 5)), ((1, 3, 4), (2, 5, 6))]
@@ -278,7 +276,6 @@ def claim5_maxT() -> int:
     Also asserts the proof's exclusion mechanism: every member of the six
     listed complementary pairs creates an R-copy when added to S.
     """
-    from .constructions import build_S
     s = build_S(6)
     for entry in claim5_excluded_pairs():
         assert all(r == "creates-R-copy" for r in entry["reasons"]), entry

@@ -5,10 +5,10 @@ verify | oracle | lex.  Exit codes: 0 on success / all certificates
 passing, 1 when any certificate fails, 2 on usage or input errors, 3 when
 an internal check fails (a bug in ekrforge, not in the input).
 
-Determinism: with a fixed invocation (including --seed) the JSON output
-is byte-identical across runs; wall-clock fields are emitted as 0 unless
---timings is given.  verify runs its suites one after another and
-emits them sorted by id.
+Determinism: with a fixed invocation (including verify's --seed) the
+JSON output is byte-identical across runs; wall-clock fields are emitted
+as 0 unless --timings (verify, oracle, trace) is given.  verify runs its
+suites one after another and emits them sorted by id.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .certify import Certificate, SUITES
@@ -202,15 +203,9 @@ def _cmd_verify(args) -> int:
             overrides[field] = value
 
     def run_one(name: str) -> Certificate:
-        runner = all_suites[name]
-        kwargs = dict(overrides)
-        if name in PROPERTY_SUITES:
-            kwargs.setdefault("seed", args.seed)
-        cert = runner(**kwargs)
-        params = dict(cert.params)
-        params["seed"] = args.seed
-        return Certificate(cert.id, cert.statement, params, cert.verdict,
-                           cert.witnesses, cert.wall_time_ms, cert.details)
+        # the closed-form suites take the seed too and ignore it
+        cert = all_suites[name](seed=args.seed, **overrides)
+        return replace(cert, params={**cert.params, "seed": args.seed})
 
     certs = sorted((run_one(n) for n in names), key=lambda c: c.id)
     _emit_certs(certs, args)
@@ -219,20 +214,25 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     budget = _parse_budget(args.budget)
+    statement = f"maximum intersecting family size, n={args.n} k={args.k} "
     if args.degree_cap_ell is not None:
+        for flag, given in (("--r", args.r is not None),
+                            ("--no-warm-start", args.no_warm_start)):
+            if given:
+                raise UsageError(f"oracle --degree-cap-ell does not take {flag}")
         result = max_intersecting_degcap(args.n, args.k, args.degree_cap_ell, budget)
         ident = "M-ORACLE-DEGCAP"
         params = {"n": args.n, "k": args.k, "ell": args.degree_cap_ell}
+        statement += f"degree-cap ell={args.degree_cap_ell}"
     else:
-        result = max_intersecting(args.n, args.k, args.r, budget,
+        r = 1 if args.r is None else args.r
+        result = max_intersecting(args.n, args.k, r, budget,
                                   seed_incumbent=not args.no_warm_start)
         ident = "M-ORACLE"
-        params = {"n": args.n, "k": args.k, "r": args.r}
-    statement = (f"maximum intersecting family size, n={args.n} k={args.k} "
-                 + (f"degree-cap ell={args.degree_cap_ell}" if args.degree_cap_ell
-                    else f"tau >= {args.r}"))
+        params = {"n": args.n, "k": args.k, "r": r}
+        statement += f"tau >= {r}"
     params.update({"value": result.value, "status": result.status,
-                   "nodes": result.nodes, "budget_s": budget, "seed": args.seed})
+                   "nodes": result.nodes, "budget_s": budget})
     witnesses = [] if result.status == "proved-optimal" else \
         [{"status": result.status, "lower_bound": result.value}]
     cert = Certificate(
@@ -276,13 +276,18 @@ def _jsonable(obj):
 
 # ── parser ───────────────────────────────────────────────────────────────────
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json-lines", "json-array"),
-                   default="text")
+_OUTPUT_FLAGS = {
+    "--format": dict(choices=("text", "json-lines", "json-array"), default="text"),
+    "--timings": dict(action="store_true",
+                      help="emit measured wall times in JSON (breaks byte-stability)"),
+}
+
+
+def _add_output(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--out, plus those of --format and --timings that the handler reads."""
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true",
-                   help="emit measured wall times in JSON (breaks byte-stability)")
+    for flag in flags:
+        p.add_argument(flag, **_OUTPUT_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,35 +302,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--apex", type=int, default=1)
     p.add_argument("--input", default=None, help="H family file (for fh)")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("tau", help="covering number of a family file")
     p.add_argument("family")
-    _add_common(p)
+    _add_output(p, "--format")
     p.set_defaults(handler=_cmd_tau)
 
     p = sub.add_parser("covers", help="all size-l covers of a family file")
     p.add_argument("family")
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
+    _add_output(p, "--format")
     p.set_defaults(handler=_cmd_covers)
 
     p = sub.add_parser("saturate", help="maximal intersecting completion")
     p.add_argument("family")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_saturate)
 
     p = sub.add_parser("trace", help="trace statistics through a window")
     p.add_argument("family")
     p.add_argument("--window", required=True, help="e.g. 1,2,3,4,5")
     p.add_argument("--check-bounds", action="store_true")
-    _add_common(p)
+    _add_output(p, "--format", "--timings")
     p.set_defaults(handler=_cmd_trace)
 
     p = sub.add_parser("classify", help="classify the 3-cover family")
     p.add_argument("family")
-    _add_common(p)
+    _add_output(p, "--format")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify", help="run certificate suites")
@@ -336,25 +341,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-span", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output(p, "--format", "--timings")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exact m(n,k,r) search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=int, default=None, help="default 1")
     p.add_argument("--budget", default="600s", help="e.g. 600s, 10m, 2h")
     p.add_argument("--degree-cap-ell", type=int, default=None)
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--witness-out", default=None)
-    _add_common(p)
+    _add_output(p, "--format", "--timings")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("lex", help="lexicographic initial segment L(n,k,m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_lex)
 
     return parser

@@ -52,11 +52,10 @@ def covers(family: UniformFamily, ell: int) -> CoverFamily:
     return CoverFamily(family, ell, tuple(found))
 
 
-def all_covers(family: UniformFamily, max_size: int | None = None) -> list[int]:
-    """T(H): every cover of size ≤ k (or ≤ max_size), as masks, colex per size."""
-    limit = family.k if max_size is None else max_size
+def all_covers(family: UniformFamily) -> list[int]:
+    """T(H): every cover of size ≤ k, as masks, colex per size."""
     out: list[int] = []
-    for ell in range(1, limit + 1):
+    for ell in range(1, family.k + 1):
         out.extend(covers(family, ell).masks)
     return out
 

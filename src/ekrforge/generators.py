@@ -22,6 +22,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .constructions import build_R, build_S
@@ -43,14 +44,14 @@ def random_kset_mask(n: int, k: int, rng: random.Random) -> int:
 
 
 def random_intersecting_seed(n: int, k: int, rng: random.Random,
-                             size: int = 4, tries: int = 200) -> UniformFamily:
+                             size: int = 4) -> UniformFamily:
     """A few pairwise-intersecting random k-sets with no common element."""
     if size < 3:
         raise ValueError("a common-free intersecting seed needs at least 3 members")
-    for _ in range(tries):
+    for _ in range(200):
         masks = [random_kset_mask(n, k, rng)]
         for _ in range(size - 1):
-            for _ in range(tries):
+            for _ in range(200):
                 cand = random_kset_mask(n, k, rng)
                 if all(cand & m for m in masks):
                     masks.append(cand)
@@ -107,7 +108,6 @@ def blocked_lift_seed(n: int, k: int) -> UniformFamily:
     """
     if k < 4 or n < 2 * k + 1:
         raise ValueError("blocked lift needs k >= 4 and n >= 2k+1")
-    from itertools import combinations
     masks = _lift_masks(build_R(5), n, k)
     base = mask_of([1, 2, 3, 4], n)
     for tail in combinations(range(6, n + 1), k - 4):
@@ -132,10 +132,10 @@ def random_saturated_family(n: int, k: int, rng: random.Random,
 
 
 def random_saturated_tau3(n: int, k: int, rng: random.Random,
-                          mode: str = "r_lift", max_tries: int = 50
-                          ) -> Optional[UniformFamily]:
-    """Saturated intersecting family with τ ≥ 3, by rejection; None if unlucky."""
-    for _ in range(max_tries):
+                          mode: str = "r_lift") -> Optional[UniformFamily]:
+    """Saturated intersecting family with τ ≥ 3, by rejection over four
+    tries; None if unlucky."""
+    for _ in range(4):
         fam = random_saturated_family(n, k, rng, mode)
         if tau(fam) >= 3:
             return fam
@@ -160,7 +160,7 @@ def sample_saturated_tau3(n: int, k: int, count: int, seed: int,
         if attempts > 40 * count:
             raise RuntimeError(
                 f"τ>=3 sampling stalled at ({n},{k}): {len(out)}/{count}")
-        fam = random_saturated_tau3(n, k, rng, mode, max_tries=4)
+        fam = random_saturated_tau3(n, k, rng, mode)
         if fam is not None:
             out.append(fam)
     return out

@@ -181,7 +181,7 @@ def _sperner_pairs(stats, u_elems: Sequence[int], n: int, k: int):
         yield s_a, s_b, alpha_a, alpha_b
 
 
-def trace_bound_check(family: UniformFamily, window, pairs=None) -> Certificate:
+def trace_bound_check(family: UniformFamily, window) -> Certificate:
     """Evaluate every applicable trace inequality of the window machinery.
 
     Statements covered, each under its own hypotheses: the single-pair
@@ -204,8 +204,7 @@ def trace_bound_check(family: UniformFamily, window, pairs=None) -> Certificate:
     window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
 
     u_elems = elements_of(u_mask)
-    pair_masks = [mask_of(p, n) for p in pairs] if pairs is not None else \
-        [mask_of(p, n) for p in combinations(u_elems, 2)]
+    pair_masks = [mask_of(p, n) for p in combinations(u_elems, 2)]
     disjoint = [(p, q) for p, q in combinations(pair_masks, 2) if not p & q]
 
     witnesses: list[dict] = []

@@ -17,18 +17,19 @@ from itertools import combinations
 from .binomial import binom
 from .certify import Certificate, make_certificate
 from .classify import ClassificationTag, classify_T3
-from .covers import all_covers, covers, tau
+from .covers import all_covers, covers, is_saturated, saturate, tau
 from .families import are_cross_intersecting, trace
 from .constructions import lex_family
-from .generators import random_saturated_family, sample_saturated_tau3
-from .oracles import (_meets_all_mask, _side_items, _sperner_pairs,
-                      trace_bound_check)
+from .generators import (random_intersecting_seed, random_saturated_family,
+                         sample_saturated_tau3)
+from .oracles import (_meets_all_mask, _side_items, _sperner_pairs, ft92_oracle,
+                      hilton_corollary_oracle, trace_bound_check)
 
 
-def suite_prop14(samples: int = 200, seed: int = 0,
-                 grid=((7, 3), (8, 3), (9, 4)), **_) -> Certificate:
+def suite_prop14(samples: int = 200, seed: int = 0, **_) -> Certificate:
     """T(H) is intersecting for saturated H: property run over random saturations."""
     t0 = time.perf_counter()
+    grid = ((7, 3), (8, 3), (9, 4))
     rng = random.Random(seed)
     witnesses = []
     per_point = max(1, samples // len(grid))
@@ -50,10 +51,10 @@ def suite_prop14(samples: int = 200, seed: int = 0,
         witnesses, t0)
 
 
-def suite_prop22_classify(samples: int = 100, seed: int = 0,
-                          grid=((7, 3), (8, 3), (9, 4)), **_) -> Certificate:
+def suite_prop22_classify(samples: int = 100, seed: int = 0, **_) -> Certificate:
     """Saturated τ=3 families classify into star/K34/S/R when T^(3) is nonempty."""
     t0 = time.perf_counter()
+    grid = ((7, 3), (8, 3), (9, 4))
     witnesses = []
     tags = {t.value: 0 for t in ClassificationTag}
     per_point = max(1, samples // len(grid))
@@ -80,10 +81,10 @@ def suite_prop22_classify(samples: int = 100, seed: int = 0,
 
 
 def suite_trace_bounds_random(samples: int = 1000, seed: int = 0,
-                              grid=((9, 4), (11, 5)), window=(1, 2, 3, 4, 5),
                               min_applicable: int = 100, **_) -> Certificate:
     """All applicable window trace bounds over saturated τ≥3 samples."""
     t0 = time.perf_counter()
+    grid, window = ((9, 4), (11, 5)), (1, 2, 3, 4, 5)
     witnesses = []
     per_point = max(1, samples // len(grid))
     applicable = 0
@@ -113,10 +114,10 @@ def suite_trace_bounds_random(samples: int = 1000, seed: int = 0,
         details={"window_applicable": applicable, "evaluated": evaluated_total})
 
 
-def suite_sperner_random(samples: int = 60, seed: int = 0,
-                         grid=((9, 4), (11, 5), (13, 6)), **_) -> Certificate:
+def suite_sperner_random(samples: int = 60, seed: int = 0, **_) -> Certificate:
     """The α-inequality on random intersecting families (no τ hypothesis)."""
     t0 = time.perf_counter()
+    grid = ((9, 4), (11, 5), (13, 6))
     rng = random.Random(seed)
     witnesses = []
     per_point = max(1, samples // len(grid))
@@ -193,7 +194,6 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
 
 def suite_ft92_small(**_) -> Certificate:
     """The three desk-scale cross-intersecting oracle instances."""
-    from .oracles import ft92_oracle
     t0 = time.perf_counter()
     witnesses = []
     expected = {(6, 2, 3): binom(6, 3) - binom(4, 3) + 1,
@@ -212,7 +212,6 @@ def suite_ft92_small(**_) -> Certificate:
 
 
 def suite_hilton_cor_small(**_) -> Certificate:
-    from .oracles import hilton_corollary_oracle
     t0 = time.perf_counter()
     cert = hilton_corollary_oracle(6, 3, 2)
     witnesses = [] if cert.passed and cert.params["max"] == 15 else [cert.params]
@@ -230,8 +229,6 @@ def suite_saturation_props(samples: int = 60, seed: int = 0, **_) -> Certificate
     t0 = time.perf_counter()
     rng = random.Random(seed)
     witnesses = []
-    from .covers import is_saturated, saturate
-    from .generators import random_intersecting_seed
     for _ in range(samples):
         n, k = rng.choice(((6, 3), (7, 3), (8, 3), (9, 4)))
         seed_fam = random_intersecting_seed(n, k, rng, size=rng.randint(3, 5))

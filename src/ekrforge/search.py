@@ -42,7 +42,7 @@ from itertools import combinations
 from .binomial import binom
 from .constructions import build_G, build_HM, full_star
 from .covers import is_intersecting, tau
-from .families import UniformFamily, ksets_colex, mask_of
+from .families import UniformFamily, elements_of, ksets_colex, mask_of, max_degree
 
 PROVED = "proved-optimal"
 TIMEBOXED = "timeboxed-lower-bound"
@@ -106,7 +106,7 @@ def canonical_form(family: UniformFamily) -> CanonicalForm:
     n, k, masks = family.n, family.k, family.masks
     if not masks:
         return CanonicalForm(n, k, ())
-    members = [[b - 1 for b in _bit_positions(m)] for m in masks]
+    members = [[x - 1 for x in elements_of(m)] for m in masks]
     incidence: list[list[int]] = [[] for _ in range(n)]
     for j, pts in enumerate(members):
         for x in pts:
@@ -215,15 +215,6 @@ def _refine(cells: list[list[int]], members: list[list[int]],
         cells = refined
 
 
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length())
-        mask ^= b
-    return out
-
-
 def _iso_signature(family: UniformFamily) -> tuple:
     """Cheap relabeling invariant: degree sequence plus per-member
     intersection profiles, both sorted."""
@@ -255,7 +246,7 @@ def _bijection(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
     """
     n = fam_a.n
     set_b = set(fam_b.masks)
-    members = [[b - 1 for b in _bit_positions(m)] for m in fam_a.masks]
+    members = [[x - 1 for x in elements_of(m)] for m in fam_a.masks]
     deg_a = [0] * n
     for pts in members:
         for x in pts:
@@ -640,6 +631,9 @@ def _split_search(n: int, k: int, budget: float,
     Branch A gets the whole budget, each B_i what is left of it but at
     least one second.  When collecting, B_i only gathers families at least
     as large as A's optimum, since smaller ones cannot be optimal overall.
+    The optima are the branches' lists joined, not merged: a family that
+    two B_i both reach is listed twice, and ``_dedup_to_forms`` folds the
+    copy into its class like any relabelling.
     """
     t0 = time.perf_counter()
     runs = []
@@ -652,8 +646,8 @@ def _split_search(n: int, k: int, budget: float,
     found = [res for res, raw in runs if raw or not collect]
     best = min(found, key=lambda res: (-res.value, res.witness.masks),
                default=runs[0][0])
-    optima = sorted({masks for res, raw in runs if res.value == best.value
-                     for masks in raw})
+    optima = [masks for res, raw in runs if res.value == best.value
+              for masks in raw]
     status = PROVED if all(res.status == PROVED for res, _ in runs) else TIMEBOXED
     result = SearchResult(best.value, best.witness, status,
                           sum(res.nodes for res, _ in runs),
@@ -714,7 +708,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
 
     first = mask_of(range(1, k + 1), n)
     cand_masks, compat, disj = _candidate_graph(ksets_colex(n, k), (first,))
-    points = [[b - 1 for b in _bit_positions(m)] for m in cand_masks]
+    points = [[x - 1 for x in elements_of(m)] for m in cand_masks]
     through = [0] * n
     for i, pts in enumerate(points):
         for x in pts:
@@ -762,7 +756,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     status = _timebox(expand, [first], (1 << len(cand_masks)) - 1)
     witness = UniformFamily.from_masks(n, k, best_masks)
     _verify(witness, 1)
-    if max((sum(1 for m in witness.masks if m >> i & 1) for i in range(n)), default=0) > cap:
+    if max_degree(witness)[1] > cap:
         raise AssertionError("degree cap violated by the witness")
     if status == PROVED and best > bound:
         raise AssertionError(
@@ -784,17 +778,15 @@ def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
     fam = UniformFamily.from_masks(n, k, members)
     if not is_intersecting(fam):
         return None
-    if max(sum(1 for m in fam.masks if m >> i & 1) for i in range(n)) > cap:
+    if max_degree(fam)[1] > cap:
         return None
     return fam
 
 
-def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0,
-                            seed_incumbent: bool = True) -> SearchResult:
+def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchResult:
     """m(n,k,3) via the structural case split of ``_structural_branches``,
-    mirroring the proof architecture."""
-    incumbent = _default_incumbent(n, k, 3) if seed_incumbent else None
-    result, _ = _split_search(n, k, budget, incumbent)
+    mirroring the proof architecture, warm-started with G(n,k)."""
+    result, _ = _split_search(n, k, budget, _default_incumbent(n, k, 3))
     _verify(result.witness, 3)
     return result
 
@@ -820,25 +812,22 @@ def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
     return sorted(forms, key=lambda f: f.masks)
 
 
-def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0,
-                     structural: bool = False
+def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
                      ) -> tuple[list[CanonicalForm], SearchResult]:
     """All optimum-size witnesses up to isomorphism.
 
     Every family is isomorphic to one containing {1..k}, so collecting
     the optima through the forced-first-member search and deduplicating
-    by canonical form covers every isomorphism class.  With
-    ``structural=True`` (r_min = 3 only) the collection instead runs over
-    the structural case split of ``_structural_branches``, whose branches
-    likewise reach every isomorphism class.
+    by canonical form covers every isomorphism class.  At r_min = 3 the
+    collection runs over the structural case split of
+    ``_structural_branches`` instead, whose branches likewise reach every
+    isomorphism class.
     """
-    if not structural:
+    if r_min == 3:
+        result, raw = _split_search(n, k, budget, collect=True)
+    else:
         result, raw = _search(n, k, _plain_branch(n, k, r_min), budget,
                               collect_floor=0)
-    elif r_min != 3:
-        raise ValueError("structural enumeration is defined for r_min = 3")
-    else:
-        result, raw = _split_search(n, k, budget, collect=True)
     if raw:
         _verify(result.witness, r_min)
     return _dedup_to_forms(n, k, raw), result

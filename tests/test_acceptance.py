@@ -130,9 +130,7 @@ def test_criterion_07_structure_suite():
 
 def test_criterion_08_trace_bound_properties():
     t0 = time.perf_counter()
-    cert = suite_trace_bounds_random(samples=1000, seed=0,
-                                     grid=((9, 4), (11, 5)),
-                                     min_applicable=100)
+    cert = suite_trace_bounds_random(samples=1000, seed=0, min_applicable=100)
     detail = (f"applicable={cert.details['window_applicable']} "
               f"evaluated={sum(cert.details['evaluated'].values())}")
     _report("8 trace-bounds", cert.passed, time.perf_counter() - t0, 300, detail)
@@ -182,7 +180,7 @@ def test_criterion_12_stretch():
     ok = res.value == 48
     detail = f"value={res.value} status={res.status} nodes={res.nodes}"
     if res.status == "proved-optimal":
-        forms, opt = enumerate_optima(9, 4, 3, budget=budget, structural=True)
+        forms, opt = enumerate_optima(9, 4, 3, budget=budget)
         ok = ok and opt.value == 48
         g_form = canonical_form(build_G(9, 4))
         detail += f" optima-classes={len(forms)}"

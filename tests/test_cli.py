@@ -112,6 +112,7 @@ def test_oracle_subcommand(capsys):
     assert cert["id"] == "M-ORACLE"
     assert cert["params"]["value"] == 10
     assert cert["params"]["status"] == "proved-optimal"
+    assert "seed" not in cert["params"]
 
 
 def test_oracle_reports_empty_optimum(capsys):
@@ -135,6 +136,17 @@ def test_oracle_degcap_subcommand(capsys):
     assert cert["params"]["value"] == 16
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_oracle_degcap_refuses_tau_search_flags(capsys):
+    """--r and --no-warm-start steer the τ-search only; the degree-capped
+    search must not run as if they had been applied."""
+    base = ["oracle", "--n", "7", "--k", "3", "--degree-cap-ell", "2"]
+    for extra in (["--r", "3"], ["--no-warm-start"]):
+        assert run(base + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take {extra[0]}" in captured.err
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -191,3 +203,38 @@ def test_construct_fh_flow(tmp_path, capsys):
     assert (2, 3, 4) in fam.sets()
     assert run(["tau", str(out)], ) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+# each subcommand with the output flags its handler never read
+UNREAD_FLAGS = [
+    (["construct", "g", "--n", "7", "--k", "3"], ("--seed", "--timings", "--format")),
+    (["tau", "FAMILY"], ("--seed", "--timings")),
+    (["covers", "FAMILY", "--ell", "2"], ("--seed", "--timings")),
+    (["saturate", "FAMILY"], ("--seed", "--timings", "--format")),
+    (["trace", "FAMILY", "--window", "1,2,3,4,5"], ("--seed",)),
+    (["classify", "FAMILY"], ("--seed", "--timings")),
+    (["oracle", "--n", "7", "--k", "3"], ("--seed",)),
+    (["lex", "--n", "5", "--k", "2", "--m", "4"], ("--seed", "--timings", "--format")),
+]
+FLAG_VALUES = {"--seed": ["1"], "--timings": [], "--format": ["json-lines"]}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+    for argv, flags in UNREAD_FLAGS for flag in flags])
+def test_unread_flags_are_usage_errors(argv, flag, tmp_path, capsys):
+    family = tmp_path / "g.fam"
+    write_family(build_G(9, 4), family)
+    argv = [str(family) if a == "FAMILY" else a for a in argv]
+    assert run(argv + [flag] + FLAG_VALUES[flag]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_output_flags_where_read(tmp_path, capsys):
+    family = tmp_path / "g.fam"
+    write_family(build_G(9, 4), family)
+    for argv in (["verify", "--suite", "ID-G-2K", "--seed", "1"],
+                 ["oracle", "--n", "7", "--k", "3"],
+                 ["trace", str(family), "--window", "1,2,3,4,5", "--check-bounds"]):
+        assert run(argv + ["--format", "json-lines", "--timings"]) == 0
+        assert json.loads(capsys.readouterr().out)

@@ -12,10 +12,11 @@ from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build
                                     full_star, g_size_formula)
 from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
-from ekrforge.search import (_candidate_graph, _colour_classes,
-                             _greedy_cover_bound, are_isomorphic,
-                             canonical_form, enumerate_optima, max_intersecting,
-                             max_intersecting_degcap, max_intersecting_seeded)
+from ekrforge.search import (_candidate_graph, _colour_classes, _dedup_to_forms,
+                             _greedy_cover_bound, _plain_branch, _search,
+                             are_isomorphic, canonical_form, enumerate_optima,
+                             max_intersecting, max_intersecting_degcap,
+                             max_intersecting_seeded)
 
 
 def test_values_against_closed_forms():
@@ -256,8 +257,9 @@ def test_enumerate_optima_6_3_1():
 
 
 def test_enumerate_optima_7_3_3():
-    routes = [enumerate_optima(7, 3, 3, budget=300, structural=structural)
-              for structural in (False, True)]
+    plain, raw = _search(7, 3, _plain_branch(7, 3, 3), 300, collect_floor=0)
+    routes = [(_dedup_to_forms(7, 3, raw), plain),
+              enumerate_optima(7, 3, 3, budget=300)]
     for forms, result in routes:
         assert result.value == 10
         assert len(forms) == 7
@@ -269,7 +271,7 @@ def test_enumerate_optima_7_3_3():
 
 def test_structural_enumeration_without_optima():
     """No intersecting 2-uniform family has covering number 3."""
-    forms, result = enumerate_optima(5, 2, 3, structural=True)
+    forms, result = enumerate_optima(5, 2, 3)
     assert forms == [] and result.value == 0
 
 
@@ -286,7 +288,6 @@ def test_optima_7_3_3_against_clique_enumeration():
     intersecting families, filtered to size-10 τ≥3, deduplicated."""
     from conftest import intersect_compat, maximal_cliques
     from ekrforge.families import ksets_colex
-    from ekrforge.search import _dedup_to_forms
 
     masks = list(ksets_colex(7, 3))
     compat = intersect_compat(masks)
@@ -308,7 +309,7 @@ def test_optima_7_3_3_against_clique_enumeration():
 @pytest.mark.slow
 def test_seeded_search_structure():
     """The τ=3-restricted branch of the structural split proves 48 at (9,4)."""
-    from ekrforge.search import _default_incumbent, _search, _structural_branches
+    from ekrforge.search import _default_incumbent, _structural_branches
     branch_a = next(_structural_branches(9, 4))
     res, _ = _search(9, 4, branch_a, 600, _default_incumbent(9, 4, 3))
     assert res.status == "proved-optimal"
