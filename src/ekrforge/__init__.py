@@ -12,8 +12,9 @@ from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
 from .classify import (Classification, ClassificationTag, DisjointnessGraph,
                        claim5_maxT, claim6_partition, classify_T3,
                        contains_copy, disjointness_graph)
-from .certify import Certificate, list_suites, verify_identity_suite
+from .certify import Certificate
 from .oracles import ft92_oracle, hilton_corollary_oracle, trace_bound_check
+from .properties import list_suites, verify_identity_suite
 from .search import (CanonicalForm, SearchResult, canonical_form,
                      enumerate_optima, max_intersecting,
                      max_intersecting_degcap)

@@ -6,14 +6,17 @@ parameter point as a witness.  A certificate passes iff its witness list
 is empty.  Strict claims are tested strictly.
 
 Sweep ranges default to the desk-scale grids (k up to 12, n up to 2k+60,
-k-specific thresholds for the endgame chains) and are configurable.  The
-K3(4)-case comparison is swept for k ≥ 4: at k = 3 both sides equal 10,
-so the strict form starts at k = 4.
+k-specific thresholds for the endgame chains).  Each suite's parameters
+are exactly the ranges it reads.  The K3(4)-case comparison is swept for
+k ≥ 4: at k = 3 both sides equal 10, so the strict form starts at k = 4.
+
+``make_certificate`` is the one constructor of a ``Certificate``.  The
+suites do not time themselves: the one registry of all suites and its
+runner, which records each suite's wall time, are in ``properties``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -50,15 +53,15 @@ class Certificate:
 
 
 def make_certificate(cert_id: str, statement: str, params: dict,
-                     witnesses: list, t0: float,
-                     details: Optional[dict] = None) -> Certificate:
+                     witnesses: list, details: Optional[dict] = None) -> Certificate:
+    """The certificate for a witness list: it passes iff the list is empty.
+    Its wall time is 0 until a caller that measured one sets it."""
     return Certificate(
         id=cert_id,
         statement=statement,
         params=params,
         verdict="pass" if not witnesses else "fail",
         witnesses=witnesses,
-        wall_time_ms=int((time.perf_counter() - t0) * 1000),
         details=details or {},
     )
 
@@ -89,8 +92,7 @@ def _f_gap(k: int) -> int:
 
 # ── the named suites ─────────────────────────────────────────────────────────
 
-def suite_id_g_size(k_min=3, k_max=8, n_span=12, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_g_size(k_min=3, k_max=8, n_span=12) -> Certificate:
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
         built = len(build_G(n, k))
@@ -99,11 +101,10 @@ def suite_id_g_size(k_min=3, k_max=8, n_span=12, **_) -> Certificate:
             witnesses.append({"n": n, "k": k, "built": built, "formula": formula})
     return make_certificate(
         "ID-G-SIZE", "|G(n,k)| equals its closed-form size",
-        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
-def suite_id_g_poly(n_max=200, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_g_poly(n_max=200) -> Certificate:
     witnesses = []
     ranges = {4: range(9, n_max + 1), 5: range(11, n_max + 1), 6: range(13, n_max + 1)}
     for k, ns in ranges.items():
@@ -114,22 +115,20 @@ def suite_id_g_poly(n_max=200, **_) -> Certificate:
                                   "formula": g_size_formula(n, k)})
     return make_certificate(
         "ID-G-POLY", "closed-form |G(n,k)| equals the k=4,5,6 polynomial forms",
-        {"n_max": n_max}, witnesses, t0)
+        {"n_max": n_max}, witnesses)
 
 
-def suite_id_g_2k(k_min=3, k_max=200, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_g_2k(k_min=3, k_max=200) -> Certificate:
     witnesses = []
     for k in range(k_min, k_max + 1):
         if g_size_formula(2 * k, k) != binom(2 * k - 1, k - 1):
             witnesses.append({"k": k})
     return make_certificate(
         "ID-G-2K", "at n=2k the closed form collapses to C(2k-1,k-1)",
-        {"k_min": k_min, "k_max": k_max}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max}, witnesses)
 
 
-def suite_id_ekr(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_ekr(k_min=3, k_max=12, n_span=60) -> Certificate:
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
         m1 = binom(n - 1, k - 1)
@@ -143,11 +142,10 @@ def suite_id_ekr(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
                 witnesses.append({"n": n, "k": k, "star": len(full_star(n, k))})
     return make_certificate(
         "ID-EKR", "star count matches C(n-1,k-1); formula chain m3 <= m2 <= m1",
-        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
-def suite_id_hm(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_hm(k_min=3, k_max=12, n_span=60) -> Certificate:
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k + 1, lambda k: 2 * k + n_span):
         m2 = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
@@ -161,11 +159,10 @@ def suite_id_hm(k_min=3, k_max=12, n_span=60, **_) -> Certificate:
                                   "formula": expected})
     return make_certificate(
         "ID-HM", "Hilton-Milner family count matches its formula and sits below EKR",
-        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
-def suite_id_f_rec(k_max=200, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_f_rec(k_max=200) -> Certificate:
     witnesses = []
     if _f_gap(5) != 3:
         witnesses.append({"k": 5, "f": _f_gap(5), "expected": 3})
@@ -183,11 +180,10 @@ def suite_id_f_rec(k_max=200, **_) -> Certificate:
             witnesses.append({"k": k, "f": _f_gap(k)})
     return make_certificate(
         "ID-F-REC", "f(5)=3, the f(k) recurrence holds, and f(k) >= 0",
-        {"k_max": k_max}, witnesses, t0, details={"f5": _f_gap(5)})
+        {"k_max": k_max}, witnesses, details={"f5": _f_gap(5)})
 
 
-def suite_ineq_prop23(k_min=4, k_max=12, n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_ineq_prop23(k_min=4, k_max=12, n_span=60) -> Certificate:
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k + 1, lambda k: 2 * k + n_span):
         lhs = (3 * (binom(n - 4, k - 2) - binom(n - k - 2, k - 2) + 1)
@@ -196,11 +192,10 @@ def suite_ineq_prop23(k_min=4, k_max=12, n_span=60, **_) -> Certificate:
             witnesses.append({"n": n, "k": k, "lhs": lhs, "g": g_size_formula(n, k)})
     return make_certificate(
         "INEQ-PROP23", "K3(4)-case bound is strictly below |G(n,k)| for k >= 4",
-        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
-def suite_ineq_key_steps(k_min=4, k_max=12, n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_ineq_key_steps(k_min=4, k_max=12, n_span=60) -> Certificate:
     witnesses = []
     for u in (5, 6):
         for k, n in _grid(k_min, k_max,
@@ -223,11 +218,10 @@ def suite_ineq_key_steps(k_min=4, k_max=12, n_span=60, **_) -> Certificate:
                                   "suffices": suff, "final": b_lhs - b_rhs})
     return make_certificate(
         "INEQ-KEY-STEPS", "binomial steps of the four-trace bound, |U| in {5,6}",
-        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
-def suite_ineq_gapfill(k_min=5, k_max=200, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_ineq_gapfill(k_min=5, k_max=200) -> Certificate:
     witnesses = []
     for k in range(k_min, k_max + 1):
         n = 2 * k + 1
@@ -242,7 +236,7 @@ def suite_ineq_gapfill(k_min=5, k_max=200, **_) -> Certificate:
             witnesses.append({"k": k, "gap": g - degree_bound, "f": _f_gap(k)})
     return make_certificate(
         "INEQ-GAPFILL", "at n=2k+1 the degree-capped bound stays within |G|; slack is f(k)",
-        {"k_min": k_min, "k_max": k_max}, witnesses, t0)
+        {"k_min": k_min, "k_max": k_max}, witnesses)
 
 
 def _case1_sum(n: int, k: int) -> int:
@@ -256,8 +250,7 @@ def _case1_alt_sum(n: int, k: int) -> int:
             + 5 * binom(n - 5, k - 4) + binom(n - 5, k - 5))
 
 
-def suite_ineq_case1(n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_ineq_case1(n_span=60) -> Certificate:
     witnesses = []
 
     def check(cond, **info):
@@ -303,7 +296,7 @@ def suite_ineq_case1(n_span=60, **_) -> Certificate:
                   k=k, n=n, step="pascal-fold")
     return make_certificate(
         "INEQ-CASE1", "the R-case chains: layer identities and strict comparisons",
-        {"n_span": n_span}, witnesses, t0)
+        {"n_span": n_span}, witnesses)
 
 
 def _case2_sum(n: int, k: int) -> int:
@@ -312,8 +305,7 @@ def _case2_sum(n: int, k: int) -> int:
             + 6 * binom(n - 5, k - 3) - 3 * binom(n - 7, k - 4))
 
 
-def suite_ineq_case2(n_span=60, **_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_ineq_case2(n_span=60) -> Certificate:
     witnesses = []
 
     def check(cond, **info):
@@ -349,11 +341,10 @@ def suite_ineq_case2(n_span=60, **_) -> Certificate:
         check(poly < _poly_g(n, 6), k=6, n=n, step="poly<G")
     return make_certificate(
         "INEQ-CASE2", "the S-case chains: folding identity and strict comparisons",
-        {"n_span": n_span}, witnesses, t0)
+        {"n_span": n_span}, witnesses)
 
 
-def suite_id_endgame_94(**_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_id_endgame_94() -> Certificate:
     witnesses = []
 
     def check(cond, **info):
@@ -369,32 +360,4 @@ def suite_id_endgame_94(**_) -> Certificate:
     check(27 + 20 == 47 < 48, step="47<48")
     check(24 + 22 == 46, step="46")
     return make_certificate(
-        "ID-ENDGAME-94", "the n=9, k=4 endgame arithmetic", {}, witnesses, t0)
-
-
-SUITES: dict[str, Callable[..., Certificate]] = {
-    "ID-G-SIZE": suite_id_g_size,
-    "ID-G-POLY": suite_id_g_poly,
-    "ID-G-2K": suite_id_g_2k,
-    "ID-EKR": suite_id_ekr,
-    "ID-HM": suite_id_hm,
-    "ID-F-REC": suite_id_f_rec,
-    "INEQ-PROP23": suite_ineq_prop23,
-    "INEQ-KEY-STEPS": suite_ineq_key_steps,
-    "INEQ-GAPFILL": suite_ineq_gapfill,
-    "INEQ-CASE1": suite_ineq_case1,
-    "INEQ-CASE2": suite_ineq_case2,
-    "ID-ENDGAME-94": suite_id_endgame_94,
-}
-
-
-def verify_identity_suite(suite_id: str, **ranges) -> Certificate:
-    """Run one named suite over its (possibly overridden) parameter range."""
-    runner = SUITES.get(suite_id)
-    if runner is None:
-        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(sorted(SUITES))}")
-    return runner(**ranges)
-
-
-def list_suites() -> list[str]:
-    return sorted(SUITES)
+        "ID-ENDGAME-94", "the n=9, k=4 endgame arithmetic", {}, witnesses)

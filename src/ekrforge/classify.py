@@ -62,9 +62,6 @@ class DisjointnessGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def vertex_sets(self) -> list[tuple[int, ...]]:
-        return [elements_of(v) for v in self.vertices]
-
     def edge_sets(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         return [(elements_of(self.vertices[i]), elements_of(self.vertices[j]))
                 for i, j in self.edges]

@@ -6,20 +6,30 @@ passing, 1 when any certificate fails, 2 on usage or input errors, 3 when
 an internal check fails (a bug in ekrforge, not in the input).
 
 Determinism: with a fixed invocation (including verify's --seed) the
-JSON output is byte-identical across runs; wall-clock fields are emitted
-as 0 unless --timings (verify, oracle, trace) is given.  verify runs its
-suites one after another and emits them sorted by id.
+output is byte-identical across runs; wall times, in JSON and in verify's
+text output alike, are emitted as 0 unless --timings (verify, oracle,
+trace) is given.  Each is measured in one place: by the suite runner for
+verify, around trace_bound_check for trace, and by the search for oracle.
+
+A flag that the chosen work does not read is a usage error.  verify runs
+the selected suites of the one registry in ``properties`` one after
+another, emits them sorted by id, and passes each suite only the range
+flags its signature names; a range flag that no selected suite reads is
+refused.  construct takes --k, --apex and --input only for the kinds
+that read them.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
-from .certify import Certificate, SUITES
+from .certify import Certificate, make_certificate
 from .classify import classify_T3
 from .covers import covers as cover_enum
 from .covers import saturate, tau
@@ -29,7 +39,7 @@ from .familyio import (FamilyFormatError, read_family, render_family,
                        write_family)
 from .families import elements_of, trace
 from .oracles import trace_bound_check
-from .properties import PROPERTY_SUITES
+from .properties import SUITES, list_suites, verify_identity_suite
 from .search import max_intersecting, max_intersecting_degcap
 
 USAGE_ERROR = 2
@@ -56,24 +66,22 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _emit_certs(certs: list[Certificate], args) -> None:
-    include_timing = args.timings
+    rows = [c.to_json_dict(args.timings) for c in certs]
     if args.format == "json-lines":
-        payload = "".join(
-            json.dumps(c.to_json_dict(include_timing), sort_keys=False) + "\n"
-            for c in certs)
+        payload = "".join(json.dumps(row) + "\n" for row in rows)
     elif args.format == "json-array":
-        payload = json.dumps([c.to_json_dict(include_timing) for c in certs],
-                             sort_keys=False, indent=2) + "\n"
+        payload = json.dumps(rows, indent=2) + "\n"
     else:
         lines = []
-        for c in certs:
-            lines.append(f"{c.id}: {c.verdict.upper()}  ({c.wall_time_ms} ms)")
-            lines.append(f"  {c.statement}")
-            if c.witnesses:
-                for w in c.witnesses[:5]:
-                    lines.append(f"  witness: {w}")
-                if len(c.witnesses) > 5:
-                    lines.append(f"  ... {len(c.witnesses) - 5} more")
+        for row in rows:
+            lines.append(f"{row['id']}: {row['verdict'].upper()}"
+                         f"  ({row['wall_time_ms']} ms)")
+            lines.append(f"  {row['statement']}")
+            witnesses = row["witnesses"]
+            for w in witnesses[:5]:
+                lines.append(f"  witness: {w}")
+            if len(witnesses) > 5:
+                lines.append(f"  ... {len(witnesses) - 5} more")
         payload = "\n".join(lines) + "\n"
     _emit(payload, args.out)
 
@@ -93,8 +101,16 @@ def _load_family(path: str):
 
 # ── subcommand handlers ──────────────────────────────────────────────────────
 
+# the flags besides --n that each construction reads
+_CONSTRUCT_FLAGS = {"g": ("k",), "s": (), "r": (), "k34": (), "star": ("k", "apex"),
+                    "hm": ("k",), "fh": ("k", "input")}
+
+
 def _cmd_construct(args) -> int:
     kind = args.kind
+    for flag in ("k", "apex", "input"):
+        if getattr(args, flag) is not None and flag not in _CONSTRUCT_FLAGS[kind]:
+            raise UsageError(f"construct {kind} does not take --{flag}")
     if kind in ("g", "star", "hm"):
         missing = [f"--{flag}" for flag in ("n", "k") if getattr(args, flag) is None]
         if missing:
@@ -108,16 +124,14 @@ def _cmd_construct(args) -> int:
     elif kind == "k34":
         fam = build_K34(args.n or 4)
     elif kind == "star":
-        fam = full_star(args.n, args.k, args.apex)
+        fam = full_star(args.n, args.k, 1 if args.apex is None else args.apex)
     elif kind == "hm":
         fam = build_HM(args.n, args.k)
-    elif kind == "fh":
+    else:  # fh
         if not args.input:
             raise UsageError("construct fh needs --input with the H family")
         h = _load_family(args.input)
         fam = build_F_H(h, args.n or h.n, args.k or h.k)
-    else:
-        raise UsageError(f"unknown construction {kind!r}")
     _emit(render_family(fam), args.out)
     return 0
 
@@ -161,7 +175,11 @@ def _cmd_trace(args) -> int:
         rows.append({"S": list(elements_of(s_mask)), "f": f_s,
                      "alpha": None if alpha is None else str(alpha),
                      "residual_size": len(residual)})
-    cert = trace_bound_check(fam, window) if args.check_bounds else None
+    cert = None
+    if args.check_bounds:
+        start = time.perf_counter()
+        cert = trace_bound_check(fam, window)
+        cert = replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))
     if args.format == "text":
         lines = [f"S={tuple(r['S'])} f={r['f']} alpha={r['alpha']}" for r in rows]
         if cert is not None:
@@ -186,25 +204,28 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+_RANGE_FLAGS = ("k_min", "k_max", "n_span", "n_max", "samples")
+
+
 def _cmd_verify(args) -> int:
-    all_suites = {**SUITES, **PROPERTY_SUITES}
-    if args.suite == ["all"]:
-        names = sorted(all_suites)
-    else:
-        names = args.suite
-        unknown = [s for s in names if s not in all_suites]
-        if unknown:
-            raise UsageError(
-                f"unknown suite(s) {', '.join(unknown)}; known: {', '.join(sorted(all_suites))}")
-    overrides = {}
-    for field in ("k_min", "k_max", "n_span", "n_max", "samples"):
+    names = list_suites() if args.suite == ["all"] else args.suite
+    unknown = [s for s in names if s not in SUITES]
+    if unknown:
+        raise UsageError(
+            f"unknown suite(s) {', '.join(unknown)}; known: {', '.join(list_suites())}")
+    reads = {name: inspect.signature(SUITES[name]).parameters for name in names}
+    settings = {"seed": args.seed}
+    for field in _RANGE_FLAGS:
         value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
+        if value is None:
+            continue
+        if not any(field in params for params in reads.values()):
+            raise UsageError(f"no selected suite reads --{field.replace('_', '-')}")
+        settings[field] = value
 
     def run_one(name: str) -> Certificate:
-        # the closed-form suites take the seed too and ignore it
-        cert = all_suites[name](seed=args.seed, **overrides)
+        cert = verify_identity_suite(
+            name, **{f: v for f, v in settings.items() if f in reads[name]})
         return replace(cert, params={**cert.params, "seed": args.seed})
 
     certs = sorted((run_one(n) for n in names), key=lambda c: c.id)
@@ -235,14 +256,8 @@ def _cmd_oracle(args) -> int:
                    "nodes": result.nodes, "budget_s": budget})
     witnesses = [] if result.status == "proved-optimal" else \
         [{"status": result.status, "lower_bound": result.value}]
-    cert = Certificate(
-        id=ident,
-        statement=statement,
-        params=params,
-        verdict="pass" if result.status == "proved-optimal" else "fail",
-        witnesses=witnesses,
-        wall_time_ms=int(result.elapsed * 1000),
-    )
+    cert = replace(make_certificate(ident, statement, params, witnesses),
+                   wall_time_ms=int(result.elapsed * 1000))
     if args.format == "text":
         _emit(f"value {result.value} status {result.status} nodes {result.nodes}\n",
               args.out)
@@ -279,7 +294,7 @@ def _jsonable(obj):
 _OUTPUT_FLAGS = {
     "--format": dict(choices=("text", "json-lines", "json-array"), default="text"),
     "--timings": dict(action="store_true",
-                      help="emit measured wall times in JSON (breaks byte-stability)"),
+                      help="emit measured wall times (breaks byte-stability)"),
 }
 
 
@@ -297,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named family")
-    p.add_argument("kind", choices=("g", "s", "r", "k34", "star", "hm", "fh"))
+    p.add_argument("kind", choices=tuple(_CONSTRUCT_FLAGS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--apex", type=int, default=1)
-    p.add_argument("--input", default=None, help="H family file (for fh)")
+    p.add_argument("--apex", type=int, default=None, help="star only; default 1")
+    p.add_argument("--input", default=None, help="H family file (fh only)")
     _add_output(p)
     p.set_defaults(handler=_cmd_construct)
 

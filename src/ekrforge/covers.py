@@ -30,8 +30,6 @@ class CoverFamily:
     def sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.masks]
 
-    def contains(self, elements) -> bool:
-        return mask_of(elements, self.base.n) in set(self.masks)
 
 
 def covers(family: UniformFamily, ell: int) -> CoverFamily:

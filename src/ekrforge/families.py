@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .binomial import binom
@@ -150,19 +149,6 @@ class UniformFamily:
     def sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.masks]
 
-    def members(self) -> tuple[KSet, ...]:
-        return tuple(KSet(m, self.n, self.k) for m in self.masks)
-
-    def contains_mask(self, mask: int) -> bool:
-        lo, hi = 0, len(self.masks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.masks[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.masks) and self.masks[lo] == mask
-
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -268,14 +254,3 @@ def max_degree(family: UniformFamily) -> tuple[int, int]:
         if d > best_d:
             best_x, best_d = x, d
     return best_x, best_d
-
-
-def degree(family: UniformFamily, x: int) -> int:
-    b = 1 << (x - 1)
-    return sum(1 for m in family.masks if m & b)
-
-
-def disjoint_pairs(window_masks: Iterable[int]) -> list[tuple[int, int]]:
-    """All unordered disjoint pairs among the given masks."""
-    ms = list(window_masks)
-    return [(a, b) for a, b in combinations(ms, 2) if not a & b]

@@ -9,9 +9,10 @@ grow them from structured seeds:
   * ``free``    - a few random pairwise-intersecting k-sets with empty
                   common intersection,
   * ``r_lift``  - every k-set whose window trace is an edge of R placed
-                  on [5] (any addition then meets [5] twice),
-  * ``s_lift``  - the same for S placed on [6],
-  * partial lifts - a random nonempty slice of a lift, for variety.
+                  on [5] (any addition then meets [5] twice); ``lift_seed``
+                  also lifts S placed on [6],
+  * ``r_lift_partial`` - a random nonempty slice of the lift, for variety,
+  * ``r_lift_blocked`` - the full lift plus blockers (``blocked_lift_seed``).
 
 Seeds are completed to maximal families by a saturation scan in a
 seeded-random candidate order, and rejection sampling enforces τ ≥ 3.
@@ -119,11 +120,8 @@ def random_saturated_family(n: int, k: int, rng: random.Random,
                             mode: str = "free") -> UniformFamily:
     if mode == "free":
         seed = random_intersecting_seed(n, k, rng)
-    elif mode in ("r_lift", "s_lift"):
-        seed = lift_seed(n, k, rng, "R" if mode == "r_lift" else "S", partial=False)
-    elif mode in ("r_lift_partial", "s_lift_partial"):
-        seed = lift_seed(n, k, rng, "R" if mode == "r_lift_partial" else "S",
-                         partial=True)
+    elif mode in ("r_lift", "r_lift_partial"):
+        seed = lift_seed(n, k, rng, "R", partial=mode == "r_lift_partial")
     elif mode == "r_lift_blocked":
         seed = blocked_lift_seed(n, k)
     else:

@@ -14,7 +14,6 @@ fail are reported as skipped, never as failed.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -79,7 +78,6 @@ def ft92_oracle(n: int, a: int, b: int) -> tuple[int, Certificate]:
     or a = b = 2.  The certificate checks both the attained maximum and
     the strictness clause.
     """
-    t0 = time.perf_counter()
     if not (n >= a + b and a <= b):
         raise ValueError(f"ft92_oracle needs n >= a+b and a <= b, got {(n, a, b)}")
     bound = binom(n, b) - binom(n - a, b) + 1
@@ -113,7 +111,7 @@ def ft92_oracle(n: int, a: int, b: int) -> tuple[int, Certificate]:
         {"n": n, "a": a, "b": b, "bound": bound, "max": best,
          "nontrivial_max": best_nontrivial, "exception_case": exception,
          "optimum": optimum},
-        witnesses, t0)
+        witnesses)
     return best, cert
 
 
@@ -124,7 +122,6 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
     m > a+b and a > b.  Fix-A enumeration with B = B_max(A); when the
     hypothesis forces a smaller A, the cap |A| <= C(m-1,a-1) is applied.
     """
-    t0 = time.perf_counter()
     if not (m > a + b and a > b):
         raise ValueError(f"hilton_corollary_oracle needs m > a+b and a > b, got {(m, a, b)}")
     bound = binom(m - 1, a - 1) + binom(m - 1, b - 1)
@@ -152,7 +149,7 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
         f"hypothesis-restricted max |A|+|B| equals C({m - 1},{a - 1})+C({m - 1},{b - 1})"
         f" = {bound}",
         {"m": m, "a": a, "b": b, "bound": bound, "max": best},
-        witnesses, t0)
+        witnesses)
 
 
 # ── trace bounds ─────────────────────────────────────────────────────────────
@@ -191,7 +188,6 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     C(n-5,k-2)+C(n-5,k-3) four-trace variant.  Hypothesis misses are
     recorded as skips in the certificate details.
     """
-    t0 = time.perf_counter()
     n, k = family.n, family.k
     u_mask = window if isinstance(window, int) else mask_of(window, n)
     u_size = u_mask.bit_count()
@@ -283,5 +279,5 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
         f"window trace inequalities on U={elements_of(u_mask)}",
         {"n": n, "k": k, "window": list(elements_of(u_mask)),
          "family_size": len(family), "window_hypothesis": window_ok},
-        witnesses, t0,
+        witnesses,
         details={"skipped": skipped, "evaluated": evaluated})

@@ -1,10 +1,16 @@
-"""Randomized and exhaustive property suites, packaged as certificates.
+"""Randomized and exhaustive property suites, and the one registry of all suites.
 
 These complement the closed-form sweeps in ``certify``: instead of
 parameter grids they quantify over families - seeded random saturated
 families, or exhaustive cross-intersecting configurations - and check
-the structural statements on each.  Every suite takes an explicit seed
-so its "zero violations" verdict is reproducible bit for bit.
+the structural statements on each.  Every suite that samples takes an
+explicit seed so its "zero violations" verdict is reproducible bit for
+bit.
+
+``SUITES`` registers the closed-form and the property suites together,
+and ``verify_identity_suite`` is the one runner for both, used by the
+library and by ``ekrforge verify`` alike.  Each suite's signature names
+exactly the settings it reads.
 """
 
 from __future__ import annotations
@@ -12,9 +18,12 @@ from __future__ import annotations
 import random
 import time
 import warnings
+from dataclasses import replace
 from itertools import combinations
+from typing import Callable
 
 from .binomial import binom
+from . import certify
 from .certify import Certificate, make_certificate
 from .classify import ClassificationTag, classify_T3
 from .covers import all_covers, covers, is_saturated, saturate, tau
@@ -26,9 +35,8 @@ from .oracles import (_meets_all_mask, _side_items, _sperner_pairs, ft92_oracle,
                       hilton_corollary_oracle, trace_bound_check)
 
 
-def suite_prop14(samples: int = 200, seed: int = 0, **_) -> Certificate:
+def suite_prop14(samples: int = 200, seed: int = 0) -> Certificate:
     """T(H) is intersecting for saturated H: property run over random saturations."""
-    t0 = time.perf_counter()
     grid = ((7, 3), (8, 3), (9, 4))
     rng = random.Random(seed)
     witnesses = []
@@ -48,12 +56,11 @@ def suite_prop14(samples: int = 200, seed: int = 0, **_) -> Certificate:
     return make_certificate(
         "PROP-14", "for saturated intersecting H, the cover family T(H) is intersecting",
         {"samples": checked, "seed": seed, "grid": [list(g) for g in grid]},
-        witnesses, t0)
+        witnesses)
 
 
-def suite_prop22_classify(samples: int = 100, seed: int = 0, **_) -> Certificate:
+def suite_prop22_classify(samples: int = 100, seed: int = 0) -> Certificate:
     """Saturated τ=3 families classify into star/K34/S/R when T^(3) is nonempty."""
-    t0 = time.perf_counter()
     grid = ((7, 3), (8, 3), (9, 4))
     witnesses = []
     tags = {t.value: 0 for t in ClassificationTag}
@@ -77,13 +84,12 @@ def suite_prop22_classify(samples: int = 100, seed: int = 0, **_) -> Certificate
     return make_certificate(
         "PROP-22", "classification of T^(3) over saturated τ=3 samples",
         {"samples": total, "seed": seed, "grid": [list(g) for g in grid]},
-        witnesses, t0, details={"tags": tags})
+        witnesses, details={"tags": tags})
 
 
 def suite_trace_bounds_random(samples: int = 1000, seed: int = 0,
-                              min_applicable: int = 100, **_) -> Certificate:
+                              min_applicable: int = 100) -> Certificate:
     """All applicable window trace bounds over saturated τ≥3 samples."""
-    t0 = time.perf_counter()
     grid, window = ((9, 4), (11, 5)), (1, 2, 3, 4, 5)
     witnesses = []
     per_point = max(1, samples // len(grid))
@@ -110,13 +116,12 @@ def suite_trace_bounds_random(samples: int = 1000, seed: int = 0,
         "window trace inequalities over seeded saturated τ≥3 families",
         {"samples": total, "seed": seed, "grid": [list(g) for g in grid],
          "window": list(window)},
-        witnesses, t0,
+        witnesses,
         details={"window_applicable": applicable, "evaluated": evaluated_total})
 
 
-def suite_sperner_random(samples: int = 60, seed: int = 0, **_) -> Certificate:
+def suite_sperner_random(samples: int = 60, seed: int = 0) -> Certificate:
     """The α-inequality on random intersecting families (no τ hypothesis)."""
-    t0 = time.perf_counter()
     grid = ((9, 4), (11, 5), (13, 6))
     rng = random.Random(seed)
     witnesses = []
@@ -136,7 +141,7 @@ def suite_sperner_random(samples: int = 60, seed: int = 0, **_) -> Certificate:
     return make_certificate(
         "SPERNER-RANDOM", "α(A) + α(B) <= 1 on random intersecting families",
         {"samples": samples, "seed": seed, "pairs_checked": checked_pairs},
-        witnesses, t0)
+        witnesses)
 
 
 def _bmax_of(n: int, a: int, b: int):
@@ -157,7 +162,7 @@ def _bmax_of(n: int, a: int, b: int):
     return len(items_a), len(items_b), bmax
 
 
-def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
+def suite_hilton_lex(samples: int = 10000, seed: int = 0) -> Certificate:
     """Lexicographic compression preserves cross-intersection.
 
     Exhaustive at (n,a,b) = (5,2,2) through the derive-B_max reduction
@@ -165,7 +170,6 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
     monotonicity of initial segments), plus seeded random pairs at
     (6,2,3).
     """
-    t0 = time.perf_counter()
     witnesses = []
     # exhaustive at (5,2,2)
     count_a, _, bmax = _bmax_of(5, 2, 2)
@@ -189,12 +193,11 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0, **_) -> Certificate:
             witnesses.append({"case": "random-623", "A_count": ca, "B_count": cb})
     return make_certificate(
         "HILTON-LEX", "L(n,a,|A|), L(n,b,|B|) stay cross-intersecting",
-        {"samples": samples, "seed": seed}, witnesses, t0)
+        {"samples": samples, "seed": seed}, witnesses)
 
 
-def suite_ft92_small(**_) -> Certificate:
+def suite_ft92_small() -> Certificate:
     """The three desk-scale cross-intersecting oracle instances."""
-    t0 = time.perf_counter()
     witnesses = []
     expected = {(6, 2, 3): binom(6, 3) - binom(4, 3) + 1,
                 (5, 2, 3): binom(5, 3) - binom(3, 3) + 1,
@@ -208,25 +211,23 @@ def suite_ft92_small(**_) -> Certificate:
                               "bound": bound, "verdict": cert.verdict})
     return make_certificate(
         "FT92-SMALL", "cross-intersecting sum oracle attains the bound",
-        {"instances": sorted(attained)}, witnesses, t0, details=attained)
+        {"instances": sorted(attained)}, witnesses, details=attained)
 
 
-def suite_hilton_cor_small(**_) -> Certificate:
-    t0 = time.perf_counter()
+def suite_hilton_cor_small() -> Certificate:
     cert = hilton_corollary_oracle(6, 3, 2)
     witnesses = [] if cert.passed and cert.params["max"] == 15 else [cert.params]
     return make_certificate(
         "HILTON-COR-SMALL", "hypothesis-restricted sum bound attains 15 at (6,3,2)",
-        {"m": 6, "a": 3, "b": 2}, witnesses, t0)
+        {"m": 6, "a": 3, "b": 2}, witnesses)
 
 
-def suite_saturation_props(samples: int = 60, seed: int = 0, **_) -> Certificate:
+def suite_saturation_props(samples: int = 60, seed: int = 0) -> Certificate:
     """Saturation and covering-number structure on random families.
 
     Checks idempotence of saturation, monotonicity of τ under supersets,
     cover padding, and τ ≤ k.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     witnesses = []
     for _ in range(samples):
@@ -245,10 +246,22 @@ def suite_saturation_props(samples: int = 60, seed: int = 0, **_) -> Certificate
                 witnesses.append({"n": n, "k": k, "problem": f"cover padding broke at {ell}"})
     return make_certificate(
         "SATURATION-PROPS", "saturation and covering-number structural laws",
-        {"samples": samples, "seed": seed}, witnesses, t0)
+        {"samples": samples, "seed": seed}, witnesses)
 
 
-PROPERTY_SUITES = {
+SUITES: dict[str, Callable[..., Certificate]] = {
+    "ID-G-SIZE": certify.suite_id_g_size,
+    "ID-G-POLY": certify.suite_id_g_poly,
+    "ID-G-2K": certify.suite_id_g_2k,
+    "ID-EKR": certify.suite_id_ekr,
+    "ID-HM": certify.suite_id_hm,
+    "ID-F-REC": certify.suite_id_f_rec,
+    "INEQ-PROP23": certify.suite_ineq_prop23,
+    "INEQ-KEY-STEPS": certify.suite_ineq_key_steps,
+    "INEQ-GAPFILL": certify.suite_ineq_gapfill,
+    "INEQ-CASE1": certify.suite_ineq_case1,
+    "INEQ-CASE2": certify.suite_ineq_case2,
+    "ID-ENDGAME-94": certify.suite_id_endgame_94,
     "PROP-14": suite_prop14,
     "PROP-22": suite_prop22_classify,
     "TRACE-BOUNDS-RANDOM": suite_trace_bounds_random,
@@ -258,3 +271,18 @@ PROPERTY_SUITES = {
     "HILTON-COR-SMALL": suite_hilton_cor_small,
     "SATURATION-PROPS": suite_saturation_props,
 }
+
+
+def verify_identity_suite(suite_id: str, **settings) -> Certificate:
+    """Run one registered suite with the given settings and record its wall
+    time.  A setting the suite's signature does not name raises TypeError."""
+    suite = SUITES.get(suite_id)
+    if suite is None:
+        raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(list_suites())}")
+    start = time.perf_counter()
+    cert = suite(**settings)
+    return replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))
+
+
+def list_suites() -> list[str]:
+    return sorted(SUITES)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from ekrforge.binomial import binom
-from ekrforge.certify import verify_identity_suite
+from ekrforge.properties import verify_identity_suite
 from ekrforge.classify import (claim5_excluded_pairs, claim5_maxT,
                                claim6_partition, disjointness_graph, p_of_r,
                                p_of_s)

@@ -1,12 +1,13 @@
 """Certificate suites, cross-intersecting oracles, trace bounds."""
 
+import inspect
 import json
 
 import pytest
 
 from conftest import prop34_equality_family
 from ekrforge.binomial import binom
-from ekrforge.certify import SUITES, list_suites, verify_identity_suite
+from ekrforge.properties import SUITES, list_suites, verify_identity_suite
 from ekrforge.constructions import build_G
 from ekrforge.covers import tau
 from ekrforge.families import UniformFamily, is_intersecting
@@ -36,6 +37,22 @@ def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify_identity_suite("NO-SUCH-SUITE")
     assert "ID-G-SIZE" in list_suites()
+
+
+def test_property_suites_reach_the_runner():
+    cert = verify_identity_suite("PROP-14", samples=3, seed=1)
+    assert cert.passed and cert.id == "PROP-14"
+    assert cert.params["seed"] == 1
+    assert len(list_suites()) == 20
+
+
+def test_suites_name_exactly_what_they_read():
+    for suite_id, suite in SUITES.items():
+        kinds = {p.kind for p in inspect.signature(suite).parameters.values()}
+        assert not kinds & {inspect.Parameter.VAR_KEYWORD,
+                            inspect.Parameter.VAR_POSITIONAL}, suite_id
+    with pytest.raises(TypeError):
+        verify_identity_suite("ID-ENDGAME-94", k_max=5)
 
 
 def test_certificate_json_schema():

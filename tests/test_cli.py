@@ -9,6 +9,7 @@ from ekrforge.cli import run
 from ekrforge.constructions import build_G
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
                                render_family, write_family)
+from ekrforge.properties import list_suites
 
 
 def test_family_roundtrip(tmp_path):
@@ -186,6 +187,35 @@ def test_verify_order_normalized(capsys):
     assert ids == sorted(ids)
 
 
+def test_verify_text_output_byte_stable(capsys):
+    """Measured wall times appear only under --timings, in text as in JSON."""
+    args = ["verify", "--suite", "ID-G-SIZE", "--suite", "ID-EKR", "--k-max", "5"]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    assert run(args) == 0
+    assert capsys.readouterr().out == first
+    headers = [line for line in first.splitlines() if not line.startswith(" ")]
+    assert headers == ["ID-EKR: PASS  (0 ms)", "ID-G-SIZE: PASS  (0 ms)"]
+
+
+def test_verify_runs_every_registered_suite(capsys):
+    # three samples are below TRACE-BOUNDS-RANDOM's applicability floor
+    assert run(["verify", "--suite", "all", "--k-max", "5", "--n-span", "4",
+                "--n-max", "20", "--samples", "3", "--format", "json-lines"]) == 1
+    certs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [c["id"] for c in certs] == list_suites()
+    assert len(certs) == 20
+    assert [c["id"] for c in certs if c["verdict"] == "fail"] == ["TRACE-BOUNDS-RANDOM"]
+
+
+def test_verify_refuses_range_flags_no_suite_reads(capsys):
+    for extra in (["--k-max", "5"], ["--samples", "3"]):
+        assert run(["verify", "--suite", "ID-ENDGAME-94", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no selected suite reads {extra[0]}" in captured.err
+
+
 def test_construct_missing_size_is_usage_error(capsys):
     for argv, missing in ((["construct", "g"], "--n and --k"),
                           (["construct", "star", "--n", "7"], "--k"),
@@ -203,6 +233,39 @@ def test_construct_fh_flow(tmp_path, capsys):
     assert (2, 3, 4) in fam.sets()
     assert run(["tau", str(out)], ) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+# each construction with the flags it does not read
+CONSTRUCT_UNREAD = [
+    (["g", "--n", "7", "--k", "3"], ("--apex", "--input")),
+    (["s"], ("--k", "--apex", "--input")),
+    (["r"], ("--k", "--apex", "--input")),
+    (["k34"], ("--k", "--apex", "--input")),
+    (["star", "--n", "7", "--k", "3"], ("--input",)),
+    (["hm", "--n", "7", "--k", "3"], ("--apex", "--input")),
+    (["fh", "--input", "FAMILY"], ("--apex",)),
+]
+CONSTRUCT_VALUES = {"--k": "3", "--apex": "2", "--input": "FAMILY"}
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=f"{argv[0]} {flag}")
+    for argv, flags in CONSTRUCT_UNREAD for flag in flags])
+def test_construct_refuses_unread_flags(argv, flag, tmp_path, capsys):
+    family = tmp_path / "h.fam"
+    family.write_text("7 3 1\n2 3 4\n")
+    argv = ["construct", *argv, flag, CONSTRUCT_VALUES[flag]]
+    assert run([str(family) if a == "FAMILY" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"does not take {flag}" in captured.err
+
+
+def test_construct_star_apex(capsys):
+    for extra, apex in (([], 1), (["--apex", "4"], 4)):
+        assert run(["construct", "star", "--n", "6", "--k", "3", *extra]) == 0
+        fam = parse_family(capsys.readouterr().out)
+        assert len(fam) == 10 and all(apex in s for s in fam.sets())
 
 
 # each subcommand with the output flags its handler never read

@@ -8,8 +8,8 @@ import pytest
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
 from ekrforge.families import (KSet, UniformFamily, are_cross_intersecting,
-                               disjoint_pairs, elements_of, is_intersecting,
-                               ksets_colex, layer, mask_of, max_degree, trace)
+                               elements_of, is_intersecting, ksets_colex, layer,
+                               mask_of, max_degree, trace)
 
 
 def test_mask_roundtrip():
@@ -153,8 +153,3 @@ def test_hilton_lemma_lex_compression():
     cert = suite_hilton_lex(samples=2000, seed=5)
     assert cert.passed, cert.witnesses[:3]
 
-
-def test_disjoint_pairs_helper():
-    masks = [mask_of(p, 5) for p in [(1, 2), (3, 4), (1, 3)]]
-    pairs = disjoint_pairs(masks)
-    assert len(pairs) == 1
