@@ -15,8 +15,9 @@ A flag that the chosen work does not read is a usage error.  verify runs
 the selected suites of the one registry in ``properties`` one after
 another, emits them sorted by id, and passes each suite only the range
 flags its signature names; a range flag that no selected suite reads is
-refused.  construct takes --k, --apex and --input only for the kinds
-that read them.
+refused, and so are a repeated suite id and ``all`` next to another id.
+construct takes --k, --apex and --input only for the kinds that read
+them.
 """
 
 from __future__ import annotations
@@ -208,7 +209,14 @@ _RANGE_FLAGS = ("k_min", "k_max", "n_span", "n_max", "samples")
 
 
 def _cmd_verify(args) -> int:
-    names = list_suites() if args.suite == ["all"] else args.suite
+    names = args.suite
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise UsageError(f"suite(s) {', '.join(repeated)} given more than once")
+    if "all" in names:
+        if len(names) > 1:
+            raise UsageError("--suite all cannot be combined with other suite ids")
+        names = list_suites()
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise UsageError(

@@ -5,16 +5,17 @@ one member separated by single spaces; member lines in colex order;
 trailing newline; no comments.  The reader accepts member lines in any
 order (families are canonically re-sorted on load) but insists on sorted
 elements within a line, correct cardinalities, in-range elements and no
-duplicate members, and reports problems with 1-based line numbers.
+duplicate members.  It reports the first problem in file order with its
+1-based line number; within one line, a non-integer element comes first,
+then a wrong cardinality, an out-of-range element and an order error.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import TextIO
 
-from .families import UniformFamily, elements_of, mask_of
+from .families import UniformFamily
 
 
 class FamilyFormatError(ValueError):
@@ -47,29 +48,47 @@ def parse_family(text: str) -> UniformFamily:
         raise FamilyFormatError(
             len(lines) + 1 if len(body) < m else body[m][0],
             f"header promises {m} members, file has {len(body)}")
+    # a malformed line is reported unless a duplicate before it comes first
+    bits = [0] + [1 << i for i in range(n)]
     masks = []
-    seen: dict[int, int] = {}
     for line_no, ln in body:
-        fields = ln.split()
         try:
-            elems = [int(x) for x in fields]
+            elems = list(map(int, ln.split()))
         except ValueError:
-            raise FamilyFormatError(line_no, f"non-integer element in {ln!r}") from None
+            raise _first_duplicate(body, masks) or FamilyFormatError(
+                line_no, f"non-integer element in {ln!r}") from None
         if len(elems) != k:
-            raise FamilyFormatError(
+            raise _first_duplicate(body, masks) or FamilyFormatError(
                 line_no, f"member has {len(elems)} elements, expected k={k}")
-        if any(not 1 <= x <= n for x in elems):
-            bad = next(x for x in elems if not 1 <= x <= n)
-            raise FamilyFormatError(line_no, f"element {bad} outside [1, {n}]")
-        if elems != sorted(set(elems)):
-            raise FamilyFormatError(line_no, "elements must be strictly increasing")
-        mask = mask_of(elems, n)
+        mask = 0
+        for x in elems:
+            if not 0 < x <= n:
+                raise _first_duplicate(body, masks) or FamilyFormatError(
+                    line_no, f"element {x} outside [1, {n}]")
+            mask |= bits[x]
+        if mask.bit_count() != k or elems != sorted(elems):
+            raise _first_duplicate(body, masks) or FamilyFormatError(
+                line_no, "elements must be strictly increasing")
+        masks.append(mask)
+    duplicate = _first_duplicate(body, masks)
+    if duplicate:
+        raise duplicate
+    return UniformFamily.from_masks(n, k, masks)
+
+
+def _first_duplicate(body: list[tuple[int, str]],
+                     masks: list[int]) -> FamilyFormatError | None:
+    """The error for the first of the member lines read so far (``masks``
+    holds their members in file order) that repeats an earlier one."""
+    if len(set(masks)) == len(masks):
+        return None
+    seen: dict[int, int] = {}
+    for (line_no, _), mask in zip(body, masks):
         if mask in seen:
-            raise FamilyFormatError(
+            return FamilyFormatError(
                 line_no, f"duplicate member (first seen on line {seen[mask]})")
         seen[mask] = line_no
-        masks.append(mask)
-    return UniformFamily.from_masks(n, k, masks)
+    raise AssertionError("a repeated member was not found again")
 
 
 def read_family(path: str | Path) -> UniformFamily:
@@ -77,12 +96,15 @@ def read_family(path: str | Path) -> UniformFamily:
 
 
 def render_family(family: UniformFamily) -> str:
-    out = io.StringIO()
-    out.write(f"{family.n} {family.k} {len(family)}\n")
-    for mask in family.masks:
-        out.write(" ".join(str(x) for x in elements_of(mask)))
-        out.write("\n")
-    return out.getvalue()
+    # one 256-entry table per 8 points of the ground set: the text of the
+    # elements that each value of that byte of a mask stands for
+    tables = [(lo, [" ".join(str(lo + b + 1) for b in range(8) if v >> b & 1)
+                    for v in range(256)])
+              for lo in range(0, family.n, 8)]
+    lines = [f"{family.n} {family.k} {len(family)}\n"]
+    lines += [" ".join([t[m >> lo & 255] for lo, t in tables if m >> lo & 255]) + "\n"
+              for m in family.masks]
+    return "".join(lines)
 
 
 def write_family(family: UniformFamily, path: str | Path | TextIO) -> None:

@@ -10,6 +10,19 @@ from itertools import combinations, permutations
 from ekrforge.families import UniformFamily, elements_of
 
 
+def pairwise_is_intersecting(family: UniformFamily) -> bool:
+    """True iff every pair of distinct members meets: the O(|F|^2) scan.
+
+    Independent oracle for the point-indexed ``families.is_intersecting``.
+    """
+    masks = family.masks
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if not a & b:
+                return False
+    return True
+
+
 def k34_window_family(n: int = 9) -> UniformFamily:
     """A saturated intersecting 4-graph on [9] whose 3-cover family is K3(4).
 

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, file round trips, diagnostics, determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -36,6 +37,38 @@ def test_family_format_rejects_bad_input():
         parse_family("6 3 1\n3 2 1\n")
     with pytest.raises(FamilyFormatError):
         parse_family("")
+
+
+# (text, line_no, message) of every reader diagnostic: the first problem in
+# file order is reported, a range error before an order error on one line
+FAMILY_DIAGNOSTICS = [
+    ("6 3\n1 2 3\n", 1, "header must be 'n k m', got '6 3'"),
+    ("6 x 1\n1 2 3\n", 1, "non-integer header field in '6 x 1'"),
+    ("6 3 1\n1 2\n", 2, "member has 2 elements, expected k=3"),
+    ("6 3 1\n1 2 x\n", 2, "non-integer element in '1 2 x'"),
+    ("6 3 2\n1 2 3\n1 2 9\n", 3, "element 9 outside [1, 6]"),
+    ("6 3 1\n3 2 1\n", 2, "elements must be strictly increasing"),
+    ("6 3 1\n1 1 2\n", 2, "elements must be strictly increasing"),
+    ("6 3 3\n1 2 3\n2 3 4\n\n1 2 3\n", 5, "duplicate member (first seen on line 2)"),
+    ("6 3 2\n1 2 3\n", 3, "header promises 2 members, file has 1"),
+    ("6 3 1\n3 9 1\n", 2, "element 9 outside [1, 6]"),
+    ("6 3 4\n1 2 3\n1 2 3\n2 3 4\n1 2\n", 3, "duplicate member (first seen on line 2)"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,message", FAMILY_DIAGNOSTICS)
+def test_family_format_diagnostics(text, line_no, message):
+    with pytest.raises(FamilyFormatError) as err:
+        parse_family(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_family_roundtrip_shuffled_lines():
+    g = build_G(20, 6)
+    head, *members = render_family(g).splitlines()
+    random.Random(7).shuffle(members)
+    assert parse_family("\n".join([head, *members]) + "\n") == g
 
 
 def test_empty_family_file_valid():
@@ -96,6 +129,21 @@ def test_verify_exit_codes(capsys):
 def test_verify_usage_errors():
     assert run(["verify", "--suite", "NOPE"]) == 2
     assert run(["nonsense"]) == 2
+
+
+def test_verify_refuses_repeated_suite(capsys):
+    assert run(["verify", "--suite", "ID-G-2K", "--suite", "ID-F-REC",
+                "--suite", "ID-G-2K"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ID-G-2K given more than once" in captured.err
+
+
+def test_verify_refuses_all_with_other_suites(capsys):
+    assert run(["verify", "--suite", "all", "--suite", "ID-G-2K"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--suite all cannot be combined with other suite ids" in captured.err
 
 
 def test_malformed_family_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import pairwise_is_intersecting
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
@@ -53,6 +54,50 @@ def test_is_intersecting():
     assert is_intersecting(star)
     assert not is_intersecting(UniformFamily.from_sets(6, 3, [(1, 2, 3), (4, 5, 6)]))
     assert is_intersecting(build_G(9, 4))
+
+
+def test_is_intersecting_against_pairwise_scan():
+    rng = random.Random(17)
+    outcomes = []
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        k = rng.randint(1, (n + 1) // 2)
+        pool = list(ksets_colex(n, k))
+        fam = UniformFamily.from_masks(n, k, rng.sample(pool, rng.randint(0, min(len(pool), 12))))
+        if rng.random() < 0.5:
+            # greedily intersecting, then perhaps one member that misses some
+            kept = []
+            for m in fam.masks:
+                if all(m & other for other in kept):
+                    kept.append(m)
+            if rng.random() < 0.5:
+                kept.append(rng.choice(pool))
+            fam = UniformFamily.from_masks(n, k, kept)
+        expected = pairwise_is_intersecting(fam)
+        assert is_intersecting(fam) == expected, fam
+        outcomes.append(expected)
+    assert min(outcomes.count(True), outcomes.count(False)) > 500
+
+
+def test_is_intersecting_edge_cases():
+    for n, k in ((1, 0), (1, 1), (6, 0), (6, 3)):
+        assert is_intersecting(UniformFamily(n, k))
+    assert is_intersecting(UniformFamily.from_sets(6, 3, [(4, 5, 6)]))
+    assert is_intersecting(UniformFamily.from_sets(6, 0, [()]))
+    disjoint = UniformFamily.from_sets(6, 3, [(1, 2, 3), (4, 5, 6)])
+    assert not is_intersecting(disjoint)
+    for fam in (UniformFamily.from_sets(6, 0, [()]), disjoint):
+        assert is_intersecting(fam) == pairwise_is_intersecting(fam)
+
+
+def test_is_intersecting_large():
+    g = build_G(20, 6)
+    assert is_intersecting(g) and pairwise_is_intersecting(g)
+    members = set(g.masks)
+    outside = [m for m in ksets_colex(20, 6) if m not in members]
+    # G(20,6) is maximal intersecting, so any added 6-set misses a member
+    for extra in (outside[0], outside[-1]):
+        assert not is_intersecting(UniformFamily.from_masks(20, 6, g.masks + (extra,)))
 
 
 def test_cross_intersecting():
