@@ -17,6 +17,12 @@ k-sets in colex order:
     chosen members is forced in: adding it never hurts intersecting-ness
     and never lowers τ, so some optimum (indeed every optimum) contains it.
 
+The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
+(r = 3) follow the proof's case split instead (``_structural_branches``):
+branches A_j, where {1,2,3} is a cover and two members are forced, one per
+size j of their intersection, and branches B_i, covering number at least 4,
+each with a forced second member.
+
 The degree-capped search (``max_intersecting_degcap``) cannot force or
 dominate, since a cap can make a compatible candidate unusable.  It
 branches in colour order instead (MCQ, Tomita et al. 2010): each node
@@ -327,21 +333,40 @@ def _plain_branch(n: int, k: int, r_min: int) -> _Branch:
 def _structural_branches(n: int, k: int):
     """The structural case split of a τ ≥ 3 search, mirroring the proof.
 
-    Branch A: families with covering number exactly 3 are isomorphic to
-    one in which {1,2,3} is a cover, so the universe shrinks to the k-sets
-    meeting {1,2,3} and no member is forced (the relabeling freedom is
-    spent).  Branches B_i: covering number at least 4, enforced by
-    avoiding every triple.  With the first member normalised to [1..k],
-    some member avoids {1,2,3}; it meets [1..k] in a nonempty subset of
-    [4..k], say of size i, and the stabiliser of [1..k] maps it onto the
+    Branches A_j (covering number exactly 3): such a family is isomorphic
+    to one in which {1,2,3} is a cover, so the universe shrinks to the
+    k-sets meeting {1,2,3}, and every pair must be avoided.  Universe and
+    constraints are invariant under S₃ × S_{n-3}, and the proof spends
+    that freedom on two members.  Some member avoids {2,3}; it meets
+    {1,2,3}, so it holds 1, and S_{n-3} maps it onto F₁ = {1} ∪ [4..k+2].
+    Some member avoids {1,3}, so it holds 2 and not 1; it meets F₁ in a
+    set J ⊆ [4..k+2] of size j ≥ 1, and its other t = k-1-j points lie in
+    [k+3..n].  The stabiliser of F₁ (permuting [4..k+2] and [k+3..n])
+    maps it onto F₂ = {2} ∪ [4..3+j] ∪ [k+3..k+2+t], which A_j forces
+    with F₁; no such member exists when k+2+t > n, so that A_j is skipped.
+
+    Branches B_i (covering number at least 4, enforced by avoiding every
+    triple): with the first member normalised to [1..k], some member
+    avoids {1,2,3}; it meets [1..k] in a nonempty subset of [4..k], say
+    of size i, and the stabiliser of [1..k] maps it onto the
     representative [k-i+1..k] ∪ [k+1..2k-i], which B_i forces as the
-    second member.  Solutions of every branch are feasible for τ ≥ 3, and
-    every τ ≥ 3 family lands in one of them up to isomorphism, so the
-    combined maximum, and the union of the branches' optima, is exact.
+    second member.
+
+    Solutions of every branch are feasible for τ ≥ 3, and every τ ≥ 3
+    family is isomorphic to a family of some branch, so the forcing keeps
+    a representative of every isomorphism class: the combined maximum,
+    and the union of the branches' optima, is exact.
     """
     universe = tuple(ksets_colex(n, k))
     cover3 = mask_of((1, 2, 3), n)
-    yield _Branch(tuple(m for m in universe if m & cover3), (), _avoidance(n, 3))
+    meets = tuple(m for m in universe if m & cover3)
+    pairs = _avoidance(n, 3)
+    first = mask_of([1, *range(4, k + 3)], n)
+    for j in range(1, k):
+        t = k - 1 - j
+        if k + 2 + t <= n:
+            second = mask_of([2, *range(4, 4 + j), *range(k + 3, k + 3 + t)], n)
+            yield _Branch(meets, (first, second), pairs)
     first = mask_of(range(1, k + 1), n)
     triples = _avoidance(n, 4)
     for i in range(1, k - 2):
@@ -628,29 +653,34 @@ def _split_search(n: int, k: int, budget: float,
     """Run every branch of ``_structural_branches`` and combine them as if
     they were one search, with the same return shape as ``_search``.
 
-    Branch A gets the whole budget, each B_i what is left of it but at
-    least one second.  When collecting, B_i only gathers families at least
-    as large as A's optimum, since smaller ones cannot be optimal overall.
-    The optima are the branches' lists joined, not merged: a family that
-    two B_i both reach is listed twice, and ``_dedup_to_forms`` folds the
-    copy into its class like any relabelling.
+    The branches run in order, A_1 .. A_{k-1} then B_i; the first gets the
+    whole budget, each later one what is left of it but at least one
+    second.  When collecting, the floor starts at the size of the verified
+    ``incumbent`` (0 without one), a lower bound on the optimum, so with
+    the non-strict prune no optimum is lost; after each branch it rises to
+    the largest size found so far, since smaller families cannot be
+    optimal overall.  The optima are the branches' lists joined, not
+    merged: a family that two branches both reach is listed twice, and
+    ``_dedup_to_forms`` folds the copy into its class like any relabelling.
     """
     t0 = time.perf_counter()
     runs = []
-    left, floor = budget, (0 if collect else None)
+    left, floor = budget, None
+    if collect:
+        floor = len(incumbent) if incumbent is not None else 0
     for branch in _structural_branches(n, k):
         runs.append(_search(n, k, branch, left, incumbent, floor))
         left = max(1.0, budget - (time.perf_counter() - t0))
         if collect:
-            floor = runs[0][0].value
+            floor = runs[-1][0].value
     found = [res for res, raw in runs if raw or not collect]
-    best = min(found, key=lambda res: (-res.value, res.witness.masks),
-               default=runs[0][0])
-    optima = [masks for res, raw in runs if res.value == best.value
-              for masks in raw]
+    best = min(found, key=lambda res: (-res.value, res.witness.masks), default=None)
+    # nothing found, or no branch at all (k = 1)
+    value, witness = ((best.value, best.witness) if best
+                      else (0, UniformFamily(n, k, ())))
+    optima = [masks for res, raw in runs if res.value == value for masks in raw]
     status = PROVED if all(res.status == PROVED for res, _ in runs) else TIMEBOXED
-    result = SearchResult(best.value, best.witness, status,
-                          sum(res.nodes for res, _ in runs),
+    result = SearchResult(value, witness, status, sum(res.nodes for res, _ in runs),
                           time.perf_counter() - t0, budget)
     return result, optima
 
@@ -785,7 +815,10 @@ def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
 
 def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchResult:
     """m(n,k,3) via the structural case split of ``_structural_branches``,
-    mirroring the proof architecture, warm-started with G(n,k)."""
+    mirroring the proof architecture: the branches A_1 .. A_{k-1} (τ = 3,
+    {1,2,3} a cover, two members forced) and B_i (τ ≥ 4), each
+    warm-started with G(n,k).  At k = 3 there is no B_i.  The node count
+    is the sum over the branches."""
     result, _ = _split_search(n, k, budget, _default_incumbent(n, k, 3))
     _verify(result.witness, 3)
     return result
@@ -821,10 +854,18 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     by canonical form covers every isomorphism class.  At r_min = 3 the
     collection runs over the structural case split of
     ``_structural_branches`` instead, whose branches likewise reach every
-    isomorphism class.
+    isomorphism class, from the floor |G(n,k)| of the warm start.
+
+    Memory holds every collected optimum before deduplication.  At n = 2k
+    that is every maximal intersecting family with τ ≥ r_min: each takes
+    one set of every complementary pair, so all have C(2k-1,k-1) members
+    and all are optima, and no floor prunes them.  (8,4,3) is already out
+    of reach: its first branch alone outgrew a 1.5 GB memory cap.  Keep
+    n = 2k to k ≤ 3.
     """
     if r_min == 3:
-        result, raw = _split_search(n, k, budget, collect=True)
+        result, raw = _split_search(n, k, budget, _default_incumbent(n, k, 3),
+                                    collect=True)
     else:
         result, raw = _search(n, k, _plain_branch(n, k, r_min), budget,
                               collect_floor=0)

@@ -127,6 +127,21 @@ def brute_max_by_cliques(n: int, k: int, r_min: int) -> int:
     return best
 
 
+def unforced_branch_a(n: int, k: int):
+    """Branch A of the τ ≥ 3 split before its members were forced: every
+    k-set meeting {1,2,3}, every pair to be avoided, nothing forced.
+
+    Independent reference for the forced branches A_j of
+    ``search._structural_branches``, which must reach the same maximum.
+    """
+    from ekrforge.families import ksets_colex, mask_of
+    from ekrforge.search import _Branch
+
+    cover3 = mask_of((1, 2, 3), n)
+    pairs = tuple(mask_of(p, n) for p in combinations(range(1, n + 1), 2))
+    return _Branch(tuple(m for m in ksets_colex(n, k) if m & cover3), (), pairs)
+
+
 def brute_canonical_form(family: UniformFamily) -> tuple[int, ...]:
     """Minimum relabeled mask tuple over all permutations of [n].
 

@@ -1,22 +1,24 @@
 """Search oracle: exact m(n,k,r), degree caps, canonical forms, optima."""
 
 import random
+from itertools import permutations
 
 import pytest
 
-from conftest import (_reference_cover_bound, brute_canonical_form,
-                      brute_max_by_cliques, prop34_equality_family,
-                      reference_degcap)
+from conftest import (_apply_perm, _reference_cover_bound, brute_canonical_form,
+                      brute_max_by_cliques, intersect_compat, maximal_cliques,
+                      prop34_equality_family, reference_degcap, unforced_branch_a)
 from ekrforge.binomial import binom
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
                                     full_star, g_size_formula)
 from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
-from ekrforge.search import (_candidate_graph, _colour_classes, _dedup_to_forms,
+from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
+                             _dedup_to_forms, _default_incumbent,
                              _greedy_cover_bound, _plain_branch, _search,
-                             are_isomorphic, canonical_form, enumerate_optima,
-                             max_intersecting, max_intersecting_degcap,
-                             max_intersecting_seeded)
+                             _split_search, _structural_branches, are_isomorphic,
+                             canonical_form, enumerate_optima, max_intersecting,
+                             max_intersecting_degcap, max_intersecting_seeded)
 
 
 def test_values_against_closed_forms():
@@ -256,17 +258,61 @@ def test_enumerate_optima_6_3_1():
     assert all(f.masks for f in forms)
 
 
-def test_enumerate_optima_7_3_3():
-    plain, raw = _search(7, 3, _plain_branch(7, 3, 3), 300, collect_floor=0)
-    routes = [(_dedup_to_forms(7, 3, raw), plain),
-              enumerate_optima(7, 3, 3, budget=300)]
-    for forms, result in routes:
-        assert result.value == 10
-        assert len(forms) == 7
-        # every recorded class really has value-many members
-        assert all(len(f.masks) == 10 for f in forms)
-    # the structural split reaches exactly the classes of the plain search
-    assert [f.masks for f in routes[0][0]] == [f.masks for f in routes[1][0]]
+def test_enumerate_optima_r3_split_matches_plain():
+    """At (7,3,3) and (8,3,3) the structural split (the forced branches A_j,
+    collecting from the warm-start floor) reaches exactly the 7 classes of
+    the plain search collecting from 0."""
+    for n in (7, 8):
+        plain, raw = _search(n, 3, _plain_branch(n, 3, 3), 300, collect_floor=0)
+        routes = [(_dedup_to_forms(n, 3, raw), plain),
+                  enumerate_optima(n, 3, 3, budget=300)]
+        for forms, result in routes:
+            assert result.status == "proved-optimal"
+            assert result.value == 10
+            assert len(forms) == 7
+            # every recorded class really has value-many members
+            assert all(len(f.masks) == 10 for f in forms)
+        assert [f.masks for f in routes[0][0]] == [f.masks for f in routes[1][0]]
+
+
+def test_forced_split_against_unforced_branch_a():
+    """At k = 3 the split is the branches A_j alone.  With or without the
+    warm start they prove the value of branch A with nothing forced, and of
+    the clique oracle, and release the same witness, in fewer nodes."""
+    for n in (7, 8, 9):
+        value = brute_max_by_cliques(n, 3, 3)
+        for incumbent in (_default_incumbent(n, 3, 3), None):
+            forced, _ = _split_search(n, 3, 300, incumbent)
+            unforced, _ = _search(n, 3, unforced_branch_a(n, 3), 300, incumbent)
+            assert forced.status == unforced.status == "proved-optimal"
+            assert forced.witness.masks == unforced.witness.masks
+            assert forced.value == unforced.value == value
+            assert forced.nodes < unforced.nodes
+
+
+def test_branches_a_reach_every_maximal_tau3_class():
+    """The normalisation behind the forced members: each of the 8 classes
+    of maximal intersecting families on ([7],3) with covering number 3
+    (found by Bron-Kerbosch, of sizes 7 and 10) has a relabelling inside
+    some branch A_j: one that holds both forced members and whose members
+    all meet {1,2,3}."""
+    n, k = 7, 3
+    masks = list(ksets_colex(n, k))
+    raw = []
+    for clique in maximal_cliques(intersect_compat(masks), len(masks)):
+        fam = UniformFamily.from_masks(
+            n, k, [m for i, m in enumerate(masks) if clique >> i & 1])
+        if tau(fam) == 3:
+            raw.append(fam.masks)
+    forms = _dedup_to_forms(n, k, raw)
+    assert sorted(len(f.masks) for f in forms) == [7] + [10] * 7
+    branches = [(set(b.forced), set(b.universe)) for b in _structural_branches(n, k)
+                if b.constraints == _avoidance(n, 3)]
+    for form in forms:
+        assert any(forced <= image <= universe
+                   for perm in permutations(range(n))
+                   for image in [{_apply_perm(m, perm) for m in form.masks}]
+                   for forced, universe in branches)
 
 
 def test_structural_enumeration_without_optima():
@@ -308,9 +354,12 @@ def test_optima_7_3_3_against_clique_enumeration():
 
 @pytest.mark.slow
 def test_seeded_search_structure():
-    """The τ=3-restricted branch of the structural split proves 48 at (9,4)."""
-    from ekrforge.search import _default_incumbent, _structural_branches
-    branch_a = next(_structural_branches(9, 4))
-    res, _ = _search(9, 4, branch_a, 600, _default_incumbent(9, 4, 3))
-    assert res.status == "proved-optimal"
-    assert res.value == 48
+    """Branch A of the structural split, the covering-number-3 case, proves
+    48 at (9,4): every forced branch A_j is proved, and their maximum is 48."""
+    incumbent = _default_incumbent(9, 4, 3)
+    branches = [b for b in _structural_branches(9, 4)
+                if b.constraints == _avoidance(9, 3)]
+    assert len(branches) == 3
+    results = [_search(9, 4, b, 600, incumbent)[0] for b in branches]
+    assert all(res.status == "proved-optimal" for res in results)
+    assert max(res.value for res in results) == 48
