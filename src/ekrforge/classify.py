@@ -169,8 +169,7 @@ def classify_T3(family: UniformFamily) -> Classification:
     t = tau(family)
     if t != 3:
         warnings.warn(f"classify_T3: covering number is {t}, not 3", stacklevel=2)
-    t3 = covers(family, 3)
-    return classify_triples(UniformFamily(family.n, 3, t3.masks))
+    return classify_triples(covers(family, 3))
 
 
 # ── the P(R) partition of the case analysis ─────────────────────────────────

@@ -10,6 +10,8 @@ output is byte-identical across runs; wall times, in JSON and in verify's
 text output alike, are emitted as 0 unless --timings (verify, oracle,
 trace) is given.  Each is measured in one place: by the suite runner for
 verify, around trace_bound_check for trace, and by the search for oracle.
+--timings is refused where no time is printed: by trace without
+--check-bounds, and by the text output of trace and oracle.
 
 A flag that the chosen work does not read is a usage error.  verify runs
 the selected suites of the one registry in ``properties`` one after
@@ -91,6 +93,13 @@ class UsageError(Exception):
     pass
 
 
+def _refuse_text_timings(command: str, args) -> None:
+    """The text output of trace and oracle prints no wall time."""
+    if args.timings and args.format == "text":
+        raise UsageError(f"{command} --timings needs --format json-lines or json-array: "
+                         "the text output prints no time")
+
+
 def _load_family(path: str):
     try:
         return read_family(path)
@@ -167,6 +176,9 @@ def _cmd_saturate(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.timings and not args.check_bounds:
+        raise UsageError("trace --timings needs --check-bounds: nothing else is timed")
+    _refuse_text_timings("trace", args)
     fam = _load_family(args.family)
     window = _parse_elements(args.window)
     stats = trace(fam, window)
@@ -242,6 +254,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _refuse_text_timings("oracle", args)
     budget = _parse_budget(args.budget)
     statement = f"maximum intersecting family size, n={args.n} k={args.k} "
     if args.degree_cap_ell is not None:
@@ -397,10 +410,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"ekrforge: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, FamilyFormatError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"ekrforge: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except AssertionError as exc:

@@ -1,39 +1,24 @@
 """Cover enumeration, exact covering number, and saturation.
 
 A cover of a family is a set T meeting every member; τ is the least
-cover size.  ``covers`` enumerates all size-ℓ covers, ``tau`` computes
-the covering number by iterative deepening (branching on the elements of
-an uncovered member, never by full enumeration), and ``saturate`` /
-``is_saturated`` handle maximal intersecting completions.
+cover size.  ``covers`` returns the ℓ-uniform family of all size-ℓ
+covers, ``tau`` computes the covering number by iterative deepening
+(branching on the elements of an uncovered member, never by full
+enumeration), and ``saturate`` / ``is_saturated`` handle maximal
+intersecting completions through one scan, ``_added``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .families import (UniformFamily, elements_of, is_intersecting, ksets_colex,
                        mask_of)
 
 
-@dataclass(frozen=True)
-class CoverFamily:
-    """All size-ℓ covers of a base family, in colex order."""
-
-    base: UniformFamily
-    size: int
-    masks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def sets(self) -> list[tuple[int, ...]]:
-        return [elements_of(m) for m in self.masks]
-
-
-
-def covers(family: UniformFamily, ell: int) -> CoverFamily:
-    """Exactly the ℓ-subsets of [n] meeting every member.
+def covers(family: UniformFamily, ell: int) -> UniformFamily:
+    """The ℓ-uniform family of exactly the ℓ-subsets of [n] meeting every member.
 
     An empty family is covered vacuously, so every ℓ-subset qualifies.
     """
@@ -47,7 +32,7 @@ def covers(family: UniformFamily, ell: int) -> CoverFamily:
                 break
         else:
             found.append(t)
-    return CoverFamily(family, ell, tuple(found))
+    return UniformFamily(family.n, ell, tuple(found))
 
 
 def all_covers(family: UniformFamily) -> list[int]:
@@ -106,12 +91,14 @@ def saturate(family: UniformFamily) -> UniformFamily:
     """
     if not is_intersecting(family):
         raise ValueError("saturate requires an intersecting family")
-    return _saturate_in_order(family, ksets_colex(family.n, family.k))
+    added = _added(family, ksets_colex(family.n, family.k))
+    return UniformFamily.from_masks(family.n, family.k, [*family.masks, *added])
 
 
-def _saturate_in_order(family: UniformFamily, order) -> UniformFamily:
-    """Add each candidate of ``order`` in turn that meets every member
-    accumulated so far; with every k-set in ``order`` the result is maximal."""
+def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
+    """Yield each candidate of ``order`` in turn that is not a member and
+    meets every member and every candidate yielded before it; with every
+    k-set in ``order`` the family plus what it yields is maximal."""
     present = set(family.masks)
     current = list(family.masks)
     for cand in order:
@@ -123,23 +110,15 @@ def _saturate_in_order(family: UniformFamily, order) -> UniformFamily:
         else:
             current.append(cand)
             present.add(cand)
-    return UniformFamily.from_masks(family.n, family.k, current)
+            yield cand
 
 
 def is_saturated(family: UniformFamily) -> bool:
-    """True iff no k-set outside the family meets all of its members."""
+    """True iff no k-set outside the family meets all of its members: the
+    saturation scan stops at the first k-set it would add."""
     if not is_intersecting(family):
         raise ValueError("is_saturated requires an intersecting family")
-    present = set(family.masks)
-    for cand in ksets_colex(family.n, family.k):
-        if cand in present:
-            continue
-        for m in family.masks:
-            if not cand & m:
-                break
-        else:
-            return False
-    return True
+    return next(_added(family, ksets_colex(family.n, family.k)), None) is None
 
 
 def brute_force_tau(family: UniformFamily, max_size: int | None = None) -> int:

@@ -9,8 +9,9 @@ the covering-number machinery live here:
   * is_intersecting, through a point index (one bitset of members per
     point, O(k |F|^2) bit operations done 30 at a time), and the pairwise
     are_cross_intersecting,
-  * the trace F(S, U) = {F \\ U : F in F, F ∩ U = S} with its counts f_S
-    and exact-rational densities α(S) = f_S / C(n-|U|, k-|S|),
+  * the trace F(S, U) = {F \\ U : F in F, F ∩ U = S} with its counts f_S,
+    and the exact-rational density α(S) = f_S / C(n-|U|, k-|S|), computed
+    in one place, ``TraceStats.alpha_of``,
   * layers F_i = {F : |F ∩ U| = i} and the maximum degree Δ(F).
 
 The ground set is capped at 64 elements so every mask fits one machine
@@ -158,16 +159,13 @@ class TraceStats:
 
     `table` is keyed by the masks S that actually occur as F ∩ U; `f`
     returns 0 for the rest.  Residual families keep the original labels
-    (their members are supported on [n] \\ U).  α(S) is an exact
-    Fraction, or None when its denominator C(n-|U|, k-|S|) vanishes and
-    for S = ∅, which the source material leaves undefined.
+    (their members are supported on [n] \\ U).
     """
 
     n: int
     k: int
     window: int
     table: dict[int, tuple[int, UniformFamily]] = field(repr=False)
-    alpha: dict[int, Optional[Fraction]] = field(repr=False)
 
     def _as_mask(self, s) -> int:
         return s if isinstance(s, int) else mask_of(s, self.n)
@@ -181,13 +179,12 @@ class TraceStats:
         return entry[1] if entry else None
 
     def alpha_of(self, s) -> Optional[Fraction]:
+        """α(S) = f_S / C(n-|U|, k-|S|) as an exact Fraction, or None for
+        S = ∅, which the source material leaves undefined, and when the
+        denominator vanishes."""
         m = self._as_mask(s)
-        if m in self.alpha:
-            return self.alpha[m]
-        if m == 0:
-            return None
         d = binom(self.n - self.window.bit_count(), self.k - m.bit_count())
-        return Fraction(0) if d else None
+        return Fraction(self.f(m), d) if m and d else None
 
     def total(self) -> int:
         return sum(fs for fs, _ in self.table.values())
@@ -254,18 +251,10 @@ def trace(family: UniformFamily, window: Iterable[int] | int) -> TraceStats:
     groups: dict[int, list[int]] = {}
     for m in family.masks:
         groups.setdefault(m & u, []).append(m & ~u)
-    usize = u.bit_count()
-    table: dict[int, tuple[int, UniformFamily]] = {}
-    alpha: dict[int, Optional[Fraction]] = {}
-    for s, residual_masks in sorted(groups.items()):
-        res = UniformFamily.from_masks(family.n, family.k - s.bit_count(), residual_masks)
-        table[s] = (len(residual_masks), res)
-        denom = binom(family.n - usize, family.k - s.bit_count())
-        if s == 0 or denom == 0:
-            alpha[s] = None
-        else:
-            alpha[s] = Fraction(len(residual_masks), denom)
-    return TraceStats(family.n, family.k, u, table, alpha)
+    table = {s: (len(residual_masks),
+                 UniformFamily.from_masks(family.n, family.k - s.bit_count(), residual_masks))
+             for s, residual_masks in sorted(groups.items())}
+    return TraceStats(family.n, family.k, u, table)
 
 
 def layer(family: UniformFamily, window: Iterable[int] | int, i: int) -> UniformFamily:

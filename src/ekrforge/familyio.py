@@ -73,7 +73,7 @@ def parse_family(text: str) -> UniformFamily:
     duplicate = _first_duplicate(body, masks)
     if duplicate:
         raise duplicate
-    return UniformFamily.from_masks(n, k, masks)
+    return UniformFamily(n, k, tuple(sorted(masks)))
 
 
 def _first_duplicate(body: list[tuple[int, str]],

@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .constructions import build_R, build_S
-from .covers import _saturate_in_order, is_intersecting, tau
+from .covers import _added, is_intersecting, tau
 from .families import UniformFamily, ksets_colex, mask_of
 
 
@@ -37,7 +37,8 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
         raise ValueError("saturate_random requires an intersecting family")
     order = list(ksets_colex(family.n, family.k))
     rng.shuffle(order)
-    return _saturate_in_order(family, order)
+    return UniformFamily.from_masks(family.n, family.k,
+                                    [*family.masks, *_added(family, order)])
 
 
 def random_kset_mask(n: int, k: int, rng: random.Random) -> int:

@@ -8,13 +8,14 @@ bit halves keeps the 2^C(n,a) sweep at desk speed.
 
 The trace-bound checker evaluates every applicable window inequality of
 the four-trace machinery on a concrete family, with per-statement
-hypothesis gating: statements whose window or n-threshold hypotheses
-fail are reported as skipped, never as failed.
+hypothesis gating: a statement whose hypotheses fail is never reported
+as failed, and the misses it names are recorded as skipped.  The
+statements over disjoint pairs of the window are one table, checked in
+one scan over those pairs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -25,10 +26,6 @@ from .families import (UniformFamily, elements_of, is_intersecting, ksets_colex,
                        mask_of, trace)
 
 ENUM_BIT_LIMIT = 22  # refuse fix-side enumerations beyond 2^22 subsets
-
-
-def _side_items(n: int, size: int) -> list[int]:
-    return list(ksets_colex(n, size))
 
 
 def _meets_all_mask(items_b: Sequence[int], a_mask: int) -> int:
@@ -46,8 +43,8 @@ def _enumerate_fix_a(n: int, a: int, b: int):
     The b-side compatibility bitset of a subset is the AND of its members'
     bitsets; halving the item list gives 2^(N/2) precomputed partial ANDs.
     """
-    items_a = _side_items(n, a)
-    items_b = _side_items(n, b)
+    items_a = list(ksets_colex(n, a))
+    items_b = list(ksets_colex(n, b))
     na = len(items_a)
     if na > ENUM_BIT_LIMIT:
         raise ValueError(
@@ -154,6 +151,11 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
 
 # ── trace bounds ─────────────────────────────────────────────────────────────
 
+# the order of the statements in a certificate's evaluated counts
+_STATEMENTS = ("single-pair", "disjoint-pair", "four-trace", "four-trace-k4",
+               "four-trace-k4-equality", "four-trace-sperner", "sperner-alpha")
+
+
 def _sperner_pairs(stats, u_elems: Sequence[int], n: int, k: int):
     """Yield (A, B, α(A), α(B)) for the disjoint nonempty window subsets
     A, B to which the Sperner α-inequality applies.
@@ -165,17 +167,14 @@ def _sperner_pairs(stats, u_elems: Sequence[int], n: int, k: int):
     u_size = len(u_elems)
     subsets = []
     for size in range(1, u_size + 1):
-        subsets.extend(mask_of(c, n) for c in combinations(u_elems, size))
-    for s_a, s_b in combinations(subsets, 2):
-        if s_a & s_b:
-            continue
-        if n < 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
-            continue
-        alpha_a = stats.alpha_of(s_a)
-        alpha_b = stats.alpha_of(s_b)
-        if alpha_a is None or alpha_b is None:
-            continue
-        yield s_a, s_b, alpha_a, alpha_b
+        for c in combinations(u_elems, size):
+            s = mask_of(c, n)
+            alpha = stats.alpha_of(s)
+            if alpha is not None:
+                subsets.append((s, alpha))
+    for (s_a, alpha_a), (s_b, alpha_b) in combinations(subsets, 2):
+        if not s_a & s_b and n >= 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
+            yield s_a, s_b, alpha_a, alpha_b
 
 
 def trace_bound_check(family: UniformFamily, window) -> Certificate:
@@ -185,8 +184,12 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     bound and its disjoint-pair refinement, the four-trace bound for
     |U| in {5,6}, the sharpened k=4 four-trace bound 3(n-6) with its
     equality characterisation, the Sperner α-inequality, and the
-    C(n-5,k-2)+C(n-5,k-3) four-trace variant.  Hypothesis misses are
-    recorded as skips in the certificate details.
+    C(n-5,k-2)+C(n-5,k-3) four-trace variant.  Every statement but the
+    α-inequality needs the window hypothesis (each member meets U in at
+    least 2 points); when it fails, only the single-pair bound is
+    recorded as skipped.  When it holds, a statement over disjoint pairs
+    whose shape (k and |U|) fits but whose n-threshold fails is recorded
+    as skipped, with the threshold it needs.
     """
     n, k = family.n, family.k
     u_mask = window if isinstance(window, int) else mask_of(window, n)
@@ -205,74 +208,68 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
 
     witnesses: list[dict] = []
     skipped: list[dict] = []
-    evaluated: dict[str, int] = {}
-
-    def record(name: str, ok: bool, **info):
-        evaluated[name] = evaluated.get(name, 0) + 1
-        if not ok:
-            witnesses.append({"statement": name, **info})
-
-    def skip(name: str, reason: str):
-        skipped.append({"statement": name, "reason": reason})
+    evaluated = dict.fromkeys(_STATEMENTS, 0)
 
     single_bound = binom(n - u_size, k - 2) - binom(n - k - u_size + 2, k - 2)
-
     if window_ok:
-        for p in pair_masks:
-            record("single-pair", stats.f(p) <= single_bound,
-                   P=elements_of(p), f=stats.f(p), bound=single_bound)
+        evaluated["single-pair"] = len(pair_masks)
+        witnesses += [{"statement": "single-pair", "P": elements_of(p), "f": stats.f(p),
+                       "bound": single_bound}
+                      for p in pair_masks if stats.f(p) > single_bound]
     else:
-        skip("single-pair", "some member meets the window in fewer than 2 points")
+        skipped.append({"statement": "single-pair",
+                        "reason": "some member meets the window in fewer than 2 points"})
 
-    if window_ok and n >= 2 * k + u_size - 4:
-        for p, q in disjoint:
-            record("disjoint-pair", stats.f(p) + stats.f(q) <= single_bound + 1,
-                   P=elements_of(p), Q=elements_of(q),
-                   sum=stats.f(p) + stats.f(q), bound=single_bound + 1)
-    elif window_ok:
-        skip("disjoint-pair", f"needs n >= 2k+|U|-4 = {2 * k + u_size - 4}")
+    # the statements over disjoint pairs P, Q of U: name, whether k and |U|
+    # fit its shape, its n-threshold, the reason recorded when only the
+    # threshold fails, its bound (computed only where it applies), and
+    # whether it sums f_P + f_Q alone or adds f over U \ P and U \ Q
+    gap = 2 * k + u_size - 4
+    pair_statements = (
+        ("disjoint-pair", True, n >= gap, f"needs n >= 2k+|U|-4 = {gap}",
+         lambda: single_bound + 1, False),
+        ("four-trace", u_size in (5, 6), n >= gap, f"needs n >= 2k+|U|-4 = {gap}",
+         lambda: (single_bound + binom(n - u_size, k - u_size + 2)
+                  + binom(n - u_size - 1, k - u_size + 1)), True),
+        ("four-trace-k4", k == 4 and u_size == 5, n >= 9, "needs n >= 9",
+         lambda: 3 * (n - 6), True),
+        ("four-trace-sperner", u_size == 5, n > 2 * k, "needs n > 2k",
+         lambda: binom(n - 5, k - 2) + binom(n - 5, k - 3), True),
+    )
+    # (name, bound, four traces?, its witnesses in pair order); the k = 4
+    # equality witnesses go with those of four-trace-k4, as the pair that
+    # meets the bound with equality comes up
+    active = []
+    for name, fits, threshold, reason, bound, four in pair_statements:
+        if window_ok and fits and threshold:
+            active.append((name, bound(), four, []))
+            evaluated[name] = len(disjoint)
+        elif window_ok and fits:
+            skipped.append({"statement": name, "reason": reason})
 
-    if window_ok and u_size in (5, 6) and n >= 2 * k + u_size - 4:
-        four_bound = (single_bound + binom(n - u_size, k - u_size + 2)
-                      + binom(n - u_size - 1, k - u_size + 1))
-        for p, q in disjoint:
-            total = (stats.f(p) + stats.f(q)
-                     + stats.f(u_mask & ~p) + stats.f(u_mask & ~q))
-            record("four-trace", total <= four_bound,
-                   P=elements_of(p), Q=elements_of(q), sum=total, bound=four_bound)
-    elif window_ok and u_size in (5, 6):
-        skip("four-trace", f"needs n >= 2k+|U|-4 = {2 * k + u_size - 4}")
-
-    if window_ok and k == 4 and u_size == 5 and n >= 9:
-        cap = 3 * (n - 6)
-        for p, q in disjoint:
-            fp, fq = stats.f(p), stats.f(q)
-            total = fp + fq + stats.f(u_mask & ~p) + stats.f(u_mask & ~q)
-            record("four-trace-k4", total <= cap,
-                   P=elements_of(p), Q=elements_of(q), sum=total, bound=cap)
-            if total == cap:
-                characterised = ((fp == 0 and fq == 2 * n - 13)
-                                 or (fq == 0 and fp == 2 * n - 13))
-                record("four-trace-k4-equality", characterised,
-                       P=elements_of(p), Q=elements_of(q), fP=fp, fQ=fq,
-                       expected=2 * n - 13)
-    elif k == 4 and u_size == 5 and window_ok:
-        skip("four-trace-k4", "needs n >= 9")
-
-    if window_ok and u_size == 5 and n > 2 * k:
-        variant_bound = binom(n - 5, k - 2) + binom(n - 5, k - 3)
-        for p, q in disjoint:
-            total = (stats.f(p) + stats.f(q)
-                     + stats.f(u_mask & ~p) + stats.f(u_mask & ~q))
-            record("four-trace-sperner", total <= variant_bound,
-                   P=elements_of(p), Q=elements_of(q), sum=total, bound=variant_bound)
-    elif window_ok and u_size == 5:
-        skip("four-trace-sperner", "needs n > 2k")
+    for p, q in disjoint:
+        fp, fq = stats.f(p), stats.f(q)
+        two = fp + fq
+        four_sum = two + stats.f(u_mask & ~p) + stats.f(u_mask & ~q)
+        for name, bound, four, found in active:
+            total = four_sum if four else two
+            if total > bound:
+                found.append({"statement": name, "P": elements_of(p), "Q": elements_of(q),
+                              "sum": total, "bound": bound})
+            elif name == "four-trace-k4" and total == bound:
+                # equality forces the profile (f_P, f_Q) = (0, 2n-13) up to order
+                evaluated["four-trace-k4-equality"] += 1
+                if not (fp == 0 and fq == 2 * n - 13 or fq == 0 and fp == 2 * n - 13):
+                    found.append({"statement": "four-trace-k4-equality",
+                                  "P": elements_of(p), "Q": elements_of(q),
+                                  "fP": fp, "fQ": fq, "expected": 2 * n - 13})
+    witnesses += [w for *_, found in active for w in found]
 
     for s_a, s_b, alpha_a, alpha_b in _sperner_pairs(stats, u_elems, n, k):
-        record("sperner-alpha", alpha_a + alpha_b <= Fraction(1),
-               A=elements_of(s_a), B=elements_of(s_b),
-               sum=str(alpha_a + alpha_b))
+        evaluated["sperner-alpha"] += 1
+        if alpha_a + alpha_b > 1:
+            witnesses.append({"statement": "sperner-alpha", "A": elements_of(s_a),
+                              "B": elements_of(s_b), "sum": str(alpha_a + alpha_b)})
 
     return make_certificate(
         "TRACE-BOUNDS",
@@ -280,4 +277,5 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
         {"n": n, "k": k, "window": list(elements_of(u_mask)),
          "family_size": len(family), "window_hypothesis": window_ok},
         witnesses,
-        details={"skipped": skipped, "evaluated": evaluated})
+        details={"skipped": skipped,
+                 "evaluated": {name: c for name, c in evaluated.items() if c}})

@@ -27,11 +27,11 @@ from . import certify
 from .certify import Certificate, make_certificate
 from .classify import ClassificationTag, classify_T3
 from .covers import all_covers, covers, is_saturated, saturate, tau
-from .families import are_cross_intersecting, trace
+from .families import are_cross_intersecting, ksets_colex, trace
 from .constructions import lex_family
 from .generators import (random_intersecting_seed, random_saturated_family,
                          sample_saturated_tau3)
-from .oracles import (_meets_all_mask, _side_items, _sperner_pairs, ft92_oracle,
+from .oracles import (_meets_all_mask, _sperner_pairs, ft92_oracle,
                       hilton_corollary_oracle, trace_bound_check)
 
 
@@ -147,7 +147,7 @@ def suite_sperner_random(samples: int = 60, seed: int = 0) -> Certificate:
 def _bmax_of(n: int, a: int, b: int):
     """Sizes of C([n],a) and C([n],b), and the map from a bitset of a-sets
     to the bitset of B_max, the b-sets meeting every one of them."""
-    items_a, items_b = _side_items(n, a), _side_items(n, b)
+    items_a, items_b = list(ksets_colex(n, a)), list(ksets_colex(n, b))
     compat = [_meets_all_mask(items_b, am) for am in items_a]
     full_b = (1 << len(items_b)) - 1
 

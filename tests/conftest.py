@@ -5,9 +5,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
-from ekrforge.families import UniformFamily, elements_of
+from ekrforge import families, oracles
+from ekrforge.certify import make_certificate
+from ekrforge.families import UniformFamily, elements_of, mask_of
 
 
 def pairwise_is_intersecting(family: UniformFamily) -> bool:
@@ -21,6 +24,124 @@ def pairwise_is_intersecting(family: UniformFamily) -> bool:
             if not a & b:
                 return False
     return True
+
+
+def reference_trace_bound_check(family: UniformFamily, window):
+    """The window trace inequalities, one block and one scan of the window
+    pairs per statement, with the trace counts f_S and α(S) computed here.
+
+    Independent oracle for ``oracles.trace_bound_check``.  It looks up
+    ``is_intersecting``, ``tau`` and the bounds' ``binom`` in ``oracles``,
+    and the α denominators' ``binom`` in ``families``, at call time, so a
+    test that patches them there patches both implementations.
+    """
+    n, k = family.n, family.k
+    u_mask = window if isinstance(window, int) else mask_of(window, n)
+    u_size = u_mask.bit_count()
+    if not oracles.is_intersecting(family):
+        raise ValueError("trace_bound_check requires an intersecting family")
+    t = oracles.tau(family)
+    if t < 3:
+        raise ValueError(f"trace_bound_check requires covering number >= 3, got {t}")
+    counts: dict[int, int] = {}
+    for m in family.masks:
+        counts[m & u_mask] = counts.get(m & u_mask, 0) + 1
+
+    def f(s: int) -> int:
+        return counts.get(s, 0)
+
+    def alpha_of(s: int):
+        d = families.binom(n - u_size, k - s.bit_count())
+        return None if s == 0 or d == 0 else Fraction(f(s), d)
+
+    binom = oracles.binom
+    window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
+    u_elems = elements_of(u_mask)
+    pair_masks = [mask_of(p, n) for p in combinations(u_elems, 2)]
+    disjoint = [(p, q) for p, q in combinations(pair_masks, 2) if not p & q]
+
+    witnesses: list[dict] = []
+    skipped: list[dict] = []
+    evaluated: dict[str, int] = {}
+
+    def record(name: str, ok: bool, **info):
+        evaluated[name] = evaluated.get(name, 0) + 1
+        if not ok:
+            witnesses.append({"statement": name, **info})
+
+    def skip(name: str, reason: str):
+        skipped.append({"statement": name, "reason": reason})
+
+    single_bound = binom(n - u_size, k - 2) - binom(n - k - u_size + 2, k - 2)
+
+    if window_ok:
+        for p in pair_masks:
+            record("single-pair", f(p) <= single_bound,
+                   P=elements_of(p), f=f(p), bound=single_bound)
+    else:
+        skip("single-pair", "some member meets the window in fewer than 2 points")
+
+    if window_ok and n >= 2 * k + u_size - 4:
+        for p, q in disjoint:
+            record("disjoint-pair", f(p) + f(q) <= single_bound + 1,
+                   P=elements_of(p), Q=elements_of(q),
+                   sum=f(p) + f(q), bound=single_bound + 1)
+    elif window_ok:
+        skip("disjoint-pair", f"needs n >= 2k+|U|-4 = {2 * k + u_size - 4}")
+
+    if window_ok and u_size in (5, 6) and n >= 2 * k + u_size - 4:
+        four_bound = (single_bound + binom(n - u_size, k - u_size + 2)
+                      + binom(n - u_size - 1, k - u_size + 1))
+        for p, q in disjoint:
+            total = f(p) + f(q) + f(u_mask & ~p) + f(u_mask & ~q)
+            record("four-trace", total <= four_bound,
+                   P=elements_of(p), Q=elements_of(q), sum=total, bound=four_bound)
+    elif window_ok and u_size in (5, 6):
+        skip("four-trace", f"needs n >= 2k+|U|-4 = {2 * k + u_size - 4}")
+
+    if window_ok and k == 4 and u_size == 5 and n >= 9:
+        cap = 3 * (n - 6)
+        for p, q in disjoint:
+            fp, fq = f(p), f(q)
+            total = fp + fq + f(u_mask & ~p) + f(u_mask & ~q)
+            record("four-trace-k4", total <= cap,
+                   P=elements_of(p), Q=elements_of(q), sum=total, bound=cap)
+            if total == cap:
+                characterised = ((fp == 0 and fq == 2 * n - 13)
+                                 or (fq == 0 and fp == 2 * n - 13))
+                record("four-trace-k4-equality", characterised,
+                       P=elements_of(p), Q=elements_of(q), fP=fp, fQ=fq,
+                       expected=2 * n - 13)
+    elif k == 4 and u_size == 5 and window_ok:
+        skip("four-trace-k4", "needs n >= 9")
+
+    if window_ok and u_size == 5 and n > 2 * k:
+        variant_bound = binom(n - 5, k - 2) + binom(n - 5, k - 3)
+        for p, q in disjoint:
+            total = f(p) + f(q) + f(u_mask & ~p) + f(u_mask & ~q)
+            record("four-trace-sperner", total <= variant_bound,
+                   P=elements_of(p), Q=elements_of(q), sum=total, bound=variant_bound)
+    elif window_ok and u_size == 5:
+        skip("four-trace-sperner", "needs n > 2k")
+
+    subsets = [mask_of(c, n) for size in range(1, u_size + 1)
+               for c in combinations(u_elems, size)]
+    for s_a, s_b in combinations(subsets, 2):
+        if s_a & s_b or n < 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
+            continue
+        alpha_a, alpha_b = alpha_of(s_a), alpha_of(s_b)
+        if alpha_a is None or alpha_b is None:
+            continue
+        record("sperner-alpha", alpha_a + alpha_b <= Fraction(1),
+               A=elements_of(s_a), B=elements_of(s_b), sum=str(alpha_a + alpha_b))
+
+    return make_certificate(
+        "TRACE-BOUNDS",
+        f"window trace inequalities on U={elements_of(u_mask)}",
+        {"n": n, "k": k, "window": list(elements_of(u_mask)),
+         "family_size": len(family), "window_hypothesis": window_ok},
+        witnesses,
+        details={"skipped": skipped, "evaluated": evaluated})
 
 
 def k34_window_family(n: int = 9) -> UniformFamily:

@@ -2,15 +2,19 @@
 
 import inspect
 import json
+import random
+from dataclasses import asdict
 
 import pytest
 
-from conftest import prop34_equality_family
+from conftest import prop34_equality_family, reference_trace_bound_check
+from ekrforge import families, oracles
 from ekrforge.binomial import binom
 from ekrforge.properties import SUITES, list_suites, verify_identity_suite
 from ekrforge.constructions import build_G
 from ekrforge.covers import tau
-from ekrforge.families import UniformFamily, is_intersecting
+from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
+from ekrforge.generators import sample_saturated_tau3
 from ekrforge.oracles import ft92_oracle, hilton_corollary_oracle, trace_bound_check
 
 
@@ -189,3 +193,72 @@ def test_trace_bounds_random_small():
     cert = suite_trace_bounds_random(samples=80, seed=9, min_applicable=10)
     assert cert.passed, cert.witnesses[:3]
     assert cert.details["window_applicable"] >= 10
+
+
+def _trace_bound_cases():
+    """Seeded τ ≥ 3 samples at (9,4) and (11,5), each with the windows [s]
+    and a random s-set for s = 3..6; then, with the windows [s], the 3(n-6)
+    equality family and the 4-sets of [8] meeting [5] in 3 points or more
+    (τ = 3, and n = 2k fails the n-thresholds of the k = 4 bound and of
+    the C(n-5,k-2)+C(n-5,k-3) variant)."""
+    rng = random.Random(3)
+    cases = []
+    for n, k in ((9, 4), (11, 5)):
+        for fam in sample_saturated_tau3(n, k, 6, seed=n + k):
+            for size in range(3, 7):
+                cases.append((fam, list(range(1, size + 1))))
+                cases.append((fam, sorted(rng.sample(range(1, n + 1), size))))
+    heavy = UniformFamily.from_masks(
+        8, 4, [m for m in ksets_colex(8, 4) if (m & 0b11111).bit_count() >= 3])
+    for fam in (prop34_equality_family(), heavy):
+        cases += [(fam, list(range(1, size + 1))) for size in range(3, 7)]
+    return cases
+
+
+def _star_cases():
+    """Subfamilies of the star at 1 on ([9],4) whose members meet [5] twice.
+    Their τ is 1: with τ patched to 3 they break the k = 4 four-trace bound
+    and its equality characterisation, which no τ ≥ 3 family does; at this
+    seed some break both, an equality witness coming before a bound one."""
+    window = 0b11111
+    pool = [m for m in ksets_colex(9, 4) if m & 1 and (m & window).bit_count() >= 2]
+    rng = random.Random(2)
+    return [(UniformFamily.from_masks(9, 4, rng.sample(pool, rng.randint(3, 40))), window)
+            for _ in range(80)]
+
+
+# for each patch: the statements that must fail somewhere among its cases
+FORCED_FAILURES = {
+    "none": set(),
+    "bounds": {"single-pair", "disjoint-pair", "four-trace", "four-trace-sperner"},
+    "alpha": {"sperner-alpha"},
+    "tau": {"four-trace-k4", "four-trace-k4-equality"},
+}
+
+
+@pytest.mark.parametrize("patch", sorted(FORCED_FAILURES))
+def test_trace_bound_check_matches_reference(patch, monkeypatch):
+    """Whole certificates, in order, against the statement-by-statement
+    reference.  Real families never fail these theorems, so the patched
+    runs make every witness branch fire: bounds of 0 (``binom`` in
+    ``oracles``), α(S) = f_S (``binom`` in ``families``), and τ read as 3."""
+    cases = _star_cases() if patch == "tau" else _trace_bound_cases()
+    if patch == "bounds":
+        monkeypatch.setattr(oracles, "binom", lambda a, b: 0)
+    elif patch == "alpha":
+        monkeypatch.setattr(families, "binom", lambda a, b: 1)
+    elif patch == "tau":
+        monkeypatch.setattr(oracles, "tau", lambda fam: 3)
+    failed, skipped = set(), set()
+    for fam, window in cases:
+        cert = trace_bound_check(fam, window)
+        expected = reference_trace_bound_check(fam, window)
+        assert cert == expected
+        assert json.dumps(asdict(cert)) == json.dumps(asdict(expected))
+        failed |= {w["statement"] for w in cert.witnesses}
+        skipped |= {s["statement"] for s in cert.details["skipped"]}
+    assert FORCED_FAILURES[patch] <= failed
+    if patch == "none":
+        assert not failed
+        assert skipped == {"single-pair", "disjoint-pair", "four-trace",
+                           "four-trace-k4", "four-trace-sperner"}

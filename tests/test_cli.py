@@ -341,6 +341,27 @@ def test_unread_flags_are_usage_errors(argv, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+# the output that --timings would time, and what each command needs for it
+UNTIMED = [
+    (["oracle", "--n", "7", "--k", "3"], "--format json-lines or json-array"),
+    (["trace", "FAMILY", "--window", "1,2,3,4,5"], "--check-bounds"),
+    (["trace", "FAMILY", "--window", "1,2,3,4,5", "--format", "json-lines"], "--check-bounds"),
+    (["trace", "FAMILY", "--window", "1,2,3,4,5", "--check-bounds", "--format", "text"],
+     "--format json-lines or json-array"),
+]
+
+
+@pytest.mark.parametrize("argv,needs", UNTIMED, ids=[" ".join(a) for a, _ in UNTIMED])
+def test_timings_where_nothing_is_timed_is_usage_error(argv, needs, tmp_path, capsys):
+    family = tmp_path / "g.fam"
+    write_family(build_G(9, 4), family)
+    argv = [str(family) if a == "FAMILY" else a for a in argv]
+    assert run(argv + ["--timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[0]} --timings needs {needs}" in captured.err
+
+
 def test_output_flags_where_read(tmp_path, capsys):
     family = tmp_path / "g.fam"
     write_family(build_G(9, 4), family)
