@@ -4,7 +4,7 @@ with covering-number constraints."""
 from .binomial import binom
 from .families import (KSet, TraceStats, UniformFamily, are_cross_intersecting,
                        is_intersecting, layer, max_degree, trace)
-from .covers import all_covers, covers, is_saturated, saturate, tau
+from .covers import all_covers, covers, has_cover, is_saturated, saturate, tau
 from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
                             build_S, full_star, g_size_formula, lex_family,
                             lex_precedes)
@@ -25,7 +25,7 @@ __all__ = [
     "binom",
     "KSet", "UniformFamily", "TraceStats",
     "is_intersecting", "are_cross_intersecting", "trace", "layer", "max_degree",
-    "covers", "all_covers", "tau", "saturate", "is_saturated",
+    "covers", "all_covers", "has_cover", "tau", "saturate", "is_saturated",
     "build_S", "build_R", "build_K34", "build_G", "g_size_formula",
     "build_F_H", "full_star", "build_HM", "lex_family", "lex_precedes",
     "Classification", "ClassificationTag", "DisjointnessGraph",

@@ -8,7 +8,7 @@ Hilton-Milner family, and lexicographic initial segments L(n, k, m).
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 
 from .binomial import binom
 from .covers import is_intersecting
@@ -42,19 +42,26 @@ def build_G(n: int, k: int) -> UniformFamily:
     B = {[2,k+1], {2} ∪ [k+2,2k], {3} ∪ [k+2,2k]}; A is every k-set
     containing 1 that meets all three.  A is materialised by filtering so
     the count stays an independent cross-check of the closed form.
+
+    The candidates are enumerated in C: ``combinations`` over the bits of
+    n..2, listed high first, yields the (k-1)-subsets of [2..n] in
+    decreasing mask order, and ``sum`` with start 1 adds element 1.  Each
+    candidate is still tested against b1, b2 and b3 one by one; the kept
+    list is reversed into increasing order, the blockers (which avoid 1)
+    are sorted in, and ``UniformFamily`` checks size, range and order.
     """
     if not (n >= 2 * k >= 6):
         raise ValueError(f"build_G requires n >= 2k >= 6, got n={n}, k={k}")
     b1 = mask_of(range(2, k + 2), n)
     b2 = mask_of([2] + list(range(k + 2, 2 * k + 1)), n)
     b3 = mask_of([3] + list(range(k + 2, 2 * k + 1)), n)
-    members = [b1, b2, b3]
-    # A: bit 0 is element 1; enumerate (k-1)-subsets of [2..n] shifted up one bit
-    for tail in ksets_colex(n - 1, k - 1):
-        m = (tail << 1) | 1
-        if m & b1 and m & b2 and m & b3:
-            members.append(m)
-    return UniformFamily.from_masks(n, k, members)
+    bits = [1 << (x - 1) for x in range(n, 1, -1)]
+    members = [m for m in map(sum, combinations(bits, k - 1), repeat(1))
+               if m & b1 and m & b2 and m & b3]
+    members.reverse()
+    members += (b1, b2, b3)
+    members.sort()
+    return UniformFamily(n, k, tuple(members))
 
 
 def g_size_formula(n: int, k: int) -> int:

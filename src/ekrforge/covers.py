@@ -2,10 +2,12 @@
 
 A cover of a family is a set T meeting every member; τ is the least
 cover size.  ``covers`` returns the ℓ-uniform family of all size-ℓ
-covers, ``tau`` computes the covering number by iterative deepening
-(branching on the elements of an uncovered member, never by full
-enumeration), and ``saturate`` / ``is_saturated`` handle maximal
-intersecting completions through one scan, ``_added``.
+covers; ``has_cover`` asks whether a cover of at most ℓ points exists,
+by branch-and-bound on the elements of an uncovered member (never by
+full enumeration), so a gate such as τ ≥ 3 is one call,
+``not has_cover(F, 2)``; ``tau`` is the least ℓ for which it holds.
+``saturate`` / ``is_saturated`` handle maximal intersecting completions
+through one scan, ``_added``.
 """
 
 from __future__ import annotations
@@ -72,12 +74,20 @@ def _exists_cover(masks: list[int], budget: int) -> bool:
     return False
 
 
+def has_cover(family: UniformFamily, ell: int) -> bool:
+    """True iff some set of at most ℓ points meets every member; the empty
+    family is covered by the empty set."""
+    if ell < 0:
+        raise ValueError(f"cover size {ell} is negative")
+    return _exists_cover(list(family.masks), ell)
+
+
 def tau(family: UniformFamily) -> int:
     """Covering number: smallest ℓ with a size-ℓ cover."""
     if not family.masks:
         raise ValueError("tau of an empty family is undefined")
     for ell in range(1, family.n + 1):
-        if _exists_cover(list(family.masks), ell):
+        if has_cover(family, ell):
             return ell
     raise AssertionError("unreachable: the ground set itself is a cover")
 
@@ -98,18 +108,39 @@ def saturate(family: UniformFamily) -> UniformFamily:
 def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
     """Yield each candidate of ``order`` in turn that is not a member and
     meets every member and every candidate yielded before it; with every
-    k-set in ``order`` the family plus what it yields is maximal."""
+    k-set in ``order`` the family plus what it yields is maximal.
+
+    The test goes through a point index, as in ``is_intersecting``: inc[x]
+    is the bitset of the sets so far that hold the point x + 1, and a
+    candidate meets them all iff the OR of its points' bitsets is full.
+    """
     present = set(family.masks)
-    current = list(family.masks)
+    inc = [0] * family.n
+    full = 0  # one bit per set indexed so far
+
+    def index(m: int) -> None:
+        nonlocal full
+        bit = full + 1
+        full |= bit
+        while m:
+            b = m & -m
+            inc[b.bit_length() - 1] |= bit
+            m ^= b
+
+    for m in family.masks:
+        index(m)
     for cand in order:
         if cand in present:
             continue
-        for m in current:
-            if not cand & m:
-                break
-        else:
-            current.append(cand)
+        met = 0
+        m = cand
+        while m:
+            b = m & -m
+            met |= inc[b.bit_length() - 1]
+            m ^= b
+        if met == full:
             present.add(cand)
+            index(cand)
             yield cand
 
 

@@ -251,8 +251,10 @@ def trace(family: UniformFamily, window: Iterable[int] | int) -> TraceStats:
     groups: dict[int, list[int]] = {}
     for m in family.masks:
         groups.setdefault(m & u, []).append(m & ~u)
+    # within a group m & u is fixed, so the residuals m & ~u keep the
+    # members' strictly increasing order
     table = {s: (len(residual_masks),
-                 UniformFamily.from_masks(family.n, family.k - s.bit_count(), residual_masks))
+                 UniformFamily(family.n, family.k - s.bit_count(), tuple(residual_masks)))
              for s, residual_masks in sorted(groups.items())}
     return TraceStats(family.n, family.k, u, table)
 

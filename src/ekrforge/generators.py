@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .constructions import build_R, build_S
-from .covers import _added, is_intersecting, tau
+from .covers import _added, has_cover, is_intersecting
 from .families import UniformFamily, ksets_colex, mask_of
 
 
@@ -136,7 +136,7 @@ def random_saturated_tau3(n: int, k: int, rng: random.Random,
     tries; None if unlucky."""
     for _ in range(4):
         fam = random_saturated_family(n, k, rng, mode)
-        if tau(fam) >= 3:
+        if not has_cover(fam, 2):
             return fam
     return None
 

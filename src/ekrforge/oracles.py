@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .binomial import binom
 from .certify import Certificate, make_certificate
-from .covers import tau
+from .covers import has_cover, tau
 from .families import (UniformFamily, elements_of, is_intersecting, ksets_colex,
                        mask_of, trace)
 
@@ -196,9 +196,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     u_size = u_mask.bit_count()
     if not is_intersecting(family):
         raise ValueError("trace_bound_check requires an intersecting family")
-    t = tau(family)
-    if t < 3:
-        raise ValueError(f"trace_bound_check requires covering number >= 3, got {t}")
+    if has_cover(family, 2):
+        raise ValueError(
+            f"trace_bound_check requires covering number >= 3, got {tau(family)}")
     stats = trace(family, u_mask)
     window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
 

@@ -26,23 +26,62 @@ def pairwise_is_intersecting(family: UniformFamily) -> bool:
     return True
 
 
+def pairwise_added(family: UniformFamily, order):
+    """The saturation scan tested pairwise: each candidate of ``order`` that
+    is not a member is kept iff it meets every member and every candidate
+    kept before it.
+
+    Independent oracle for the point-indexed ``covers._added``.
+    """
+    present = set(family.masks)
+    current = list(family.masks)
+    for cand in order:
+        if cand in present:
+            continue
+        for m in current:
+            if not cand & m:
+                break
+        else:
+            current.append(cand)
+            present.add(cand)
+            yield cand
+
+
+def reference_build_G(n: int, k: int) -> UniformFamily:
+    """G(n,k) by a Gosper scan of the (k-1)-subsets of [2..n], each shifted
+    up one bit and kept when it meets the three blockers.
+
+    Independent oracle for ``constructions.build_G``.
+    """
+    from ekrforge.families import ksets_colex
+    b1 = mask_of(range(2, k + 2), n)
+    b2 = mask_of([2] + list(range(k + 2, 2 * k + 1)), n)
+    b3 = mask_of([3] + list(range(k + 2, 2 * k + 1)), n)
+    members = [b1, b2, b3]
+    for tail in ksets_colex(n - 1, k - 1):
+        m = (tail << 1) | 1
+        if m & b1 and m & b2 and m & b3:
+            members.append(m)
+    return UniformFamily.from_masks(n, k, members)
+
+
 def reference_trace_bound_check(family: UniformFamily, window):
     """The window trace inequalities, one block and one scan of the window
     pairs per statement, with the trace counts f_S and α(S) computed here.
 
     Independent oracle for ``oracles.trace_bound_check``.  It looks up
-    ``is_intersecting``, ``tau`` and the bounds' ``binom`` in ``oracles``,
-    and the α denominators' ``binom`` in ``families``, at call time, so a
-    test that patches them there patches both implementations.
+    ``is_intersecting``, ``has_cover``, ``tau`` and the bounds' ``binom`` in
+    ``oracles``, and the α denominators' ``binom`` in ``families``, at call
+    time, so a test that patches them there patches both implementations.
     """
     n, k = family.n, family.k
     u_mask = window if isinstance(window, int) else mask_of(window, n)
     u_size = u_mask.bit_count()
     if not oracles.is_intersecting(family):
         raise ValueError("trace_bound_check requires an intersecting family")
-    t = oracles.tau(family)
-    if t < 3:
-        raise ValueError(f"trace_bound_check requires covering number >= 3, got {t}")
+    if oracles.has_cover(family, 2):
+        raise ValueError(
+            f"trace_bound_check requires covering number >= 3, got {oracles.tau(family)}")
     counts: dict[int, int] = {}
     for m in family.masks:
         counts[m & u_mask] = counts.get(m & u_mask, 0) + 1

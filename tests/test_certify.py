@@ -11,7 +11,7 @@ from conftest import prop34_equality_family, reference_trace_bound_check
 from ekrforge import families, oracles
 from ekrforge.binomial import binom
 from ekrforge.properties import SUITES, list_suites, verify_identity_suite
-from ekrforge.constructions import build_G
+from ekrforge.constructions import build_G, build_HM
 from ekrforge.covers import tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
 from ekrforge.generators import sample_saturated_tau3
@@ -181,8 +181,12 @@ def test_trace_bounds_equality_family():
 
 def test_trace_bounds_preconditions():
     star = UniformFamily.from_sets(7, 3, [(1, 2, 3), (1, 4, 5)])
-    with pytest.raises(ValueError):
-        trace_bound_check(star, [1, 2, 3, 4, 5])  # tau < 3
+    with pytest.raises(ValueError, match=r"covering number >= 3, got 1$"):
+        trace_bound_check(star, [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match=r"covering number >= 3, got 2$"):
+        trace_bound_check(build_HM(9, 4), [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="tau of an empty family is undefined"):
+        trace_bound_check(UniformFamily(9, 4), [1, 2, 3, 4, 5])
     disjoint = UniformFamily.from_sets(7, 3, [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(ValueError):
         trace_bound_check(disjoint, [1, 2, 3, 4, 5])
@@ -217,7 +221,7 @@ def _trace_bound_cases():
 
 def _star_cases():
     """Subfamilies of the star at 1 on ([9],4) whose members meet [5] twice.
-    Their τ is 1: with τ patched to 3 they break the k = 4 four-trace bound
+    Their τ is 1: with the τ ≥ 3 gate patched open they break the k = 4 four-trace bound
     and its equality characterisation, which no τ ≥ 3 family does; at this
     seed some break both, an equality witness coming before a bound one."""
     window = 0b11111
@@ -241,14 +245,15 @@ def test_trace_bound_check_matches_reference(patch, monkeypatch):
     """Whole certificates, in order, against the statement-by-statement
     reference.  Real families never fail these theorems, so the patched
     runs make every witness branch fire: bounds of 0 (``binom`` in
-    ``oracles``), α(S) = f_S (``binom`` in ``families``), and τ read as 3."""
+    ``oracles``), α(S) = f_S (``binom`` in ``families``), and τ read as at
+    least 3 (no cover of 2 points, ``has_cover`` in ``oracles``)."""
     cases = _star_cases() if patch == "tau" else _trace_bound_cases()
     if patch == "bounds":
         monkeypatch.setattr(oracles, "binom", lambda a, b: 0)
     elif patch == "alpha":
         monkeypatch.setattr(families, "binom", lambda a, b: 1)
     elif patch == "tau":
-        monkeypatch.setattr(oracles, "tau", lambda fam: 3)
+        monkeypatch.setattr(oracles, "has_cover", lambda fam, ell: False)
     failed, skipped = set(), set()
     for fam, window in cases:
         cert = trace_bound_check(fam, window)

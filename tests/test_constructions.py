@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import reference_build_G
 from ekrforge.binomial import binom
 from ekrforge.constructions import (build_F_H, build_G, build_HM, build_K34,
                                     build_R, build_S, full_star, g_size_formula,
@@ -41,6 +42,13 @@ def test_g_sizes_known_values():
         build_G(7, 4)
     with pytest.raises(ValueError):
         build_G(5, 2)
+
+
+def test_build_G_matches_reference_filter():
+    """Every ID-G-SIZE grid point with k <= 7, and (16,8) and (20,8)."""
+    points = [(n, k) for k in range(3, 8) for n in range(2 * k, 2 * k + 13)]
+    for n, k in points + [(16, 8), (20, 8)]:
+        assert build_G(n, k).masks == reference_build_G(n, k).masks, (n, k)
 
 
 def test_g_structure_instances():

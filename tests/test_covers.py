@@ -6,9 +6,10 @@ import pytest
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
-from ekrforge.covers import (all_covers, brute_force_tau, covers, is_saturated,
-                             saturate, tau)
-from ekrforge.families import UniformFamily, is_intersecting
+from conftest import pairwise_added
+from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
+                             is_saturated, saturate, tau)
+from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
 from ekrforge.generators import random_intersecting_seed, saturate_random
 
 
@@ -51,6 +52,39 @@ def test_tau_matches_brute_force_on_random_families():
         n, k = rng.choice(((6, 3), (7, 3), (8, 4)))
         fam = saturate_random(random_intersecting_seed(n, k, rng, size=3), rng)
         assert tau(fam) == brute_force_tau(fam, k)
+
+
+def test_has_cover_matches_brute_force_tau():
+    """Seeded random families, intersecting or not, at every ℓ from 0 to k."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n, k = rng.choice(((6, 3), (7, 3), (8, 4), (9, 4)))
+        pool = list(ksets_colex(n, k))
+        fam = UniformFamily.from_masks(n, k, rng.sample(pool, rng.randint(1, 12)))
+        t = brute_force_tau(fam)
+        for ell in range(k + 1):
+            assert has_cover(fam, ell) == (t <= ell), (fam.sets(), ell)
+
+
+def test_has_cover_of_empty_family():
+    empty = UniformFamily(6, 3)
+    assert all(has_cover(empty, ell) for ell in range(4))
+    with pytest.raises(ValueError):
+        has_cover(empty, -1)
+
+
+def test_saturation_scan_matches_pairwise_scan():
+    """The point-indexed scan keeps the same candidates, in the same order."""
+    rng = random.Random(17)
+    for _ in range(30):
+        n, k = rng.choice(((7, 3), (9, 4), (11, 5)))
+        seed = random_intersecting_seed(n, k, rng, size=rng.randint(3, 6))
+        order = list(ksets_colex(n, k))
+        rng.shuffle(order)
+        assert list(_added(seed, order)) == list(pairwise_added(seed, order))
+    for fam in (build_S(7), full_star(7, 3), UniformFamily(6, 3), build_G(9, 4)):
+        order = list(ksets_colex(fam.n, fam.k))
+        assert list(_added(fam, order)) == list(pairwise_added(fam, order))
 
 
 def test_tau_monotone_under_supersets():
