@@ -262,12 +262,22 @@ def _cmd_oracle(args) -> int:
                             ("--no-warm-start", args.no_warm_start)):
             if given:
                 raise UsageError(f"oracle --degree-cap-ell does not take {flag}")
+        if not 2 <= args.degree_cap_ell <= args.k:
+            raise UsageError(f"oracle --degree-cap-ell must lie in [2, --k={args.k}], "
+                             f"got {args.degree_cap_ell}")
+        if args.n <= 2 * args.k:
+            raise UsageError(f"oracle --degree-cap-ell needs --n > 2 * --k, "
+                             f"got --n {args.n} --k {args.k}")
         result = max_intersecting_degcap(args.n, args.k, args.degree_cap_ell, budget)
         ident = "M-ORACLE-DEGCAP"
         params = {"n": args.n, "k": args.k, "ell": args.degree_cap_ell}
         statement += f"degree-cap ell={args.degree_cap_ell}"
     else:
         r = 1 if args.r is None else args.r
+        if r not in (1, 2, 3):
+            raise UsageError(f"oracle --r must be 1, 2 or 3, got {r}")
+        if args.n < 2 * args.k:
+            raise UsageError(f"oracle needs --n >= 2 * --k, got --n {args.n} --k {args.k}")
         result = max_intersecting(args.n, args.k, r, budget,
                                   seed_incumbent=not args.no_warm_start)
         ident = "M-ORACLE"

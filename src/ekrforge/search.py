@@ -16,6 +16,14 @@ k-sets in colex order:
   * a candidate compatible with every other remaining candidate and all
     chosen members is forced in: adding it never hurts intersecting-ness
     and never lowers τ, so some optimum (indeed every optimum) contains it.
+    A node takes its whole forced set F at once, and counts |F| nodes,
+    one per link of the chain that forcing one at a time would walk, for
+    none of those links can prune or branch.  A forced v meets every
+    candidate left, so it is a group of the bound on its own and the
+    bound stays the same; v avoids no constraint left open after it; an
+    excluded candidate still there meets v, so domination is unchanged;
+    and a candidate disjoint from another stays unforced.  Every forced
+    candidate opens a bound group alone, so only those openers are tested.
 
 The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 (r = 3) follow the proof's case split instead (``_structural_branches``):
@@ -375,9 +383,11 @@ def _structural_branches(n: int, k: int):
         yield _Branch(universe, (first, second), triples)
 
 
-def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
+def _greedy_cover_bound(cand: int, disj: list[int]) -> tuple[int, int]:
     """Greedy partition of the candidate bitset into pairwise-disjoint groups;
-    an intersecting family picks at most one per group.
+    an intersecting family picks at most one per group.  Returns the number
+    of groups and the bitset of the candidates that open a group on their
+    own: a candidate disjoint from no other candidate is one of them.
 
     A group opens at the lowest candidate left and takes, lowest first,
     every candidate left that is disjoint from all of the group so far.
@@ -385,45 +395,38 @@ def _greedy_cover_bound(cand: int, disj: list[int]) -> int:
     has no bit ``u``, so no mask is needed to keep the scan moving up.
     """
     groups = 0
-    rest = cand
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        groups += 1
-        cur = rest & disj[v]
-        while cur:
-            ub = cur & -cur
-            rest ^= ub
-            cur &= disj[ub.bit_length() - 1]
-    return groups
-
-
-def _colour_classes(cand: int, disj: list[int]) -> tuple[list[int], list[int]]:
-    """The groups that ``_greedy_cover_bound`` counts, listed: the candidate
-    indices in the order the groups take them, and each one's group number
-    (1, 2, ...).  The first i candidates lie in the first ``colour[i-1]``
-    groups, so an intersecting family among them has at most that many
-    members."""
-    order: list[int] = []
-    colour: list[int] = []
-    groups = 0
+    singles = 0
     rest = cand
     while rest:
         vb = rest & -rest
         rest ^= vb
         groups += 1
-        v = vb.bit_length() - 1
-        order.append(v)
-        colour.append(groups)
-        cur = rest & disj[v]
+        cur = rest & disj[vb.bit_length() - 1]
+        if not cur:
+            singles |= vb
         while cur:
             ub = cur & -cur
             rest ^= ub
-            u = ub.bit_length() - 1
-            order.append(u)
-            colour.append(groups)
-            cur &= disj[u]
-    return order, colour
+            cur &= disj[ub.bit_length() - 1]
+    return groups, singles
+
+
+def _colour_classes(cand: int, disj: list[int]) -> list[int]:
+    """The groups that ``_greedy_cover_bound`` counts, listed as bitsets in
+    the order they open.  The candidates of the first c groups hold an
+    intersecting family of at most c members."""
+    classes: list[int] = []
+    rest = cand
+    while rest:
+        group = rest & -rest
+        cur = rest & disj[group.bit_length() - 1]
+        while cur:
+            ub = cur & -cur
+            group |= ub
+            cur &= disj[ub.bit_length() - 1]
+        rest ^= group
+        classes.append(group)
+    return classes
 
 
 def _candidate_graph(universe, forced) -> tuple[list[int], list[int], list[int]]:
@@ -507,6 +510,14 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     incumbent prune becomes non-strict); an empty collection reports that
     the floor was never reached, and the value and witness carry no claim.
     The caller verifies the witness it releases.
+
+    Leaf test: a node whose ``size`` chosen members are fewer than ``best``
+    and whose candidates number at most ``best - size`` (fewer, when
+    collecting) returns at once.  Each bound group holds a candidate, so
+    the bound would prune it, the strict prune ``size + groups <= best``
+    and the collect prune ``size + groups < best`` alike; and a family
+    below ``best`` is never noted, so the node leaves no trace but its
+    count.
     """
     if n < 2 * k:
         raise ValueError("max_intersecting requires n >= 2k")
@@ -566,6 +577,11 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
         nodes += 1
         if nodes % 4096 == 0 and time.perf_counter() > deadline:
             raise _Budget
+        # leaf: even one member per candidate cannot lift the family past
+        # the incumbent, and a family below it is not noted
+        size = len(chosen)
+        if size < best and size + cand.bit_count() + collect <= best:
+            return
         # constraint feasibility
         u = unsat
         while u:
@@ -585,26 +601,38 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
         if unsat == 0:
             note_solution(chosen)
         # bound
-        ub = len(chosen) + _greedy_cover_bound(cand, disj)
+        groups, singles = _greedy_cover_bound(cand, disj)
         if collect:
-            if ub < best:
+            if size + groups < best:
                 return
-        elif ub <= best:
+        elif size + groups <= best:
             return
         if not cand:
             return
-        # forced inclusions: candidates compatible with everything left
-        c = cand
-        while c:
-            vb = c & -c
-            v = vb.bit_length() - 1
-            c ^= vb
-            if cand & ~vb & ~compat[v] == 0:
+        # forced inclusions, all at once: candidates disjoint from no
+        # candidate left, each of which opens a group on its own
+        forced_bits = 0
+        while singles:
+            vb = singles & -singles
+            singles ^= vb
+            if not cand & disj[vb.bit_length() - 1]:
+                forced_bits |= vb
+        if forced_bits:
+            nf = forced_bits.bit_count()
+            nodes += nf
+            if nodes % 4096 < nf and time.perf_counter() > deadline:
+                raise _Budget
+            cand ^= forced_bits
+            f = forced_bits
+            while f:
+                vb = f & -f
+                f ^= vb
+                v = vb.bit_length() - 1
                 chosen.append(cand_masks[v])
-                recurse(chosen, cand & compat[v],
-                        drop_satisfied(cand_masks[v], unsat), excluded & compat[v])
-                chosen.pop()
-                return
+                unsat = drop_satisfied(cand_masks[v], unsat)
+                excluded &= compat[v]
+            if unsat == 0:
+                note_solution(chosen)
         if unsat:
             # branch on the tightest open constraint: first-avoider split
             pick_av, pick_cnt = 0, 1 << 62
@@ -628,14 +656,16 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                         (excluded | prefix) & compat[v])
                 chosen.pop()
                 prefix |= vb
-            return
-        # plain clique phase: include/exclude the lowest candidate
-        vb = cand & -cand
-        v = vb.bit_length() - 1
-        chosen.append(cand_masks[v])
-        recurse(chosen, cand & compat[v], 0, excluded & compat[v])
-        chosen.pop()
-        recurse(chosen, cand & ~vb, 0, excluded | vb)
+        elif cand:
+            # plain clique phase: include/exclude the lowest candidate
+            vb = cand & -cand
+            v = vb.bit_length() - 1
+            chosen.append(cand_masks[v])
+            recurse(chosen, cand & compat[v], 0, excluded & compat[v])
+            chosen.pop()
+            recurse(chosen, cand & ~vb, 0, excluded | vb)
+        if forced_bits:
+            del chosen[size:]
 
     status = _timebox(recurse, list(forced), (1 << len(cand_masks)) - 1,
                       all_sat & ~sat0, 0)
@@ -726,6 +756,11 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     reached the cap stays there in every descendant, since members are
     only added below a node; so a removed candidate could never have been
     added anywhere in that subtree.
+
+    Leaf test: after the node's own family is noted, a node with at most
+    ``best - size`` candidates returns before it lists the groups, since
+    there are no more groups than candidates and the first stop check
+    would end the loop.
     """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
@@ -764,22 +799,27 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
             key = tuple(sorted(chosen))
             if _beats(size, key, best, best_masks):
                 best, best_masks = size, key
-        order, colour = _colour_classes(cand, disj)
-        for i in range(len(order) - 1, -1, -1):
-            if size + colour[i] <= best:
-                return
-            u = order[i]
-            child = cand & compat[u]
-            for x in points[u]:
-                degs[x] += 1
-                if degs[x] == cap:
-                    child &= ~through[x]
-            chosen.append(cand_masks[u])
-            expand(chosen, child)
-            chosen.pop()
-            for x in points[u]:
-                degs[x] -= 1
-            cand ^= 1 << u
+        if size + cand.bit_count() <= best:
+            return
+        classes = _colour_classes(cand, disj)
+        for colour in range(len(classes), 0, -1):
+            group = classes[colour - 1]
+            while group:
+                if size + colour <= best:
+                    return
+                u = group.bit_length() - 1
+                group ^= 1 << u
+                child = cand & compat[u]
+                for x in points[u]:
+                    degs[x] += 1
+                    if degs[x] == cap:
+                        child &= ~through[x]
+                chosen.append(cand_masks[u])
+                expand(chosen, child)
+                chosen.pop()
+                for x in points[u]:
+                    degs[x] -= 1
+                cand ^= 1 << u
 
     # cap >= C(n-2,k-2) + C(n-3,k-2) >= 2, so after the forced member
     # (degrees at most 1) every candidate still fits

@@ -198,6 +198,31 @@ def test_oracle_degcap_refuses_tau_search_flags(capsys):
         assert f"does not take {extra[0]}" in captured.err
 
 
+BAD_ORACLE = [
+    (["--n", "5", "--k", "3"], "needs --n >= 2 * --k, got --n 5 --k 3"),
+    (["--n", "7", "--k", "3", "--r", "4"], "--r must be 1, 2 or 3, got 4"),
+    (["--n", "7", "--k", "3", "--r", "0"], "--r must be 1, 2 or 3, got 0"),
+    (["--n", "8", "--k", "3", "--degree-cap-ell", "1"], "--degree-cap-ell must lie in [2, --k=3]"),
+    (["--n", "8", "--k", "3", "--degree-cap-ell", "4"], "--degree-cap-ell must lie in [2, --k=3]"),
+    (["--n", "6", "--k", "3", "--degree-cap-ell", "2"], "--degree-cap-ell needs --n > 2 * --k"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_ORACLE, ids=[" ".join(a) for a, _ in BAD_ORACLE])
+def test_oracle_refuses_bad_parameters(argv, message, monkeypatch, capsys):
+    """Out-of-range parameters are usage errors that name the flag, refused
+    before any search runs."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(ekrforge.cli, "max_intersecting", unreachable)
+    monkeypatch.setattr(ekrforge.cli, "max_intersecting_degcap", unreachable)
+    assert run(["oracle"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ekrforge: oracle {message}" in captured.err
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     """A failed internal check is neither a usage error nor a failed
     certificate."""

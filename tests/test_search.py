@@ -1,14 +1,19 @@
 """Search oracle: exact m(n,k,r), degree caps, canonical forms, optima."""
 
+import hashlib
 import random
+import time
 from itertools import permutations
+from types import SimpleNamespace
 
 import pytest
 
+import ekrforge.search
 from conftest import (_apply_perm, _reference_cover_bound, brute_canonical_form,
                       brute_max_by_cliques, intersect_compat, maximal_cliques,
                       prop34_equality_family, reference_degcap, unforced_branch_a)
 from ekrforge.binomial import binom
+from ekrforge.cli import run
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
                                     full_star, g_size_formula)
 from ekrforge.covers import is_intersecting, tau
@@ -19,6 +24,68 @@ from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
                              _split_search, _structural_branches, are_isomorphic,
                              canonical_form, enumerate_optima, max_intersecting,
                              max_intersecting_degcap, max_intersecting_seeded)
+
+
+def _digest(masks) -> str:
+    return hashlib.sha256(repr(tuple(masks)).encode()).hexdigest()[:16]
+
+
+# (search, value, nodes, digest of the witness masks; for "optima", of the
+# class forms' masks).  A change that only speeds up a node keeps every
+# row; one that changes a tree must record the new rows and say why.
+PINNED_TREES = [
+    (("plain", 7, 3, 1), 15, 84, "ce6c1f8df3fae08a"),
+    (("plain", 8, 3, 1), 21, 92, "a2016b0e742b5387"),
+    (("plain", 9, 3, 1), 28, 89, "12acd51aad0b6811"),
+    (("plain", 10, 3, 1), 36, 109, "18d051dc002255ef"),
+    (("plain", 11, 3, 1), 45, 141, "3886e29f9ec26726"),
+    (("plain", 7, 3, 2), 13, 309, "74c45d4c2748e6dc"),
+    (("plain", 8, 3, 2), 16, 467, "a3f84757c42a60b9"),
+    (("plain", 9, 3, 2), 19, 1105, "29435be259ceab3b"),
+    (("plain", 10, 3, 2), 22, 1744, "6c5f6b023b85c35f"),
+    (("plain", 11, 3, 2), 25, 3117, "0395b43489ffdac6"),
+    (("plain", 7, 3, 3), 10, 795, "f64d28a646e075aa"),
+    (("plain", 8, 3, 3), 10, 2648, "f64d28a646e075aa"),
+    (("plain", 9, 3, 3), 10, 6644, "f64d28a646e075aa"),
+    (("plain", 10, 3, 3), 10, 14180, "f64d28a646e075aa"),
+    (("plain", 11, 3, 3), 10, 26928, "f64d28a646e075aa"),
+    (("cold", 7, 3, 3), 10, 795, "f64d28a646e075aa"),
+    (("cold", 8, 3, 3), 10, 2648, "f64d28a646e075aa"),
+    (("degcap", 7, 3, 2), 13, 173, "33a0a136144eef5b"),
+    (("degcap", 7, 3, 3), 13, 272, "74c45d4c2748e6dc"),
+    (("degcap", 8, 3, 2), 16, 9087, "70331c4cca1fab12"),
+    (("degcap", 8, 3, 3), 16, 34962, "a3f84757c42a60b9"),
+    (("seeded", 7, 3), 10, 192, "f64d28a646e075aa"),
+    (("seeded", 8, 3), 10, 318, "f64d28a646e075aa"),
+    (("seeded", 9, 3), 10, 470, "f64d28a646e075aa"),
+    (("seeded", 10, 3), 10, 648, "f64d28a646e075aa"),
+    (("optima", 7, 3, 3), 10, 721, "92b94b2f9e14842c"),
+    (("optima", 8, 3, 3), 10, 985, "a4faba33be548ef5"),
+]
+
+
+@pytest.mark.parametrize("point,value,nodes,digest", PINNED_TREES,
+                         ids=[" ".join(map(str, p)) for p, *_ in PINNED_TREES])
+def test_pinned_trees(point, value, nodes, digest):
+    """Values, node counts and witnesses stay exactly as pinned: "plain" is
+    max_intersecting(n,k,r), "cold" the same without the warm start."""
+    kind, *params = point
+    if kind == "optima":
+        forms, res = enumerate_optima(*params)
+        masks = tuple(f.masks for f in forms)
+    else:
+        res = {"plain": max_intersecting, "degcap": max_intersecting_degcap,
+               "seeded": max_intersecting_seeded,
+               "cold": lambda *p: max_intersecting(*p, seed_incumbent=False)}[kind](*params)
+        masks = res.witness.masks
+    assert res.status == "proved-optimal"
+    assert (res.value, res.nodes, _digest(masks)) == (value, nodes, digest)
+
+
+def test_pinned_oracle_output(tmp_path):
+    out = tmp_path / "out"
+    assert run(["oracle", "--n", "9", "--k", "3", "--r", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"value 10 status proved-optimal nodes 6644\n"
 
 
 def test_values_against_closed_forms():
@@ -136,30 +203,86 @@ def test_degcap_timeboxed():
     assert max(degs) <= cap
 
 
+@pytest.mark.parametrize("search,params,budget", [
+    (max_intersecting, (15, 3, 3), 0.01),
+    (max_intersecting_seeded, (9, 4), 0.5),
+], ids=["plain 15 3 3", "seeded 9 4"])
+def test_tau_search_timeboxed(search, params, budget):
+    """The budget stops the τ-searches too, though forced inclusions move
+    the node counter by more than one, with a verified witness at least as
+    large as the warm start."""
+    res = search(*params, budget=budget)
+    assert res.status == "timeboxed-lower-bound"
+    assert is_intersecting(res.witness) and tau(res.witness) >= 3
+    assert len(res.witness) == res.value >= len(_default_incumbent(*params[:2], 3))
+
+
+def test_budget_read_at_every_multiple_of_4096(monkeypatch):
+    """The search reads the clock at its start and end, and once each time
+    the node counter passes a multiple of 4096, also when a forced
+    inclusion moves it past one without landing on it."""
+    reads = []
+
+    def perf_counter():
+        reads.append(None)
+        return time.perf_counter()
+
+    monkeypatch.setattr(ekrforge.search, "time", SimpleNamespace(perf_counter=perf_counter))
+    res = max_intersecting(15, 3, 3)
+    assert len(reads) == 2 + res.nodes // 4096
+
+
 def test_colour_classes_partition():
     """The listed groups partition the candidates into pairwise-disjoint
-    sets, in group order, as many as the greedy bound counts (and as the
-    masked form of that bound in the reference search)."""
+    sets, each opening at the lowest candidate left, as many as the greedy
+    bound counts (and as the masked form of that bound in the reference
+    search); the bound's singleton openers are the one-member groups."""
     rng = random.Random(3)
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
         cand_masks, _, disj = _candidate_graph(ksets_colex(n, k), (first,))
         for _ in range(40):
             cand = rng.getrandbits(len(cand_masks))
-            order, colour = _colour_classes(cand, disj)
-            assert colour == sorted(colour)
-            groups: dict[int, list[int]] = {}
-            for v, c in zip(order, colour):
-                groups.setdefault(c, []).append(v)
-            assert len(groups) == _greedy_cover_bound(cand, disj) \
-                == _reference_cover_bound(cand, disj)
-            assert sorted(groups) == list(range(1, len(groups) + 1))
-            assert len(order) == len(set(order))
-            assert sum(1 << v for v in order) == cand
-            for members in groups.values():
+            classes = _colour_classes(cand, disj)
+            groups, singles = _greedy_cover_bound(cand, disj)
+            assert len(classes) == groups == _reference_cover_bound(cand, disj)
+            left = cand
+            for group in classes:
+                assert group and group & ~left == 0
+                assert group & -group == left & -left
+                left ^= group
+            assert left == 0
+            assert singles == sum(g for g in classes if g.bit_count() == 1)
+            for group in classes:
+                members = [v for v in range(len(cand_masks)) if group >> v & 1]
                 for i, u in enumerate(members):
                     for v in members[i + 1:]:
                         assert not cand_masks[u] & cand_masks[v]
+
+
+def test_forced_candidates_open_singleton_groups():
+    """Every candidate disjoint from no other candidate opens a group on its
+    own, so the forced scan over the singleton openers misses none; and
+    the group count never exceeds the candidate count, which makes the
+    popcount leaf test a weaker form of the bound."""
+    rng = random.Random(11)
+    seen_forced = 0
+    for n, k in ((9, 3), (9, 4)):
+        first = mask_of(range(1, k + 1), n)
+        cand_masks, _, disj = _candidate_graph(ksets_colex(n, k), (first,))
+        for density in range(1, 7):
+            for _ in range(40):
+                cand = -1
+                for _ in range(density):
+                    cand &= rng.getrandbits(len(cand_masks))
+                groups, singles = _greedy_cover_bound(cand, disj)
+                assert groups <= cand.bit_count()
+                assert singles & ~cand == 0
+                for v in range(len(cand_masks)):
+                    if cand >> v & 1 and not cand & disj[v]:
+                        seen_forced += 1
+                        assert singles >> v & 1
+    assert seen_forced > 100
 
 
 def test_canonical_form_invariance():
