@@ -37,7 +37,11 @@ branches in colour order instead (MCQ, Tomita et al. 2010): each node
 lists its candidates by the same greedy disjoint groups the bound counts
 and tries them from the last group down, stopping once the groups left
 cannot lift the family past the incumbent; candidates through a point at
-the cap leave the candidate set.  The τ-searches keep the count-only
+the cap leave the candidate set.  It prunes by symmetry instead of by
+domination: a node carries a partition of [n] into cells that its
+members and its removed candidates are unions of, and skips a candidate
+in the orbit of a sibling already tried under the symmetric groups on the
+cells (``_refine_cells``).  The τ-searches keep the count-only
 bound: at k = 3, r = 3 they never reach a plain clique phase, where
 colour order could cut nodes, and listing the groups costs time.
 
@@ -383,6 +387,29 @@ def _structural_branches(n: int, k: int):
         yield _Branch(universe, (first, second), triples)
 
 
+def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
+    """Split every cell (a bitset of points) of a partition of [n] into its
+    points inside ``mask`` and those outside; ``None`` once every cell is a
+    single point.
+
+    The product of the symmetric groups on the cells fixes a k-set exactly
+    when the k-set is a union of cells, and its orbits on k-sets are the
+    vectors of intersection sizes with the cells.  Refining by each set of
+    a collection gives the cells of the subgroup that also fixes every one
+    of those sets: the Venn atoms of the sets within the old cells.
+    """
+    out = []
+    for cell in cells:
+        inside = cell & mask
+        if inside and inside != cell:
+            out += (inside, cell ^ inside)
+        else:
+            out.append(cell)
+    if all(cell & (cell - 1) == 0 for cell in out):
+        return None
+    return tuple(out)
+
+
 def _greedy_cover_bound(cand: int, disj: list[int]) -> tuple[int, int]:
     """Greedy partition of the candidate bitset into pairwise-disjoint groups;
     an intersecting family picks at most one per group.  Returns the number
@@ -684,14 +711,16 @@ def _split_search(n: int, k: int, budget: float,
     they were one search, with the same return shape as ``_search``.
 
     The branches run in order, A_1 .. A_{k-1} then B_i; the first gets the
-    whole budget, each later one what is left of it but at least one
-    second.  When collecting, the floor starts at the size of the verified
-    ``incumbent`` (0 without one), a lower bound on the optimum, so with
-    the non-strict prune no optimum is lost; after each branch it rises to
-    the largest size found so far, since smaller families cannot be
-    optimal overall.  The optima are the branches' lists joined, not
-    merged: a family that two branches both reach is listed twice, and
-    ``_dedup_to_forms`` folds the copy into its class like any relabelling.
+    whole budget, each later one what is left of it, or 0 once it is spent
+    (a branch given 0 stops at its first clock check, after 4096 nodes,
+    with a lower bound).  When collecting, the floor starts at the size of
+    the verified ``incumbent`` (0 without one), a lower bound on the
+    optimum, so with the non-strict prune no optimum is lost; after each
+    branch it rises to the largest size found so far, since smaller
+    families cannot be optimal overall.  The optima are the branches' lists
+    joined, not merged: a family that two branches both reach is listed
+    twice, and ``_dedup_to_forms`` folds the copy into its class like any
+    relabelling.
     """
     t0 = time.perf_counter()
     runs = []
@@ -700,7 +729,7 @@ def _split_search(n: int, k: int, budget: float,
         floor = len(incumbent) if incumbent is not None else 0
     for branch in _structural_branches(n, k):
         runs.append(_search(n, k, branch, left, incumbent, floor))
-        left = max(1.0, budget - (time.perf_counter() - t0))
+        left = max(0.0, budget - (time.perf_counter() - t0))
         if collect:
             floor = runs[-1][0].value
     found = [res for res, raw in runs if raw or not collect]
@@ -761,6 +790,38 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     ``best - size`` candidates returns before it lists the groups, since
     there are no more groups than candidates and the first stop check
     would end the loop.
+
+    Orbit skips.  A node carries a partition of [n] into cells, {1..k} and
+    the rest at the root; its group is the product of the symmetric groups
+    on the cells.  Every chosen member and every candidate removed above
+    the node (a sibling tried or skipped at an ancestor) is a union of
+    cells, so the group fixes each of them, and with them the degrees, the
+    removals at the cap and the candidate set.  Two candidates lie in one
+    orbit exactly when they meet every cell in the same number of points.
+    In the loop, a candidate whose vector of those numbers, taken over the
+    node's own cells, matches that of a sibling already tried or skipped is
+    skipped, and leaves the candidate set as a tried one does.  A child's
+    cells are the node's refined by its own member and by every sibling
+    removed before it (``_refine_cells``); a discrete partition has the
+    trivial group, so its node gets ``None`` and skips nothing.
+
+    Why the skips are sound, by induction on the position in the loop: take
+    a family of the node whose earliest member in loop order is a skipped
+    ``u``.  An element of the node's group maps ``u`` onto an earlier
+    sibling with the same vector and maps the family onto one of the same
+    size in the node's space (it keeps intersections, degrees and the
+    candidate set), holding that earlier sibling, so with an earlier
+    earliest member.  That family's own earliest member was tried, and its
+    subtree covers it, or was skipped, and the induction applies again.
+    Families made only of candidates still untried at the stop lie in the
+    first ``colour`` groups and are ruled out by the colour bound as
+    before.
+
+    Why the witness stays the seed: skipping only drops children, and every
+    node that is kept has the same family and candidates as without skips.
+    At every point proved so far the value is |``_degcap_seed``|, the
+    theorem bound, and the search without skips never replaced the seed,
+    so neither does the search with them.
     """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
@@ -789,7 +850,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         best, best_masks = len(seed), seed.masks
     nodes = 0
 
-    def expand(chosen: list[int], cand: int) -> None:
+    def expand(chosen: list[int], cand: int, cells: tuple[int, ...] | None) -> None:
         nonlocal nodes, best, best_masks
         nodes += 1
         if nodes % 4096 == 0 and time.perf_counter() > deadline:
@@ -802,6 +863,10 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         if size + cand.bit_count() <= best:
             return
         classes = _colour_classes(cand, disj)
+        # orbits of the siblings tried so far, and the cells refined by
+        # every sibling removed so far, tried or skipped (the next child's)
+        tried: set[tuple[int, ...]] = set()
+        rest = cells
         for colour in range(len(classes), 0, -1):
             group = classes[colour - 1]
             while group:
@@ -809,21 +874,30 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
                     return
                 u = group.bit_length() - 1
                 group ^= 1 << u
+                cand ^= 1 << u
+                m = cand_masks[u]
+                if cells is not None:
+                    if rest is not None:
+                        rest = _refine_cells(rest, m)
+                    orbit = tuple([(m & cell).bit_count() for cell in cells])
+                    if orbit in tried:
+                        continue
+                    tried.add(orbit)
                 child = cand & compat[u]
                 for x in points[u]:
                     degs[x] += 1
                     if degs[x] == cap:
                         child &= ~through[x]
-                chosen.append(cand_masks[u])
-                expand(chosen, child)
+                chosen.append(m)
+                expand(chosen, child, rest)
                 chosen.pop()
                 for x in points[u]:
                     degs[x] -= 1
-                cand ^= 1 << u
 
     # cap >= C(n-2,k-2) + C(n-3,k-2) >= 2, so after the forced member
     # (degrees at most 1) every candidate still fits
-    status = _timebox(expand, [first], (1 << len(cand_masks)) - 1)
+    status = _timebox(expand, [first], (1 << len(cand_masks)) - 1,
+                      _refine_cells(((1 << n) - 1,), first))
     witness = UniformFamily.from_masks(n, k, best_masks)
     _verify(witness, 1)
     if max_degree(witness)[1] > cap:

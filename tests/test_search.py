@@ -20,7 +20,8 @@ from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
 from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
                              _dedup_to_forms, _default_incumbent,
-                             _greedy_cover_bound, _plain_branch, _search,
+                             _greedy_cover_bound, _plain_branch, _refine_cells,
+                             _search,
                              _split_search, _structural_branches, are_isomorphic,
                              canonical_form, enumerate_optima, max_intersecting,
                              max_intersecting_degcap, max_intersecting_seeded)
@@ -51,10 +52,15 @@ PINNED_TREES = [
     (("plain", 11, 3, 3), 10, 26928, "f64d28a646e075aa"),
     (("cold", 7, 3, 3), 10, 795, "f64d28a646e075aa"),
     (("cold", 8, 3, 3), 10, 2648, "f64d28a646e075aa"),
-    (("degcap", 7, 3, 2), 13, 173, "33a0a136144eef5b"),
-    (("degcap", 7, 3, 3), 13, 272, "74c45d4c2748e6dc"),
-    (("degcap", 8, 3, 2), 16, 9087, "70331c4cca1fab12"),
-    (("degcap", 8, 3, 3), 16, 34962, "a3f84757c42a60b9"),
+    # degcap node counts fell (173, 272, 9087 and 34962 before) when the
+    # search began to skip a candidate in the orbit of a sibling already
+    # tried, under the symmetric groups on the cells of the node; the
+    # values and witnesses did not move
+    (("degcap", 7, 3, 2), 13, 41, "33a0a136144eef5b"),
+    (("degcap", 7, 3, 3), 13, 68, "74c45d4c2748e6dc"),
+    (("degcap", 8, 3, 2), 16, 983, "70331c4cca1fab12"),
+    (("degcap", 8, 3, 3), 16, 4853, "a3f84757c42a60b9"),
+    (("degcap", 9, 3, 3), 19, 762697, "29435be259ceab3b"),
     (("seeded", 7, 3), 10, 192, "f64d28a646e075aa"),
     (("seeded", 8, 3), 10, 318, "f64d28a646e075aa"),
     (("seeded", 9, 3), 10, 470, "f64d28a646e075aa"),
@@ -192,14 +198,62 @@ def test_degcap_against_reference():
         assert res.nodes < nodes
 
 
+def test_refine_cells_orbits():
+    """Refined cells partition [n] and cut every refining mask into whole
+    cells; two k-sets meet the cells in equal numbers exactly when a
+    permutation keeping every cell maps one onto the other (checked over
+    all of S_6); a discrete partition is ``None``."""
+    n, k = 6, 3
+    ksets = list(ksets_colex(n, k))
+    rng = random.Random(5)
+    for _ in range(6):
+        cells, masks = ((1 << n) - 1,), []
+        while cells is not None:
+            mask = rng.choice(ksets)
+            masks.append(mask)
+            refined = _refine_cells(cells, mask)
+            if refined is None:
+                parts = [part for c in cells for part in (c & mask, c & ~mask) if part]
+                assert all(part & (part - 1) == 0 for part in parts)
+                break
+            cells = refined
+            assert sum(cells) == (1 << n) - 1 and all(cells)
+            assert all(a & b == 0 for i, a in enumerate(cells) for b in cells[i + 1:])
+            for m in masks:
+                assert all(c & m in (0, c) for c in cells)
+            keep = [p for p in permutations(range(n))
+                    if all(_apply_perm(c, p) == c for c in cells)]
+            for a in ksets:
+                orbit = {_apply_perm(a, p) for p in keep}
+                key = [(a & c).bit_count() for c in cells]
+                assert orbit == {b for b in ksets
+                                 if [(b & c).bit_count() for c in cells] == key}
+
+
+def test_degcap_cold_start_against_reference(monkeypatch):
+    """Without the warm start (both searches read ``_degcap_seed`` at call
+    time) the orbit-pruned search still proves the reference's value, with
+    a witness of that size which is intersecting and within the cap."""
+    monkeypatch.setattr(ekrforge.search, "_degcap_seed", lambda *args: None)
+    for n, k, ell in ((7, 3, 2), (7, 3, 3), (8, 3, 2), (8, 3, 3)):
+        res = max_intersecting_degcap(n, k, ell, budget=300)
+        value, _, _ = reference_degcap(n, k, ell)
+        assert res.status == "proved-optimal"
+        assert res.value == value == len(res.witness)
+        assert is_intersecting(res.witness)
+        cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
+        degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, n + 1)]
+        assert max(degs) <= cap
+
+
 def test_degcap_timeboxed():
     """An exhausted budget stops the search with a lower bound that still
     respects the cap."""
-    res = max_intersecting_degcap(9, 3, 2, budget=0.01)
+    res = max_intersecting_degcap(10, 3, 2, budget=0.01)
     assert res.status == "timeboxed-lower-bound"
-    cap = binom(8, 2) - binom(6, 2)
+    cap = binom(9, 2) - binom(7, 2)
     assert is_intersecting(res.witness) and len(res.witness) == res.value > 0
-    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 10)]
+    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 11)]
     assert max(degs) <= cap
 
 
@@ -215,6 +269,26 @@ def test_tau_search_timeboxed(search, params, budget):
     assert res.status == "timeboxed-lower-bound"
     assert is_intersecting(res.witness) and tau(res.witness) >= 3
     assert len(res.witness) == res.value >= len(_default_incumbent(*params[:2], 3))
+
+
+def test_split_budget_never_exceeds_overall(monkeypatch):
+    """Each branch of the split gets what is left of the overall budget,
+    never more: the first gets all of it, a later one no more than the
+    rest, and 0 once it is spent."""
+    seen = []
+
+    def record(n, k, branch, budget, incumbent=None, collect_floor=None):
+        seen.append(budget)
+        return ekrforge.search.SearchResult(
+            0, UniformFamily(n, k, ()), "timeboxed-lower-bound", 0, 0.0, budget), []
+
+    monkeypatch.setattr(ekrforge.search, "_search", record)
+    for budget in (0.5, 0.0):
+        seen.clear()
+        res = max_intersecting_seeded(9, 4, budget=budget)
+        assert len(seen) == 4 and seen[0] == budget
+        assert all(0 <= b <= budget for b in seen)
+        assert res.status == "timeboxed-lower-bound"
 
 
 def test_budget_read_at_every_multiple_of_4096(monkeypatch):
