@@ -29,7 +29,10 @@ The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 (r = 3) follow the proof's case split instead (``_structural_branches``):
 branches A_j, where {1,2,3} is a cover and two members are forced, one per
 size j of their intersection, and branches B_i, covering number at least 4,
-each with a forced second member.
+each with a forced second member.  Each branch carries the cells of the
+symmetry its forced members leave, and at every first-avoider split the
+search skips an avoider in the orbit of an earlier sibling under the
+symmetric groups on the cells of the node.
 
 The degree-capped search (``max_intersecting_degcap``) cannot force or
 dominate, since a cap can make a compatible candidate unusable.  It
@@ -319,11 +322,17 @@ def _apply_perm(mask: int, table) -> int:
 @dataclass(frozen=True)
 class _Branch:
     """One search space: the k-sets a family may use, the members forced
-    in from the start, and the sets that some member must avoid."""
+    in from the start, and the sets that some member must avoid.
+
+    ``cells``, when set, is a partition of [n] into bitsets whose product
+    of symmetric groups maps the universe and the constraint set onto
+    themselves and fixes each forced member; ``_search`` skips symmetric
+    siblings under it.  ``None`` searches without symmetry."""
 
     universe: tuple[int, ...]
     forced: tuple[int, ...]
     constraints: tuple[int, ...]
+    cells: tuple[int, ...] | None = None
 
 
 def _avoidance(n: int, r_min: int) -> tuple[int, ...]:
@@ -368,7 +377,13 @@ def _structural_branches(n: int, k: int):
     family is isomorphic to a family of some branch, so the forcing keeps
     a representative of every isomorphism class: the combined maximum,
     and the union of the branches' optima, is exact.
+
+    Each branch carries the cells of what is left of its symmetry once
+    both members are forced: ({1,2,3}, the rest) for A_j and [n] for B_i,
+    refined by both forced members.  The first member alone never leaves
+    them discrete: {2,3} stays one cell in A_j, and [1..k] in B_i.
     """
+    full = (1 << n) - 1
     universe = tuple(ksets_colex(n, k))
     cover3 = mask_of((1, 2, 3), n)
     meets = tuple(m for m in universe if m & cover3)
@@ -378,13 +393,15 @@ def _structural_branches(n: int, k: int):
         t = k - 1 - j
         if k + 2 + t <= n:
             second = mask_of([2, *range(4, 4 + j), *range(k + 3, k + 3 + t)], n)
-            yield _Branch(meets, (first, second), pairs)
+            cells = _refine_cells(_refine_cells((cover3, full ^ cover3), first), second)
+            yield _Branch(meets, (first, second), pairs, cells)
     first = mask_of(range(1, k + 1), n)
     triples = _avoidance(n, 4)
     for i in range(1, k - 2):
         second = mask_of(list(range(k - i + 1, k + 1))
                          + list(range(k + 1, 2 * k - i + 1)), n)
-        yield _Branch(universe, (first, second), triples)
+        cells = _refine_cells(_refine_cells((full,), first), second)
+        yield _Branch(universe, (first, second), triples, cells)
 
 
 def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
@@ -408,6 +425,38 @@ def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     if all(cell & (cell - 1) == 0 for cell in out):
         return None
     return tuple(out)
+
+
+def _orbit_constraint(cells: tuple[int, ...], cand: int, unsat: int,
+                      avoiders: list[int], constraints: tuple[int, ...]
+                      ) -> tuple[int, tuple[int, ...] | None]:
+    """The constraint that a split node with cells branches on: the
+    tightest open one that is a union of cells, so that the node's group
+    maps it onto itself; without one, the tightest open one, with the cells
+    refined by it.  Returns its avoiders among the candidates and the cells
+    that the children are keyed by (``None`` once discrete)."""
+    pick_av = pick_cm = union_av = 0
+    pick_cnt = union_cnt = 1 << 62
+    u = unsat
+    while u:
+        cb = u & -u
+        u ^= cb
+        ci = cb.bit_length() - 1
+        av = avoiders[ci] & cand
+        cnt = av.bit_count()
+        if cnt < pick_cnt:
+            pick_av, pick_cnt, pick_cm = av, cnt, constraints[ci]
+        if cnt < union_cnt:
+            cm = constraints[ci]
+            for cell in cells:
+                part = cell & cm
+                if part and part != cell:
+                    break
+            else:
+                union_av, union_cnt = av, cnt
+    if union_cnt < 1 << 62:
+        return union_av, cells
+    return pick_av, _refine_cells(cells, pick_cm)
 
 
 def _greedy_cover_bound(cand: int, disj: list[int]) -> tuple[int, int]:
@@ -545,6 +594,44 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     and the collect prune ``size + groups < best`` alike; and a family
     below ``best`` is never noted, so the node leaves no trace but its
     count.
+
+    Orbit skips, when the branch has ``cells``.  A node's group is the
+    product of the symmetric groups on its cells.  It maps the universe
+    and the constraint set onto themselves and fixes every forced member
+    of the branch and every member chosen at a split above the node, and
+    every avoider passed at a split above it, tried or skipped; it maps
+    the forced inclusions onto themselves as a set, since they are defined
+    from the candidate set alone.  So it maps the node's chosen members,
+    candidates, open constraints and excluded candidates onto themselves,
+    and with them the node's space of families.  A split node picks C, the
+    tightest open constraint that is a union of cells, which the group
+    maps onto itself, or else the tightest open constraint, with the cells
+    refined by it (``_orbit_constraint``).  Two avoiders lie in one orbit
+    exactly when they meet every cell in the same number of points; an
+    avoider whose vector of those numbers matches that of an earlier
+    sibling is skipped, and still joins ``prefix``.  A child's cells are
+    the node's refined by its own avoider and by every avoider passed
+    before it (``_refine_cells``), so its group is a subgroup that also
+    fixes those; a discrete partition has the trivial group, so its node
+    gets ``None`` and skips nothing.  Forced inclusions do not refine,
+    and a clique-phase child gets ``None``: unsat is 0 there and in every
+    node below it, so no split below reads the cells.
+
+    Why the skips are sound, by induction on the position in the loop:
+    take a family of the node's space whose first avoider of C in loop
+    order is a skipped ``v``.  An element g of the node's group maps ``v``
+    onto an earlier sibling with the same vector and maps the family onto
+    g(family), of the same size, in the node's space (g keeps
+    intersections and maps C onto itself), holding that earlier sibling,
+    so with an earlier first avoider.  That avoider was tried, and its
+    subtree covers g(family), or was skipped, and the induction applies
+    again.  So every subtree that is dropped holds only families of which
+    a searched subtree holds an isomorphic copy: the value is unchanged.
+    Collection stays exact up to isomorphism for the same reason: every
+    optimum of the branch has an image under the root's group, a
+    relabelling that keeps the branch, among the collected optima (the
+    composite of the group elements met along the way), so every class of
+    optima is still collected, only fewer labelled copies of it.
     """
     if n < 2 * k:
         raise ValueError("max_intersecting requires n >= 2k")
@@ -599,7 +686,8 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                 out &= ~ub2
         return out
 
-    def recurse(chosen: list[int], cand: int, unsat: int, excluded: int) -> None:
+    def recurse(chosen: list[int], cand: int, unsat: int, excluded: int,
+                cells: tuple[int, ...] | None) -> None:
         nonlocal nodes
         nodes += 1
         if nodes % 4096 == 0 and time.perf_counter() > deadline:
@@ -662,40 +750,57 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                 note_solution(chosen)
         if unsat:
             # branch on the tightest open constraint: first-avoider split
-            pick_av, pick_cnt = 0, 1 << 62
-            u = unsat
-            while u:
-                cb = u & -u
-                u ^= cb
-                av = avoiders[cb.bit_length() - 1] & cand
-                cnt = av.bit_count()
-                if cnt < pick_cnt:
-                    pick_av, pick_cnt = av, cnt
+            if cells is None:
+                pick_av, pick_cnt = 0, 1 << 62
+                u = unsat
+                while u:
+                    cb = u & -u
+                    u ^= cb
+                    av = avoiders[cb.bit_length() - 1] & cand
+                    cnt = av.bit_count()
+                    if cnt < pick_cnt:
+                        pick_av, pick_cnt = av, cnt
+            else:
+                pick_av, cells = _orbit_constraint(cells, cand, unsat, avoiders,
+                                                   constraints)
+                # orbits of the children tried so far, and the cells refined
+                # by every avoider passed so far (the next child's)
+                tried = set()
+            rest = cells
             prefix = 0
             av = pick_av
             while av:
                 vb = av & -av
                 v = vb.bit_length() - 1
                 av ^= vb
-                chosen.append(cand_masks[v])
-                recurse(chosen, cand & compat[v] & ~prefix,
-                        drop_satisfied(cand_masks[v], unsat),
-                        (excluded | prefix) & compat[v])
+                m = cand_masks[v]
+                if cells is not None:
+                    if rest is not None:
+                        rest = _refine_cells(rest, m)
+                    orbit = tuple([(m & cell).bit_count() for cell in cells])
+                    if orbit in tried:
+                        prefix |= vb
+                        continue
+                    tried.add(orbit)
+                chosen.append(m)
+                recurse(chosen, cand & compat[v] & ~prefix, drop_satisfied(m, unsat),
+                        (excluded | prefix) & compat[v], rest)
                 chosen.pop()
                 prefix |= vb
         elif cand:
-            # plain clique phase: include/exclude the lowest candidate
+            # plain clique phase: include/exclude the lowest candidate; no
+            # split lies below, so the cells would never be read again
             vb = cand & -cand
             v = vb.bit_length() - 1
             chosen.append(cand_masks[v])
-            recurse(chosen, cand & compat[v], 0, excluded & compat[v])
+            recurse(chosen, cand & compat[v], 0, excluded & compat[v], None)
             chosen.pop()
-            recurse(chosen, cand & ~vb, 0, excluded | vb)
+            recurse(chosen, cand & ~vb, 0, excluded | vb, None)
         if forced_bits:
             del chosen[size:]
 
     status = _timebox(recurse, list(forced), (1 << len(cand_masks)) - 1,
-                      all_sat & ~sat0, 0)
+                      all_sat & ~sat0, 0, branch.cells)
     witness = UniformFamily.from_masks(n, k, best_masks)
     if (optima or not collect) and len(witness) != best:
         raise AssertionError("witness size disagrees with the proven value")
@@ -968,7 +1073,10 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     by canonical form covers every isomorphism class.  At r_min = 3 the
     collection runs over the structural case split of
     ``_structural_branches`` instead, whose branches likewise reach every
-    isomorphism class, from the floor |G(n,k)| of the warm start.
+    isomorphism class, from the floor |G(n,k)| of the warm start.  Every
+    class representative is re-verified before it is returned: it must be
+    intersecting, have covering number at least r_min and as many members
+    as the value; a failure raises ``AssertionError``.
 
     Memory holds every collected optimum before deduplication.  At n = 2k
     that is every maximal intersecting family with τ ≥ r_min: each takes
@@ -985,4 +1093,11 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
                               collect_floor=0)
     if raw:
         _verify(result.witness, r_min)
-    return _dedup_to_forms(n, k, raw), result
+    forms = _dedup_to_forms(n, k, raw)
+    for form in forms:
+        rep = UniformFamily(n, k, form.masks)
+        if len(rep) != result.value:
+            raise AssertionError(f"a class of optima has {len(rep)} members, "
+                                 f"the value is {result.value}")
+        _verify(rep, r_min)
+    return forms, result

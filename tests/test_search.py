@@ -1,5 +1,6 @@
 """Search oracle: exact m(n,k,r), degree caps, canonical forms, optima."""
 
+import dataclasses
 import hashlib
 import random
 import time
@@ -61,12 +62,17 @@ PINNED_TREES = [
     (("degcap", 8, 3, 2), 16, 983, "70331c4cca1fab12"),
     (("degcap", 8, 3, 3), 16, 4853, "a3f84757c42a60b9"),
     (("degcap", 9, 3, 3), 19, 762697, "29435be259ceab3b"),
-    (("seeded", 7, 3), 10, 192, "f64d28a646e075aa"),
-    (("seeded", 8, 3), 10, 318, "f64d28a646e075aa"),
-    (("seeded", 9, 3), 10, 470, "f64d28a646e075aa"),
-    (("seeded", 10, 3), 10, 648, "f64d28a646e075aa"),
-    (("optima", 7, 3, 3), 10, 721, "92b94b2f9e14842c"),
-    (("optima", 8, 3, 3), 10, 985, "a4faba33be548ef5"),
+    # seeded and r = 3 optima node counts fell (192, 318, 470, 648, 721
+    # and 985 before) when every first-avoider split of the structural
+    # branches began to skip an avoider in the orbit of an earlier sibling,
+    # under the symmetric groups on the cells of the node; the values,
+    # witnesses and class lists did not move
+    (("seeded", 7, 3), 10, 131, "f64d28a646e075aa"),
+    (("seeded", 8, 3), 10, 156, "f64d28a646e075aa"),
+    (("seeded", 9, 3), 10, 188, "f64d28a646e075aa"),
+    (("seeded", 10, 3), 10, 204, "f64d28a646e075aa"),
+    (("optima", 7, 3, 3), 10, 484, "92b94b2f9e14842c"),
+    (("optima", 8, 3, 3), 10, 485, "a4faba33be548ef5"),
 ]
 
 
@@ -523,6 +529,117 @@ def test_seeded_split_8_4():
     res = max_intersecting_seeded(8, 4, budget=300)
     assert res.status == "proved-optimal"
     assert res.value == 35 == g_size_formula(8, 4)
+
+
+def test_seeded_33_3():
+    """The computed step of m(n,3,3) = 10 for every n: an intersecting
+    3-family with covering number 3 holds a τ-critical subfamily of at most
+    C(5,3) = 10 members (Bollobás, On generalized graphs, 1965), and with
+    members added back to 11 it still has covering number 3 and spans at
+    most 33 points; so m(33,3,3) = 10 rules out 11 members at every n."""
+    res = max_intersecting_seeded(33, 3)
+    assert res.status == "proved-optimal"
+    assert (res.value, res.nodes) == (10, 212)
+    assert is_intersecting(res.witness) and tau(res.witness) == 3
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (8, 4), (9, 4)])
+def test_branch_cells_invariant(n, k):
+    """Seeded permutations that keep every cell of a branch fix each of its
+    forced members and map its universe and its constraint set onto
+    themselves (a branch without cells has the trivial group)."""
+    rng = random.Random(f"cells {n} {k}")
+    full = (1 << n) - 1
+    moved = False
+    for branch in _structural_branches(n, k):
+        cells = branch.cells or tuple(1 << x for x in range(n))
+        assert sum(cells) == full and all(cells)
+        assert all(a & b == 0 for i, a in enumerate(cells) for b in cells[i + 1:])
+        universe, constraints = set(branch.universe), set(branch.constraints)
+        for _ in range(20):
+            perm = list(range(n))
+            for cell in cells:
+                pts = [x for x in range(n) if cell >> x & 1]
+                for x, y in zip(pts, rng.sample(pts, len(pts))):
+                    perm[x] = y
+            moved = moved or perm != list(range(n))
+            assert all(_apply_perm(f, perm) == f for f in branch.forced)
+            assert {_apply_perm(m, perm) for m in universe} == universe
+            assert {_apply_perm(c, perm) for c in constraints} == constraints
+    assert moved
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (10, 3), (8, 4)])
+def test_orbit_skips_against_cells_none(n, k):
+    """Every structural branch proves the same value with its cells as
+    without them (no orbit skips), cold and warm; at k = 3 the optima it
+    collects from floor 0 fall into the same classes.  (8,4) is never
+    collected from floor 0: at n = 2k every maximal family is an optimum,
+    too many to hold."""
+    incumbent = _default_incumbent(n, k, 3)
+    nodes = [0, 0]
+    for branch in _structural_branches(n, k):
+        routes = (branch, dataclasses.replace(branch, cells=None))
+        for start in (incumbent, None):
+            runs = [_search(n, k, b, 300, start)[0] for b in routes]
+            assert all(res.status == "proved-optimal" for res in runs)
+            assert runs[0].value == runs[1].value
+            for i, res in enumerate(runs):
+                nodes[i] += res.nodes
+        if k == 3:
+            forms = [_dedup_to_forms(n, k, _search(n, k, b, 300, collect_floor=0)[1])
+                     for b in routes]
+            assert forms[0] and forms[0] == forms[1]
+    # the skips took effect
+    assert nodes[0] < nodes[1]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_orbit_skips_on_orbit_closed_subuniverses(n):
+    """The same cross-check on smaller spaces whose optima are less
+    symmetric: each branch's universe cut down to a seeded random union of
+    orbits of its cells' group (which keeps the universe invariant), with
+    the optima collected from floor 0 with and without cells."""
+    rng = random.Random(f"subuniverse {n}")
+    for branch in _structural_branches(n, 3):
+        if branch.cells is None:
+            continue
+        orbits = {}
+        for m in branch.universe:
+            orbits.setdefault(tuple([(m & c).bit_count() for c in branch.cells]),
+                              []).append(m)
+        keys = sorted(orbits)
+        for _ in range(15):
+            kept = rng.sample(keys, int(len(keys) * rng.choice((0.5, 0.7, 0.85))))
+            universe = tuple(sorted({m for key in kept for m in orbits[key]}
+                                    | set(branch.forced)))
+            cut = dataclasses.replace(branch, universe=universe)
+            runs = [_search(n, 3, b, 300, collect_floor=0)
+                    for b in (cut, dataclasses.replace(cut, cells=None))]
+            (with_cells, raw), (without, plain_raw) = runs
+            assert with_cells.status == without.status == "proved-optimal"
+            assert with_cells.value == without.value
+            assert _dedup_to_forms(n, 3, raw) == _dedup_to_forms(n, 3, plain_raw)
+
+
+@pytest.mark.parametrize("members,problem", [
+    ([(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6), (1, 6, 7), (2, 5, 7), (3, 4, 7),
+      (1, 2, 4), (1, 3, 5), (5, 6, 7)], "intersecting"),
+    ([(1, 2, x) for x in range(3, 8)] + [(1, 3, x) for x in range(4, 8)] + [(1, 4, 5)],
+     "covering number"),
+    ([(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6), (1, 6, 7), (2, 5, 7), (3, 4, 7)],
+     "members"),
+], ids=["not intersecting", "covering number 1", "7 members"])
+def test_enumerate_optima_reverifies_classes(monkeypatch, members, problem):
+    """A class of optima that is not intersecting, has covering number
+    below r_min or is not of the optimum size raises ``AssertionError``."""
+    witness = build_G(7, 3)
+    bad = UniformFamily.from_sets(7, 3, members)
+    result = ekrforge.search.SearchResult(10, witness, "proved-optimal", 1, 0.0, 1.0)
+    monkeypatch.setattr(ekrforge.search, "_split_search",
+                        lambda *args, **kwargs: (result, [witness.masks, bad.masks]))
+    with pytest.raises(AssertionError, match=problem):
+        enumerate_optima(7, 3, 3)
 
 
 @pytest.mark.slow
