@@ -38,8 +38,7 @@ from .covers import covers as cover_enum
 from .covers import saturate, tau
 from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
                             build_S, full_star, lex_family)
-from .familyio import (FamilyFormatError, read_family, render_family,
-                       write_family)
+from .familyio import FamilyFormatError, read_family, render_family
 from .families import elements_of, trace
 from .oracles import trace_bound_check
 from .properties import SUITES, list_suites, verify_identity_suite
@@ -63,7 +62,10 @@ def _parse_budget(text: str) -> float:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(payload)
+        try:
+            Path(out).write_text(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -105,6 +107,10 @@ def _load_family(path: str):
         return read_family(path)
     except FileNotFoundError:
         raise UsageError(f"family file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except FamilyFormatError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
@@ -295,7 +301,7 @@ def _cmd_oracle(args) -> int:
     else:
         _emit_certs([cert], args)
     if args.witness_out:
-        write_family(result.witness, args.witness_out)
+        _emit(render_family(result.witness), args.witness_out)
     return 0 if cert.passed else 1
 
 

@@ -8,7 +8,7 @@ Hilton-Milner family, and lexicographic initial segments L(n, k, m).
 
 from __future__ import annotations
 
-from itertools import combinations, islice, repeat
+from itertools import chain, combinations, islice, repeat
 
 from .binomial import binom
 from .covers import is_intersecting
@@ -40,27 +40,36 @@ def build_G(n: int, k: int) -> UniformFamily:
     """G(n,k) = A ∪ B with B the three blocking sets and A the 1-star filtered by B.
 
     B = {[2,k+1], {2} ∪ [k+2,2k], {3} ∪ [k+2,2k]}; A is every k-set
-    containing 1 that meets all three.  A is materialised by filtering so
-    the count stays an independent cross-check of the closed form.
+    containing 1 that meets all three.  A is materialised by enumeration,
+    so the count stays an independent cross-check of the closed form.
 
-    The candidates are enumerated in C: ``combinations`` over the bits of
-    n..2, listed high first, yields the (k-1)-subsets of [2..n] in
-    decreasing mask order, and ``sum`` with start 1 adds element 1.  Each
-    candidate is still tested against b1, b2 and b3 one by one; the kept
-    list is reversed into increasing order, the blockers (which avoid 1)
-    are sorted in, and ``UniformFamily`` checks size, range and order.
+    Every blocker lies inside the core [2..2k], so a member of A is a
+    head, 1 plus a j-subset of the core that meets all three blockers,
+    joined to a tail, any (k-1-j)-subset of [2k+1..n].  The tails need no
+    filter: they are disjoint from the core and so from every blocker, and
+    whether a set meets the blockers is decided by its head alone.  Only
+    the heads, at most 2^(2k-1) of them, are tested one by one; the
+    members are then built in C, one ``map(tail.__add__, heads[j])`` per
+    tail.  Every tail bit lies above every head bit, so taking the tails
+    in increasing mask order lists A in increasing (colex) order already.
+    The blockers lie below 2^(2k) and merge into the tail-free prefix
+    only; the whole list is never sorted, and ``UniformFamily`` checks
+    size, range and order.
     """
     if not (n >= 2 * k >= 6):
         raise ValueError(f"build_G requires n >= 2k >= 6, got n={n}, k={k}")
     b1 = mask_of(range(2, k + 2), n)
     b2 = mask_of([2] + list(range(k + 2, 2 * k + 1)), n)
     b3 = mask_of([3] + list(range(k + 2, 2 * k + 1)), n)
-    bits = [1 << (x - 1) for x in range(n, 1, -1)]
-    members = [m for m in map(sum, combinations(bits, k - 1), repeat(1))
-               if m & b1 and m & b2 and m & b3]
-    members.reverse()
-    members += (b1, b2, b3)
-    members.sort()
+    core = [1 << (x - 1) for x in range(2, 2 * k + 1)]
+    heads = [sorted(m for m in map(sum, combinations(core, j), repeat(1))
+                    if m & b1 and m & b2 and m & b3) for j in range(k)]
+    free = [1 << (x - 1) for x in range(2 * k + 1, n + 1)]
+    tails = sorted(chain.from_iterable(map(sum, combinations(free, t))
+                                       for t in range(1, k - 1)))
+    members = sorted(heads[k - 1] + [b1, b2, b3])  # the empty tail
+    for tail in tails:
+        members += map(tail.__add__, heads[k - 1 - tail.bit_count()])
     return UniformFamily(n, k, tuple(members))
 
 

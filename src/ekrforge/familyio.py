@@ -8,14 +8,30 @@ elements within a line, correct cardinalities, in-range elements and no
 duplicate members.  It reports the first problem in file order with its
 1-based line number; within one line, a non-integer element comes first,
 then a wrong cardinality, an out-of-range element and an order error.
+
+After the header, the member lines go through a bulk path in chunks of
+``CHUNK_LINES`` lines, so that the per-member work runs in C and only one
+chunk's tokens are alive at a time.  A chunk is accepted only if every
+line is canonical: exactly k-1 single spaces, every token the decimal
+text of a point of [n] without sign or leading zero, and the points
+strictly increasing.  One duplicate test and one sort follow.  When
+anything fails (a blank or non-canonical line, as every member line at
+k = 0 is, a count that disagrees with the header, a duplicate), the
+per-line reader runs from line 2 instead.  It is the only path that
+reports errors, so the diagnostics, their line numbers and their
+precedence do not depend on the bulk path.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import lt
 from pathlib import Path
 from typing import TextIO
 
 from .families import UniformFamily
+
+CHUNK_LINES = 4096
 
 
 class FamilyFormatError(ValueError):
@@ -43,6 +59,38 @@ def parse_family(text: str) -> UniformFamily:
         raise FamilyFormatError(1, f"uniformity {k} outside [0, {n}]")
     if m < 0:
         raise FamilyFormatError(1, f"negative member count {m}")
+    masks = _canonical_masks(lines, n, k, m)
+    if masks is None:
+        masks = _checked_masks(lines, n, k, m)
+    return UniformFamily(n, k, tuple(sorted(masks)))
+
+
+def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | None:
+    """The members of ``lines[1:]`` in file order if every member line is
+    canonical and the m members are distinct, else None."""
+    if len(lines) - 1 != m:
+        return None
+    table = {str(x): 1 << (x - 1) for x in range(1, n + 1)}
+    masks: list[int] = []
+    for start in range(1, len(lines), CHUNK_LINES):
+        chunk = lines[start:start + CHUNK_LINES]
+        # no line has k-1 = -1 spaces: a file with members at k = 0 falls back
+        if not all(map((k - 1).__eq__, map(str.count, chunk, repeat(" ")))):
+            return None
+        try:
+            bits = list(map(table.__getitem__, " ".join(chunk).split(" ")))
+        except KeyError:
+            return None
+        # bits[i*k + j] is the j-th point of the chunk's i-th line
+        if not all(all(map(lt, bits[j::k], bits[j + 1::k])) for j in range(k - 1)):
+            return None
+        masks += map(sum, zip(*[iter(bits)] * k))
+    return masks if len(set(masks)) == m else None
+
+
+def _checked_masks(lines: list[str], n: int, k: int, m: int) -> list[int]:
+    """The members of ``lines[1:]`` in file order, checked line by line;
+    raises the ``FamilyFormatError`` of the first problem in file order."""
     body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != m:
         raise FamilyFormatError(
@@ -73,7 +121,7 @@ def parse_family(text: str) -> UniformFamily:
     duplicate = _first_duplicate(body, masks)
     if duplicate:
         raise duplicate
-    return UniformFamily(n, k, tuple(sorted(masks)))
+    return masks
 
 
 def _first_duplicate(body: list[tuple[int, str]],

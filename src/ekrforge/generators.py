@@ -23,6 +23,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -35,7 +36,7 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     """Maximal intersecting completion scanning candidates in random order."""
     if not is_intersecting(family):
         raise ValueError("saturate_random requires an intersecting family")
-    order = list(ksets_colex(family.n, family.k))
+    order = list(_colex_order(family.n, family.k))
     rng.shuffle(order)
     return UniformFamily.from_masks(family.n, family.k,
                                     [*family.masks, *_added(family, order)])
@@ -66,15 +67,18 @@ def random_intersecting_seed(n: int, k: int, rng: random.Random,
     raise RuntimeError(f"could not build a common-free intersecting seed at ({n},{k})")
 
 
-def _lift_masks(pattern: UniformFamily, n: int, k: int) -> list[int]:
+@lru_cache(maxsize=16)
+def _colex_order(n: int, k: int) -> tuple[int, ...]:
+    """All k-sets of [n] in colex order, listed once per (n, k)."""
+    return tuple(ksets_colex(n, k))
+
+
+@lru_cache(maxsize=16)
+def _lift_masks(pattern: UniformFamily, n: int, k: int) -> tuple[int, ...]:
     """All k-sets over [n] whose trace in the pattern's ground set is a pattern edge."""
     window = mask_of(range(1, pattern.n + 1), n)
     edges = set(pattern.masks)
-    out = []
-    for m in ksets_colex(n, k):
-        if m & window in edges:
-            out.append(m)
-    return out
+    return tuple(m for m in _colex_order(n, k) if m & window in edges)
 
 
 def lift_seed(n: int, k: int, rng: random.Random, pattern: str = "R",
@@ -110,7 +114,7 @@ def blocked_lift_seed(n: int, k: int) -> UniformFamily:
     """
     if k < 4 or n < 2 * k + 1:
         raise ValueError("blocked lift needs k >= 4 and n >= 2k+1")
-    masks = _lift_masks(build_R(5), n, k)
+    masks = list(_lift_masks(build_R(5), n, k))
     base = mask_of([1, 2, 3, 4], n)
     for tail in combinations(range(6, n + 1), k - 4):
         masks.append(base | mask_of(tail, n))

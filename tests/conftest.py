@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from ekrforge import families, oracles
 from ekrforge.certify import make_certificate
 from ekrforge.families import UniformFamily, elements_of, mask_of
+from ekrforge.familyio import FamilyFormatError
 
 
 def pairwise_is_intersecting(family: UniformFamily) -> bool:
@@ -63,6 +64,77 @@ def reference_build_G(n: int, k: int) -> UniformFamily:
         if m & b1 and m & b2 and m & b3:
             members.append(m)
     return UniformFamily.from_masks(n, k, members)
+
+
+def reference_parse_family(text: str) -> UniformFamily:
+    """The family file reader as one per-line pass, the first problem in
+    file order raised as ``FamilyFormatError``.
+
+    Independent oracle for the bulk path of ``familyio.parse_family``:
+    every text must give the same family or the same diagnostic.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise FamilyFormatError(1, "missing 'n k m' header")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise FamilyFormatError(1, f"header must be 'n k m', got {lines[0]!r}")
+    try:
+        n, k, m = (int(x) for x in head)
+    except ValueError:
+        raise FamilyFormatError(1, f"non-integer header field in {lines[0]!r}") from None
+    if n < 1 or n > 64:
+        raise FamilyFormatError(1, f"ground size {n} outside [1, 64]")
+    if not 0 <= k <= n:
+        raise FamilyFormatError(1, f"uniformity {k} outside [0, {n}]")
+    if m < 0:
+        raise FamilyFormatError(1, f"negative member count {m}")
+    body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if ln.strip()]
+    if len(body) != m:
+        raise FamilyFormatError(
+            len(lines) + 1 if len(body) < m else body[m][0],
+            f"header promises {m} members, file has {len(body)}")
+    # a malformed line is reported unless a duplicate before it comes first
+    bits = [0] + [1 << i for i in range(n)]
+    masks = []
+    for line_no, ln in body:
+        try:
+            elems = list(map(int, ln.split()))
+        except ValueError:
+            raise _reference_first_duplicate(body, masks) or FamilyFormatError(
+                line_no, f"non-integer element in {ln!r}") from None
+        if len(elems) != k:
+            raise _reference_first_duplicate(body, masks) or FamilyFormatError(
+                line_no, f"member has {len(elems)} elements, expected k={k}")
+        mask = 0
+        for x in elems:
+            if not 0 < x <= n:
+                raise _reference_first_duplicate(body, masks) or FamilyFormatError(
+                    line_no, f"element {x} outside [1, {n}]")
+            mask |= bits[x]
+        if mask.bit_count() != k or elems != sorted(elems):
+            raise _reference_first_duplicate(body, masks) or FamilyFormatError(
+                line_no, "elements must be strictly increasing")
+        masks.append(mask)
+    duplicate = _reference_first_duplicate(body, masks)
+    if duplicate:
+        raise duplicate
+    return UniformFamily(n, k, tuple(sorted(masks)))
+
+
+def _reference_first_duplicate(body: list[tuple[int, str]],
+                               masks: list[int]) -> FamilyFormatError | None:
+    """The error for the first of the member lines read so far (``masks``
+    holds their members in file order) that repeats an earlier one."""
+    if len(set(masks)) == len(masks):
+        return None
+    seen: dict[int, int] = {}
+    for (line_no, _), mask in zip(body, masks):
+        if mask in seen:
+            return FamilyFormatError(
+                line_no, f"duplicate member (first seen on line {seen[mask]})")
+        seen[mask] = line_no
+    raise AssertionError("a repeated member was not found again")
 
 
 def reference_trace_bound_check(family: UniformFamily, window):

@@ -2,10 +2,12 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 import ekrforge.cli
+from conftest import reference_parse_family
 from ekrforge.cli import run
 from ekrforge.constructions import build_G
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
@@ -76,6 +78,118 @@ def test_empty_family_file_valid():
     assert len(fam) == 0 and fam.n == 6 and fam.k == 3
 
 
+def test_family_roundtrip_across_chunks():
+    """G(24,7) has 82,141 member lines, many chunks of the bulk path."""
+    g = build_G(24, 7)
+    assert parse_family(render_family(g)) == g
+
+
+def _outcome(reader, text):
+    """The family a reader returns, or the (line_no, message) it raises."""
+    try:
+        return reader(text)
+    except FamilyFormatError as exc:
+        return exc.line_no, str(exc)
+
+
+def _token_edit(rng, tokens, n):
+    i = rng.randrange(len(tokens))
+    edit = rng.randrange(8)
+    if edit == 0:
+        tokens[i] = "0" + tokens[i]
+    elif edit == 1:
+        tokens[i] = "+" + tokens[i]
+    elif edit == 2:
+        tokens[i] = rng.choice(["0", str(n + 1), "-1", "x", "2.0"])
+    elif edit == 3:
+        j = rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif edit == 4:
+        del tokens[i]
+    elif edit == 5:
+        tokens.insert(i, tokens[i])
+    elif edit == 6:
+        tokens.insert(i, str(rng.randint(1, n)))
+    else:
+        # a double or trailing space, or a tab
+        tokens[i] += rng.choice([" ", "\t", "\t1"])
+
+
+def _mutated_text(rng, n, k, members):
+    """The canonical text of a family with up to three random edits."""
+    lines = [f"{n} {k} {len(members)}"] + [" ".join(map(str, s)) for s in members]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        edit = rng.randrange(7)
+        at = rng.randrange(1, len(lines) + 1)
+        if edit <= 1 and at < len(lines) and lines[at]:
+            tokens = lines[at].split(" ")
+            _token_edit(rng, tokens, n)
+            lines[at] = " ".join(tokens)
+        elif edit == 2:
+            lines.insert(at, rng.choice(["", " ", "\t"]))
+        elif edit == 3 and at < len(lines):
+            lines.insert(at, lines[at])
+        elif edit == 4 and at < len(lines):
+            lines[at] = rng.choice([" ", "\t", ""]) + lines[at] + rng.choice([" ", ""])
+        elif edit == 5:
+            lines[0] = f"{n} {k} {len(members) + rng.choice([-1, 1])}"
+        elif edit == 6 and at < len(lines):
+            del lines[at]
+    newline = rng.choice(["\n", "\n", "\r\n"])
+    return newline.join(lines) + rng.choice([newline, ""])
+
+
+def test_parse_family_matches_reference_on_random_texts():
+    """The bulk reader and the per-line reference give the same family or
+    the same (line_no, message) on valid and malformed texts, n <= 9,
+    k = 0 and m = 0 included."""
+    rng = random.Random(20260419)
+    read = 0
+    for _ in range(4000):
+        n = rng.randint(1, 9)
+        k = rng.randint(0, n)
+        pool = list(combinations(range(1, n + 1), k))
+        members = rng.sample(pool, rng.randint(0, min(len(pool), 12)))
+        text = _mutated_text(rng, n, k, members)
+        outcome = _outcome(parse_family, text)
+        assert outcome == _outcome(reference_parse_family, text), text
+        read += not isinstance(outcome, tuple)
+    assert 1000 < read < 3000
+
+
+def _swap_two(line):
+    a, b, *rest = line.split(" ")
+    return " ".join([b, a, *rest])
+
+
+@pytest.fixture(scope="module")
+def g_20_6_lines():
+    return render_family(build_G(20, 6)).splitlines()
+
+
+# one edit of one member line of G(20,6), given the lines before it
+_G_LINE_EDITS = {
+    "swap two elements": lambda lines, i: lines[:i] + [_swap_two(lines[i])],
+    "duplicate the previous line": lambda lines, i: lines[:i] + [lines[i - 1]],
+    "element out of range": lambda lines, i: lines[:i] + [lines[i].rsplit(" ", 1)[0] + " 21"],
+    "blank line": lambda lines, i: lines[:i] + ["", lines[i]],
+    "leading space": lambda lines, i: lines[:i] + [" " + lines[i]],
+    "drop an element": lambda lines, i: lines[:i] + [lines[i].rsplit(" ", 1)[0]],
+}
+
+
+@pytest.mark.parametrize("edit", list(_G_LINE_EDITS))
+def test_parse_family_matches_reference_on_mutated_g_20_6(g_20_6_lines, edit):
+    """Edits at the first line, around the 4,096-line chunk boundaries and
+    at the last line of G(20,6)'s 8,619-line file."""
+    lines = g_20_6_lines
+    for line_no in (2, 4097, 4098, 4099, 8193, 8194, len(lines)):
+        i = line_no - 1
+        text = "\n".join(_G_LINE_EDITS[edit](lines, i) + lines[i + 1:]) + "\n"
+        outcome = _outcome(parse_family, text)
+        assert outcome == _outcome(reference_parse_family, text), (edit, line_no)
+
+
 def test_construct_then_tau(tmp_path, capsys):
     out = tmp_path / "g94.fam"
     assert run(["construct", "g", "--n", "9", "--k", "4", "--out", str(out)]) == 0
@@ -144,6 +258,27 @@ def test_verify_refuses_all_with_other_suites(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--suite all cannot be combined with other suite ids" in captured.err
+
+
+def test_bad_paths_exit_2_naming_the_path(tmp_path, capsys):
+    """A directory or a non-UTF-8 file to read, and an --out or
+    --witness-out that cannot be written, are usage errors."""
+    fam = tmp_path / "r.fam"
+    assert run(["construct", "r", "--out", str(fam)]) == 0
+    latin = tmp_path / "latin1.fam"
+    latin.write_bytes(b"5 3 1\n1 2 \xe9\n")
+    missing = tmp_path / "missing" / "out.txt"
+    for argv, path in [
+        (["tau", str(tmp_path)], tmp_path),
+        (["tau", str(latin)], latin),
+        (["tau", str(fam), "--out", str(tmp_path)], tmp_path),
+        (["tau", str(fam), "--out", str(missing)], missing),
+        (["oracle", "--n", "6", "--k", "3", "--r", "2", "--witness-out", str(missing)],
+         missing),
+    ]:
+        assert run(argv) == 2, argv
+        assert str(path) in capsys.readouterr().err, argv
+    assert not missing.parent.exists()
 
 
 def test_malformed_family_exits_2(tmp_path, capsys):

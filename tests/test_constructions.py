@@ -45,9 +45,10 @@ def test_g_sizes_known_values():
 
 
 def test_build_G_matches_reference_filter():
-    """Every ID-G-SIZE grid point with k <= 7, and (16,8) and (20,8)."""
+    """Every ID-G-SIZE grid point with k <= 7, and (16,8), (20,8) and
+    (28,8), the largest point and the one with the most tails."""
     points = [(n, k) for k in range(3, 8) for n in range(2 * k, 2 * k + 13)]
-    for n, k in points + [(16, 8), (20, 8)]:
+    for n, k in points + [(16, 8), (20, 8), (28, 8)]:
         assert build_G(n, k).masks == reference_build_G(n, k).masks, (n, k)
 
 
