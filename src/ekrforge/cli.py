@@ -13,13 +13,15 @@ verify, around trace_bound_check for trace, and by the search for oracle.
 --timings is refused where no time is printed: by trace without
 --check-bounds, and by the text output of trace and oracle.
 
-A flag that the chosen work does not read is a usage error.  verify runs
-the selected suites of the one registry in ``properties`` one after
-another, emits them sorted by id, and passes each suite only the range
-flags its signature names; a range flag that no selected suite reads is
-refused, and so are a repeated suite id and ``all`` next to another id.
-construct takes --k, --apex and --input only for the kinds that read
-them.
+Input outside the domain of the library call it feeds is a usage error
+with the library's message (``_on_input``); any other ``ValueError`` is
+an internal error.  A flag that the chosen work does not read is a usage
+error.  verify runs the selected suites of the one registry in
+``properties`` one after another, emits them sorted by id, and passes
+each suite only the range flags its signature names; a range flag that
+no selected suite reads is refused, and so are a repeated suite id and
+``all`` next to another id.  construct takes --k, --apex and --input
+only for the kinds that read them.
 """
 
 from __future__ import annotations
@@ -32,14 +34,15 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from .binomial import binom
 from .certify import Certificate, make_certificate
 from .classify import classify_T3
 from .covers import covers as cover_enum
-from .covers import saturate, tau
+from .covers import has_cover, saturate, tau
 from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
                             build_S, full_star, lex_family)
 from .familyio import FamilyFormatError, read_family, render_family
-from .families import elements_of, trace
+from .families import MAX_GROUND, elements_of, is_intersecting, trace
 from .oracles import trace_bound_check
 from .properties import SUITES, list_suites, verify_identity_suite
 from .search import max_intersecting, max_intersecting_degcap
@@ -49,15 +52,21 @@ INTERNAL_ERROR = 3
 
 
 def _parse_budget(text: str) -> float:
-    text = text.strip().lower()
-    scale = 1.0
-    if text.endswith("h"):
-        scale, text = 3600.0, text[:-1]
-    elif text.endswith("m"):
-        scale, text = 60.0, text[:-1]
-    elif text.endswith("s"):
-        text = text[:-1]
-    return float(text) * scale
+    number, scale = text.strip().lower(), 1.0
+    if number.endswith("h"):
+        scale, number = 3600.0, number[:-1]
+    elif number.endswith("m"):
+        scale, number = 60.0, number[:-1]
+    elif number.endswith("s"):
+        number = number[:-1]
+    try:
+        budget = float(number) * scale
+        if budget >= 0:
+            return budget
+    except ValueError:
+        pass
+    raise UsageError(f"oracle --budget must be a duration such as 600s, 10m or 2h, "
+                     f"got {text!r}")
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -95,6 +104,20 @@ class UsageError(Exception):
     pass
 
 
+def _on_input(outside, call, *args):
+    """``call(*args)`` on arguments taken from the user.  A ``ValueError``
+    it raises is a usage error, with the library's message, when
+    ``outside()`` confirms that the arguments lie outside the call's
+    domain, and an internal error otherwise.  ``outside`` runs only after
+    a failure, so valid input is never checked twice."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        if outside():
+            raise UsageError(str(exc)) from None
+        raise
+
+
 def _refuse_text_timings(command: str, args) -> None:
     """The text output of trace and oracle prints no wall time."""
     if args.timings and args.format == "text":
@@ -120,6 +143,15 @@ def _load_family(path: str):
 # the flags besides --n that each construction reads
 _CONSTRUCT_FLAGS = {"g": ("k",), "s": (), "r": (), "k34": (), "star": ("k", "apex"),
                     "hm": ("k",), "fh": ("k", "input")}
+# the builder of each construction but fh, its default n and its domain
+_BUILDERS = {
+    "g": (lambda n, k, apex: build_G(n, k), None, lambda n, k, apex: 6 <= 2 * k <= n),
+    "s": (lambda n, k, apex: build_S(n), 6, lambda n, k, apex: n >= 6),
+    "r": (lambda n, k, apex: build_R(n), 5, lambda n, k, apex: n >= 5),
+    "k34": (lambda n, k, apex: build_K34(n), 4, lambda n, k, apex: n >= 4),
+    "star": (full_star, None, lambda n, k, apex: 0 <= k <= n and 1 <= apex <= n),
+    "hm": (lambda n, k, apex: build_HM(n, k), None, lambda n, k, apex: 4 <= 2 * k < n),
+}
 
 
 def _cmd_construct(args) -> int:
@@ -131,30 +163,29 @@ def _cmd_construct(args) -> int:
         missing = [f"--{flag}" for flag in ("n", "k") if getattr(args, flag) is None]
         if missing:
             raise UsageError(f"construct {kind} needs {' and '.join(missing)}")
-    if kind == "g":
-        fam = build_G(args.n, args.k)
-    elif kind == "s":
-        fam = build_S(args.n or 6)
-    elif kind == "r":
-        fam = build_R(args.n or 5)
-    elif kind == "k34":
-        fam = build_K34(args.n or 4)
-    elif kind == "star":
-        fam = full_star(args.n, args.k, 1 if args.apex is None else args.apex)
-    elif kind == "hm":
-        fam = build_HM(args.n, args.k)
-    else:  # fh
+    if kind == "fh":
         if not args.input:
             raise UsageError("construct fh needs --input with the H family")
         h = _load_family(args.input)
-        fam = build_F_H(h, args.n or h.n, args.k or h.k)
+        n = h.n if args.n is None else args.n
+        k = h.k if args.k is None else args.k
+        fam = _on_input(lambda: not (1 <= n <= MAX_GROUND and h.n <= n and h.k == k
+                                     and not any(m & 1 for m in h.masks)
+                                     and is_intersecting(h)),
+                        build_F_H, h, n, k)
+    else:
+        build, default_n, domain = _BUILDERS[kind]
+        n = default_n if args.n is None else args.n
+        apex = 1 if args.apex is None else args.apex
+        fam = _on_input(lambda: not (1 <= n <= MAX_GROUND and domain(n, args.k, apex)),
+                        build, n, args.k, apex)
     _emit(render_family(fam), args.out)
     return 0
 
 
 def _cmd_tau(args) -> int:
     fam = _load_family(args.family)
-    value = tau(fam)
+    value = _on_input(lambda: not fam.masks, tau, fam)
     if args.format == "text":
         _emit(f"{value}\n", args.out)
     else:
@@ -165,7 +196,7 @@ def _cmd_tau(args) -> int:
 
 def _cmd_covers(args) -> int:
     fam = _load_family(args.family)
-    cf = cover_enum(fam, args.ell)
+    cf = _on_input(lambda: not 1 <= args.ell <= fam.n, cover_enum, fam, args.ell)
     if args.format == "text":
         lines = [" ".join(map(str, s)) for s in cf.sets()]
         _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
@@ -177,7 +208,8 @@ def _cmd_covers(args) -> int:
 
 def _cmd_saturate(args) -> int:
     fam = _load_family(args.family)
-    _emit(render_family(saturate(fam)), args.out)
+    _emit(render_family(_on_input(lambda: not is_intersecting(fam), saturate, fam)),
+          args.out)
     return 0
 
 
@@ -187,7 +219,8 @@ def _cmd_trace(args) -> int:
     _refuse_text_timings("trace", args)
     fam = _load_family(args.family)
     window = _parse_elements(args.window)
-    stats = trace(fam, window)
+    stats = _on_input(lambda: len(set(window)) < len(window)
+                      or not all(1 <= x <= fam.n for x in window), trace, fam, window)
     rows = []
     for s_mask, (f_s, residual) in sorted(stats.table.items()):
         alpha = stats.alpha_of(s_mask)
@@ -197,7 +230,8 @@ def _cmd_trace(args) -> int:
     cert = None
     if args.check_bounds:
         start = time.perf_counter()
-        cert = trace_bound_check(fam, window)
+        cert = _on_input(lambda: not fam.masks or not is_intersecting(fam)
+                         or has_cover(fam, 2), trace_bound_check, fam, window)
         cert = replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))
     if args.format == "text":
         lines = [f"S={tuple(r['S'])} f={r['f']} alpha={r['alpha']}" for r in rows]
@@ -214,7 +248,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_classify(args) -> int:
     fam = _load_family(args.family)
-    result = classify_T3(fam)
+    result = _on_input(lambda: not fam.masks or not is_intersecting(fam),
+                       classify_T3, fam)
     payload = {"tag": result.tag.value, "witness": _jsonable(result.witness)}
     if args.format == "text":
         _emit(f"{payload['tag']} witness={payload['witness']}\n", args.out)
@@ -250,8 +285,12 @@ def _cmd_verify(args) -> int:
         settings[field] = value
 
     def run_one(name: str) -> Certificate:
-        cert = verify_identity_suite(
-            name, **{f: v for f, v in settings.items() if f in reads[name]})
+        # a suite's statements start at its default --k-min; below it a
+        # suite may fail, or raise where a formula is undefined
+        params = reads[name]
+        kw = {f: v for f, v in settings.items() if f in params}
+        cert = _on_input(lambda: "k_min" in kw and kw["k_min"] < params["k_min"].default,
+                         lambda: verify_identity_suite(name, **kw))
         return replace(cert, params={**cert.params, "seed": args.seed})
 
     certs = sorted((run_one(n) for n in names), key=lambda c: c.id)
@@ -261,6 +300,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     _refuse_text_timings("oracle", args)
+    if not 1 <= args.n <= MAX_GROUND:
+        raise UsageError(f"oracle --n must lie in [1, {MAX_GROUND}], got {args.n}")
+    if args.k < 0:
+        raise UsageError(f"oracle --k must be at least 0, got {args.k}")
     budget = _parse_budget(args.budget)
     statement = f"maximum intersecting family size, n={args.n} k={args.k} "
     if args.degree_cap_ell is not None:
@@ -306,7 +349,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_lex(args) -> int:
-    fam = lex_family(args.n, args.k, args.m)
+    n, k, m = args.n, args.k, args.m
+    fam = _on_input(lambda: not (1 <= n <= MAX_GROUND and 0 <= k <= n
+                                 and 0 <= m <= binom(n, k)), lex_family, n, k, m)
     _emit(render_family(fam), args.out)
     return 0
 
@@ -426,11 +471,13 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"ekrforge: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except AssertionError as exc:
-        # the post-hoc witness checks of the searches raise this
+    except (AssertionError, ValueError) as exc:
+        # the post-hoc witness checks of the searches raise AssertionError;
+        # a ValueError on input that the command's checks let through is a
+        # bug in ekrforge too
         print(f"ekrforge: internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

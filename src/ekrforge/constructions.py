@@ -145,6 +145,8 @@ def lex_precedes(f: KSet, g: KSet) -> bool:
 
 def lex_family(n: int, k: int, m: int) -> UniformFamily:
     """L(n,k,m): the first m k-sets of [n] in lexicographic order."""
+    if not 0 <= k <= n:
+        raise ValueError(f"uniformity k={k} outside [0, n={n}]")
     if not 0 <= m <= binom(n, k):
         raise ValueError(f"m={m} outside [0, C({n},{k})={binom(n, k)}]")
     first = islice(combinations(range(1, n + 1), k), m)

@@ -10,7 +10,9 @@ k-sets in colex order:
   * for r >= 2 the covering constraints propagate as "this element/pair
     must still be avoidable": a branch dies when some small set can no
     longer be avoided by any chosen or remaining candidate, and open
-    constraints are branched on directly (first-avoider split);
+    constraints are branched on directly (first-avoider split), skipping
+    an avoider in the orbit of an earlier sibling under the symmetric
+    groups on the cells of the node, ({1..k}, [k+1..n]) at the root;
   * the upper bound is a greedy clique cover of the remaining candidates
     by groups of pairwise-disjoint sets;
   * a candidate compatible with every other remaining candidate and all
@@ -30,9 +32,8 @@ The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 branches A_j, where {1,2,3} is a cover and two members are forced, one per
 size j of their intersection, and branches B_i, covering number at least 4,
 each with a forced second member.  Each branch carries the cells of the
-symmetry its forced members leave, and at every first-avoider split the
-search skips an avoider in the orbit of an earlier sibling under the
-symmetric groups on the cells of the node.
+symmetry its forced members leave, and its first-avoider splits skip
+orbits in the same way.
 
 The degree-capped search (``max_intersecting_degcap``) cannot force or
 dominate, since a cap can make a compatible candidate unusable.  It
@@ -327,7 +328,9 @@ class _Branch:
     ``cells``, when set, is a partition of [n] into bitsets whose product
     of symmetric groups maps the universe and the constraint set onto
     themselves and fixes each forced member; ``_search`` skips symmetric
-    siblings under it.  ``None`` searches without symmetry."""
+    siblings under it.  Every branch built here has cells unless they are
+    discrete; ``None`` searches without symmetry, and a copy made with
+    ``dataclasses.replace(branch, cells=None)`` walks the unpruned tree."""
 
     universe: tuple[int, ...]
     forced: tuple[int, ...]
@@ -344,11 +347,16 @@ def _avoidance(n: int, r_min: int) -> tuple[int, ...]:
 
 
 def _plain_branch(n: int, k: int, r_min: int) -> _Branch:
-    """Every k-set, with the first member forced to {1..k}."""
+    """Every k-set, with the first member forced to {1..k}.
+
+    Its cells are ({1..k}, [k+1..n]): S_n maps the k-sets and the
+    (r_min-1)-sets onto themselves, and S_k × S_{n-k} also fixes {1..k}.
+    """
     if r_min not in (1, 2, 3):
         raise ValueError("r_min must be 1, 2, or 3")
-    return _Branch(tuple(ksets_colex(n, k)), (mask_of(range(1, k + 1), n),),
-                   _avoidance(n, r_min))
+    first = mask_of(range(1, k + 1), n)
+    return _Branch(tuple(ksets_colex(n, k)), (first,), _avoidance(n, r_min),
+                   _refine_cells(((1 << n) - 1,), first))
 
 
 def _structural_branches(n: int, k: int):
@@ -595,27 +603,28 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     below ``best`` is never noted, so the node leaves no trace but its
     count.
 
-    Orbit skips, when the branch has ``cells``.  A node's group is the
-    product of the symmetric groups on its cells.  It maps the universe
-    and the constraint set onto themselves and fixes every forced member
-    of the branch and every member chosen at a split above the node, and
-    every avoider passed at a split above it, tried or skipped; it maps
-    the forced inclusions onto themselves as a set, since they are defined
-    from the candidate set alone.  So it maps the node's chosen members,
-    candidates, open constraints and excluded candidates onto themselves,
-    and with them the node's space of families.  A split node picks C, the
-    tightest open constraint that is a union of cells, which the group
-    maps onto itself, or else the tightest open constraint, with the cells
-    refined by it (``_orbit_constraint``).  Two avoiders lie in one orbit
-    exactly when they meet every cell in the same number of points; an
-    avoider whose vector of those numbers matches that of an earlier
-    sibling is skipped, and still joins ``prefix``.  A child's cells are
-    the node's refined by its own avoider and by every avoider passed
+    Orbit skips, when the branch has ``cells``: ({1..k}, [k+1..n]) for the
+    plain branch, and the cells of ``_structural_branches`` for the split.
+    A node's group is the product of the symmetric groups on its cells.  It
+    maps the universe and the constraint set onto themselves and fixes every
+    forced member of the branch, every member chosen at a split above the
+    node and every avoider passed at a split above it, tried or skipped; it
+    maps the forced inclusions onto themselves as a set, since they are
+    defined from the candidate set alone.  So it maps the node's chosen
+    members, candidates, open constraints and excluded candidates onto
+    themselves, and with them the node's space of families.  A split node
+    picks C, the tightest open constraint that is a union of cells, which
+    the group maps onto itself, or else the tightest open constraint, with
+    the cells refined by it (``_orbit_constraint``).  Two avoiders lie in
+    one orbit exactly when they meet every cell in the same number of
+    points; an avoider whose vector of those numbers matches that of an
+    earlier sibling is skipped, and still joins ``prefix``.  A child's cells
+    are the node's refined by its own avoider and by every avoider passed
     before it (``_refine_cells``), so its group is a subgroup that also
     fixes those; a discrete partition has the trivial group, so its node
-    gets ``None`` and skips nothing.  Forced inclusions do not refine,
-    and a clique-phase child gets ``None``: unsat is 0 there and in every
-    node below it, so no split below reads the cells.
+    gets ``None`` and skips nothing.  Forced inclusions do not refine, and a
+    clique-phase child gets ``None``: unsat is 0 there and in every node
+    below it, so no split below reads the cells.
 
     Why the skips are sound, by induction on the position in the loop:
     take a family of the node's space whose first avoider of C in loop
@@ -1068,9 +1077,11 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
                      ) -> tuple[list[CanonicalForm], SearchResult]:
     """All optimum-size witnesses up to isomorphism.
 
-    Every family is isomorphic to one containing {1..k}, so collecting
-    the optima through the forced-first-member search and deduplicating
-    by canonical form covers every isomorphism class.  At r_min = 3 the
+    Every family is isomorphic to one containing {1..k}, and the orbit
+    skips of the search drop only subtrees whose families have isomorphic
+    copies in a searched one (``_search``), so collecting the optima
+    through the forced-first-member search and deduplicating by canonical
+    form covers every isomorphism class.  At r_min = 3 the
     collection runs over the structural case split of
     ``_structural_branches`` instead, whose branches likewise reach every
     isomorphism class, from the floor |G(n,k)| of the warm start.  Every

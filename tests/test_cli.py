@@ -9,7 +9,8 @@ import pytest
 import ekrforge.cli
 from conftest import reference_parse_family
 from ekrforge.cli import run
-from ekrforge.constructions import build_G
+from ekrforge.constructions import build_G, full_star
+from ekrforge.families import UniformFamily
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
                                render_family, write_family)
 from ekrforge.properties import list_suites
@@ -367,6 +368,85 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(ekrforge.cli, "max_intersecting_degcap", broken)
     assert run(["oracle", "--n", "8", "--k", "3", "--degree-cap-ell", "2"]) == 3
     assert "internal error: degree cap violated" in capsys.readouterr().err
+
+
+# inputs outside the domain of the library call they feed, with the
+# library's message; FILE names a family file written by the test
+BAD_INPUT = [
+    (["covers", "G73", "--ell", "0"], "cover size 0 outside [1, n=7]"),
+    (["covers", "G73", "--ell", "8"], "cover size 8 outside [1, n=7]"),
+    (["trace", "G73", "--window", "1,8"], "element 8 outside ground set [1..7]"),
+    (["trace", "G73", "--window", "0"], "element 0 outside ground set [1..7]"),
+    (["trace", "G73", "--window", "2,2"], "duplicate element 2"),
+    (["trace", "DISJOINT", "--window", "1,2", "--check-bounds"],
+     "trace_bound_check requires an intersecting family"),
+    (["trace", "STAR", "--window", "1,2", "--check-bounds"],
+     "trace_bound_check requires covering number >= 3, got 1"),
+    (["trace", "EMPTY", "--window", "1", "--check-bounds"],
+     "tau of an empty family is undefined"),
+    (["classify", "DISJOINT"], "classify_T3 requires an intersecting family"),
+    (["classify", "EMPTY"], "tau of an empty family is undefined"),
+    (["saturate", "DISJOINT"], "saturate requires an intersecting family"),
+    (["tau", "EMPTY"], "tau of an empty family is undefined"),
+    (["construct", "g", "--n", "5", "--k", "3"],
+     "build_G requires n >= 2k >= 6, got n=5, k=3"),
+    (["construct", "g", "--n", "70", "--k", "3"], "ground size 70 outside [1, 64]"),
+    (["construct", "s", "--n", "0"], "S needs an ambient ground set of size at least 6"),
+    (["construct", "r", "--n", "4"], "R needs an ambient ground set of size at least 5"),
+    (["construct", "k34", "--n", "3"], "K3(4) needs an ambient ground set of size at least 4"),
+    (["construct", "star", "--n", "5", "--k", "7"], "uniformity k=7 outside [0, n=5]"),
+    (["construct", "star", "--n", "5", "--k", "3", "--apex", "9"], "apex 9 outside [1..5]"),
+    (["construct", "hm", "--n", "6", "--k", "3"], "build_HM requires n > 2k >= 4, got n=6, k=3"),
+    (["construct", "fh", "--input", "STAR"], "H must avoid element 1"),
+    (["construct", "fh", "--input", "G73", "--n", "5"],
+     "H lives on a larger ground set than requested"),
+    (["construct", "fh", "--input", "DISJOINT", "--k", "2"], "H has uniformity 3, expected 2"),
+    (["lex", "--n", "5", "--k", "2", "--m", "11"], "m=11 outside [0, C(5,2)=10]"),
+    (["lex", "--n", "5", "--k", "-1", "--m", "0"], "uniformity k=-1 outside [0, n=5]"),
+    (["lex", "--n", "70", "--k", "2", "--m", "1"], "ground size 70 outside [1, 64]"),
+    (["oracle", "--n", "70", "--k", "3"], "oracle --n must lie in [1, 64], got 70"),
+    (["oracle", "--n", "70", "--k", "3", "--degree-cap-ell", "2"],
+     "oracle --n must lie in [1, 64], got 70"),
+    (["oracle", "--n", "8", "--k", "-1"], "oracle --k must be at least 0, got -1"),
+    (["oracle", "--n", "8", "--k", "3", "--budget", "ten"],
+     "oracle --budget must be a duration such as 600s, 10m or 2h, got 'ten'"),
+    (["oracle", "--n", "8", "--k", "3", "--budget=-1s"],
+     "oracle --budget must be a duration such as 600s, 10m or 2h, got '-1s'"),
+    (["verify", "--suite", "ID-G-2K", "--k-min", "2"],
+     "g_size_formula requires n >= 2k >= 6, got n=4, k=2"),
+    (["verify", "--suite", "INEQ-KEY-STEPS", "--k-min", "1"],
+     "binom: negative top argument -2 (range bug?)"),
+]
+FAMILIES = {"G73": build_G(7, 3), "STAR": full_star(7, 3), "EMPTY": UniformFamily(6, 3, ()),
+            "DISJOINT": UniformFamily.from_sets(7, 3, [(2, 3, 4), (2, 5, 6), (5, 6, 7)])}
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUT, ids=[" ".join(a) for a, _ in BAD_INPUT])
+def test_input_outside_domain_is_usage_error(argv, message, tmp_path, capsys):
+    """Input that a library call refuses exits 2 with the library's message,
+    not 3, and prints nothing on stdout."""
+    paths = {}
+    for name, fam in FAMILIES.items():
+        paths[name] = str(tmp_path / f"{name}.fam")
+        write_family(fam, paths[name])
+    assert run([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ekrforge: {message}\n"
+
+
+def test_library_value_error_on_valid_input_is_internal(tmp_path, monkeypatch, capsys):
+    """A ValueError that valid input cannot explain is a bug in ekrforge:
+    exit 3, not a usage error."""
+    def broken(family):
+        raise ValueError("binom: negative top argument -1 (range bug?)")
+
+    family = tmp_path / "g73.fam"
+    write_family(build_G(7, 3), family)
+    monkeypatch.setattr(ekrforge.cli, "tau", broken)
+    assert run(["tau", str(family)]) == 3
+    assert capsys.readouterr().err == (
+        "ekrforge: internal error: binom: negative top argument -1 (range bug?)\n")
 
 
 def test_lex_subcommand(capsys):

@@ -41,18 +41,23 @@ PINNED_TREES = [
     (("plain", 9, 3, 1), 28, 89, "12acd51aad0b6811"),
     (("plain", 10, 3, 1), 36, 109, "18d051dc002255ef"),
     (("plain", 11, 3, 1), 45, 141, "3886e29f9ec26726"),
-    (("plain", 7, 3, 2), 13, 309, "74c45d4c2748e6dc"),
-    (("plain", 8, 3, 2), 16, 467, "a3f84757c42a60b9"),
-    (("plain", 9, 3, 2), 19, 1105, "29435be259ceab3b"),
-    (("plain", 10, 3, 2), 22, 1744, "6c5f6b023b85c35f"),
-    (("plain", 11, 3, 2), 25, 3117, "0395b43489ffdac6"),
-    (("plain", 7, 3, 3), 10, 795, "f64d28a646e075aa"),
-    (("plain", 8, 3, 3), 10, 2648, "f64d28a646e075aa"),
-    (("plain", 9, 3, 3), 10, 6644, "f64d28a646e075aa"),
-    (("plain", 10, 3, 3), 10, 14180, "f64d28a646e075aa"),
-    (("plain", 11, 3, 3), 10, 26928, "f64d28a646e075aa"),
-    (("cold", 7, 3, 3), 10, 795, "f64d28a646e075aa"),
-    (("cold", 8, 3, 3), 10, 2648, "f64d28a646e075aa"),
+    # plain r = 2, 3 and cold node counts fell (309, 467, 1105, 1744, 3117;
+    # 795, 2648, 6644, 14180, 26928; cold 795 and 2648 before) when the
+    # plain branch got the cells ({1..k}, [k+1..n]) and its first-avoider
+    # splits began to skip an avoider in the orbit of an earlier sibling;
+    # r = 1 has no split, and the values and witnesses did not move
+    (("plain", 7, 3, 2), 13, 84, "74c45d4c2748e6dc"),
+    (("plain", 8, 3, 2), 16, 72, "a3f84757c42a60b9"),
+    (("plain", 9, 3, 2), 19, 105, "29435be259ceab3b"),
+    (("plain", 10, 3, 2), 22, 90, "6c5f6b023b85c35f"),
+    (("plain", 11, 3, 2), 25, 129, "0395b43489ffdac6"),
+    (("plain", 7, 3, 3), 10, 103, "f64d28a646e075aa"),
+    (("plain", 8, 3, 3), 10, 131, "f64d28a646e075aa"),
+    (("plain", 9, 3, 3), 10, 150, "f64d28a646e075aa"),
+    (("plain", 10, 3, 3), 10, 156, "f64d28a646e075aa"),
+    (("plain", 11, 3, 3), 10, 160, "f64d28a646e075aa"),
+    (("cold", 7, 3, 3), 10, 103, "f64d28a646e075aa"),
+    (("cold", 8, 3, 3), 10, 131, "f64d28a646e075aa"),
     # degcap node counts fell (173, 272, 9087 and 34962 before) when the
     # search began to skip a candidate in the orbit of a sibling already
     # tried, under the symmetric groups on the cells of the node; the
@@ -97,7 +102,7 @@ def test_pinned_trees(point, value, nodes, digest):
 def test_pinned_oracle_output(tmp_path):
     out = tmp_path / "out"
     assert run(["oracle", "--n", "9", "--k", "3", "--r", "3", "--out", str(out)]) == 0
-    assert out.read_bytes() == b"value 10 status proved-optimal nodes 6644\n"
+    assert out.read_bytes() == b"value 10 status proved-optimal nodes 150\n"
 
 
 def test_values_against_closed_forms():
@@ -136,7 +141,8 @@ def test_determinism():
 
 def test_matches_maximal_clique_enumeration():
     """Independent oracle: Bron-Kerbosch over all maximal intersecting families."""
-    for n, k, r in ((6, 3, 1), (7, 3, 1), (7, 3, 2), (7, 3, 3)):
+    for n, k, r in ((6, 3, 1), (7, 3, 1), (7, 3, 2), (7, 3, 3), (8, 3, 2),
+                    (8, 3, 3), (9, 3, 3)):
         assert max_intersecting(n, k, r, budget=120).value == \
             brute_max_by_cliques(n, k, r)
 
@@ -264,9 +270,9 @@ def test_degcap_timeboxed():
 
 
 @pytest.mark.parametrize("search,params,budget", [
-    (max_intersecting, (15, 3, 3), 0.01),
+    (max_intersecting, (9, 4, 3), 0.01),
     (max_intersecting_seeded, (9, 4), 0.5),
-], ids=["plain 15 3 3", "seeded 9 4"])
+], ids=["plain 9 4 3", "seeded 9 4"])
 def test_tau_search_timeboxed(search, params, budget):
     """The budget stops the τ-searches too, though forced inclusions move
     the node counter by more than one, with a verified witness at least as
@@ -300,7 +306,8 @@ def test_split_budget_never_exceeds_overall(monkeypatch):
 def test_budget_read_at_every_multiple_of_4096(monkeypatch):
     """The search reads the clock at its start and end, and once each time
     the node counter passes a multiple of 4096, also when a forced
-    inclusion moves it past one without landing on it."""
+    inclusion moves it past one without landing on it.  The unpruned plain
+    tree at (15,3,3) crosses many of them."""
     reads = []
 
     def perf_counter():
@@ -308,7 +315,9 @@ def test_budget_read_at_every_multiple_of_4096(monkeypatch):
         return time.perf_counter()
 
     monkeypatch.setattr(ekrforge.search, "time", SimpleNamespace(perf_counter=perf_counter))
-    res = max_intersecting(15, 3, 3)
+    branch = dataclasses.replace(_plain_branch(15, 3, 3), cells=None)
+    res, _ = _search(15, 3, branch, 600, _default_incumbent(15, 3, 3))
+    assert res.nodes > 10 * 4096
     assert len(reads) == 2 + res.nodes // 4096
 
 
@@ -464,9 +473,11 @@ def test_enumerate_optima_6_3_1():
 def test_enumerate_optima_r3_split_matches_plain():
     """At (7,3,3) and (8,3,3) the structural split (the forced branches A_j,
     collecting from the warm-start floor) reaches exactly the 7 classes of
-    the plain search collecting from 0."""
+    the unpruned plain search (no cells, so no orbit skips) collecting
+    from 0."""
     for n in (7, 8):
-        plain, raw = _search(n, 3, _plain_branch(n, 3, 3), 300, collect_floor=0)
+        branch = dataclasses.replace(_plain_branch(n, 3, 3), cells=None)
+        plain, raw = _search(n, 3, branch, 300, collect_floor=0)
         routes = [(_dedup_to_forms(n, 3, raw), plain),
                   enumerate_optima(n, 3, 3, budget=300)]
         for forms, result in routes:
@@ -543,15 +554,24 @@ def test_seeded_33_3():
     assert is_intersecting(res.witness) and tau(res.witness) == 3
 
 
+def _orbit_branches(n, k):
+    """Every branch whose splits skip orbits, with the r_min of its search:
+    the structural branches, and the plain ones at r = 2 and 3."""
+    yield from ((branch, 3) for branch in _structural_branches(n, k))
+    for r in (2, 3):
+        yield _plain_branch(n, k, r), r
+
+
 @pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (8, 4), (9, 4)])
 def test_branch_cells_invariant(n, k):
-    """Seeded permutations that keep every cell of a branch fix each of its
-    forced members and map its universe and its constraint set onto
-    themselves (a branch without cells has the trivial group)."""
+    """Seeded permutations that keep every cell of a branch, structural or
+    plain, fix each of its forced members and map its universe and its
+    constraint set onto themselves (a branch without cells has the trivial
+    group)."""
     rng = random.Random(f"cells {n} {k}")
     full = (1 << n) - 1
     moved = False
-    for branch in _structural_branches(n, k):
+    for branch, _ in _orbit_branches(n, k):
         cells = branch.cells or tuple(1 << x for x in range(n))
         assert sum(cells) == full and all(cells)
         assert all(a & b == 0 for i, a in enumerate(cells) for b in cells[i + 1:])
@@ -571,16 +591,15 @@ def test_branch_cells_invariant(n, k):
 
 @pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (10, 3), (8, 4)])
 def test_orbit_skips_against_cells_none(n, k):
-    """Every structural branch proves the same value with its cells as
-    without them (no orbit skips), cold and warm; at k = 3 the optima it
-    collects from floor 0 fall into the same classes.  (8,4) is never
-    collected from floor 0: at n = 2k every maximal family is an optimum,
-    too many to hold."""
-    incumbent = _default_incumbent(n, k, 3)
+    """Every structural branch, and the plain branch at r = 2 and 3, proves
+    the same value with its cells as without them (no orbit skips), cold
+    and warm; at k = 3 the optima it collects from floor 0 fall into the
+    same classes.  (8,4) is never collected from floor 0: at n = 2k every
+    maximal family is an optimum, too many to hold."""
     nodes = [0, 0]
-    for branch in _structural_branches(n, k):
+    for branch, r in _orbit_branches(n, k):
         routes = (branch, dataclasses.replace(branch, cells=None))
-        for start in (incumbent, None):
+        for start in (_default_incumbent(n, k, r), None):
             runs = [_search(n, k, b, 300, start)[0] for b in routes]
             assert all(res.status == "proved-optimal" for res in runs)
             assert runs[0].value == runs[1].value
@@ -599,9 +618,19 @@ def test_orbit_skips_on_orbit_closed_subuniverses(n):
     """The same cross-check on smaller spaces whose optima are less
     symmetric: each branch's universe cut down to a seeded random union of
     orbits of its cells' group (which keeps the universe invariant), with
-    the optima collected from floor 0 with and without cells."""
+    the optima collected from floor 0 with and without cells.  The plain
+    branches at r = 2 and 3 have only four orbits at k = 3, so their cells
+    are first refined by a seeded random set of points: the finer group
+    still fixes {1,2,3} and maps the k-sets and the constraint set onto
+    themselves."""
     rng = random.Random(f"subuniverse {n}")
-    for branch in _structural_branches(n, 3):
+    points = random.Random(f"plain cells {n}")
+    branches = list(_structural_branches(n, 3))
+    for r in (2, 3):
+        plain = _plain_branch(n, 3, r)
+        branches.append(dataclasses.replace(
+            plain, cells=_refine_cells(plain.cells, points.getrandbits(n))))
+    for branch in branches:
         if branch.cells is None:
             continue
         orbits = {}
