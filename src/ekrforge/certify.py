@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from .binomial import binom
 from .constructions import build_G, build_HM, full_star, g_size_formula
+from .families import MAX_GROUND
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,31 @@ def _f_gap(k: int) -> int:
 
 # ── the named suites ─────────────────────────────────────────────────────────
 
+# the most members of one G(n,k) that ID-G-SIZE builds; G(28,8), the
+# largest family of its default range, has 769,485
+G_SIZE_MEMBER_LIMIT = 1 << 20
+
+
+def id_g_size_refusal(k_min: int, k_max: int, n_span: int) -> Optional[str]:
+    """Why ID-G-SIZE refuses to build G(n,k) for k_min <= k <= k_max and
+    2k <= n <= 2k + n_span, or None.  Decided from the closed form alone,
+    before anything is built: |G(n,k)| grows with n, so the largest
+    family of each k is at n = 2k + n_span."""
+    if 2 * k_max + n_span > MAX_GROUND:
+        return (f"ID-G-SIZE: n = 2k + n_span reaches {2 * k_max + n_span} at k = {k_max}, "
+                f"past the {MAX_GROUND}-point ground set")
+    for k in range(max(k_min, 3), k_max + 1):
+        size = g_size_formula(2 * k + n_span, k)
+        if size > G_SIZE_MEMBER_LIMIT:
+            return (f"ID-G-SIZE: G({2 * k + n_span},{k}) has {size} members, "
+                    f"past the limit of {G_SIZE_MEMBER_LIMIT} per family")
+    return None
+
+
 def suite_id_g_size(k_min=3, k_max=8, n_span=12) -> Certificate:
+    refusal = id_g_size_refusal(k_min, k_max, n_span)
+    if refusal:
+        raise ValueError(refusal)
     witnesses = []
     for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
         built = len(build_G(n, k))

@@ -19,9 +19,11 @@ an internal error.  A flag that the chosen work does not read is a usage
 error.  verify runs the selected suites of the one registry in
 ``properties`` one after another, emits them sorted by id, and passes
 each suite only the range flags its signature names; a range flag that
-no selected suite reads is refused, and so are a repeated suite id and
-``all`` next to another id.  construct takes --k, --apex and --input
-only for the kinds that read them.
+no selected suite reads is refused, and so are a repeated suite id,
+``all`` next to another id, and, before any suite runs, a range that a
+selected suite refuses (``properties.range_refusal``: an empty one, or
+an ID-G-SIZE range past 64 points or its member limit).  construct
+takes --k, --apex and --input only for the kinds that read them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .constructions import (build_F_H, build_G, build_HM, build_K34, build_R,
 from .familyio import FamilyFormatError, read_family, render_family
 from .families import MAX_GROUND, elements_of, is_intersecting, trace
 from .oracles import trace_bound_check
-from .properties import SUITES, list_suites, verify_identity_suite
+from .properties import SUITES, list_suites, range_refusal, verify_identity_suite
 from .search import max_intersecting, max_intersecting_degcap
 
 USAGE_ERROR = 2
@@ -283,12 +285,17 @@ def _cmd_verify(args) -> int:
         if not any(field in params for params in reads.values()):
             raise UsageError(f"no selected suite reads --{field.replace('_', '-')}")
         settings[field] = value
+    kws = {name: {f: v for f, v in settings.items() if f in params}
+           for name, params in reads.items()}
+    for name in names:  # before any suite runs
+        refusal = range_refusal(name, **kws[name])
+        if refusal:
+            raise UsageError(refusal)
 
     def run_one(name: str) -> Certificate:
         # a suite's statements start at its default --k-min; below it a
         # suite may fail, or raise where a formula is undefined
-        params = reads[name]
-        kw = {f: v for f, v in settings.items() if f in params}
+        params, kw = reads[name], kws[name]
         cert = _on_input(lambda: "k_min" in kw and kw["k_min"] < params["k_min"].default,
                          lambda: verify_identity_suite(name, **kw))
         return replace(cert, params={**cert.params, "seed": args.seed})

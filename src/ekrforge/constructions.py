@@ -9,6 +9,7 @@ Hilton-Milner family, and lexicographic initial segments L(n, k, m).
 from __future__ import annotations
 
 from itertools import chain, combinations, islice, repeat
+from operator import ge
 
 from .binomial import binom
 from .covers import is_intersecting
@@ -53,8 +54,15 @@ def build_G(n: int, k: int) -> UniformFamily:
     tail.  Every tail bit lies above every head bit, so taking the tails
     in increasing mask order lists A in increasing (colex) order already.
     The blockers lie below 2^(2k) and merge into the tail-free prefix
-    only; the whole list is never sorted, and ``UniformFamily`` checks
-    size, range and order.
+    only; the whole list is never sorted.
+
+    The members are checked through their parts, in O(#heads + #tails)
+    rather than per member: the tail-free prefix as a family, each
+    ``heads[j]`` as a (j+1)-uniform family on [2k], and the tails as
+    strictly increasing nonempty sets of fewer than k points inside
+    [2k+1..n].  A head of j+1 points joined to a tail of k-1-j points is
+    then a k-set of [n], and the join is strictly increasing, so the
+    result is built through ``UniformFamily._trusted``.
     """
     if not (n >= 2 * k >= 6):
         raise ValueError(f"build_G requires n >= 2k >= 6, got n={n}, k={k}")
@@ -67,10 +75,18 @@ def build_G(n: int, k: int) -> UniformFamily:
     free = [1 << (x - 1) for x in range(2 * k + 1, n + 1)]
     tails = sorted(chain.from_iterable(map(sum, combinations(free, t))
                                        for t in range(1, k - 1)))
-    members = sorted(heads[k - 1] + [b1, b2, b3])  # the empty tail
+    prefix = UniformFamily(n, k, tuple(sorted(heads[k - 1] + [b1, b2, b3])))  # empty tail
+    for j, head in enumerate(heads):
+        UniformFamily(2 * k, j + 1, tuple(head))  # raises unless each head is in order
+    core_bits = (1 << (2 * k)) - 1
+    if any(map(ge, tails, tails[1:])) or not all(
+            0 < t.bit_count() < k and not t & core_bits and not t >> n for t in tails):
+        raise ValueError(f"G({n},{k}): tails must be strictly increasing sets of "
+                         f"1..{k - 1} points inside [{2 * k + 1}..{n}]")
+    members = list(prefix.masks)
     for tail in tails:
         members += map(tail.__add__, heads[k - 1 - tail.bit_count()])
-    return UniformFamily(n, k, tuple(members))
+    return UniformFamily._trusted(n, k, tuple(members))
 
 
 def g_size_formula(n: int, k: int) -> int:

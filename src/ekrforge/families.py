@@ -120,10 +120,7 @@ class UniformFamily:
     masks: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground size {self.n} outside [1, {MAX_GROUND}]")
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"uniformity k={self.k} outside [0, n={self.n}]")
+        self._check_signature()
         prev = -1
         for m in self.masks:
             if m >> self.n:
@@ -134,6 +131,26 @@ class UniformFamily:
             if m <= prev:
                 raise ValueError("members must be strictly colex-increasing (no duplicates)")
             prev = m
+
+    def _check_signature(self) -> None:
+        if not 1 <= self.n <= MAX_GROUND:
+            raise ValueError(f"ground size {self.n} outside [1, {MAX_GROUND}]")
+        if not 0 <= self.k <= self.n:
+            raise ValueError(f"uniformity k={self.k} outside [0, n={self.n}]")
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, masks: tuple[int, ...]) -> "UniformFamily":
+        """A family whose members the caller has already shown to be
+        k-subsets of [n] in strictly increasing order, as when it joins
+        checked parts or takes an ordered image of a family.  Only the
+        per-member loop of ``__post_init__`` is skipped; (n, k) is checked.
+        """
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "k", k)
+        object.__setattr__(fam, "masks", masks)
+        fam._check_signature()
+        return fam
 
     @classmethod
     def from_masks(cls, n: int, k: int, masks: Iterable[int]) -> "UniformFamily":
@@ -183,8 +200,12 @@ class TraceStats:
         S = ∅, which the source material leaves undefined, and when the
         denominator vanishes."""
         m = self._as_mask(s)
-        d = binom(self.n - self.window.bit_count(), self.k - m.bit_count())
+        d = self.denominator(m.bit_count())
         return Fraction(self.f(m), d) if m and d else None
+
+    def denominator(self, size: int) -> int:
+        """C(n-|U|, k-size), the denominator of α(S) for every |S| = size."""
+        return binom(self.n - self.window.bit_count(), self.k - size)
 
     def total(self) -> int:
         return sum(fs for fs, _ in self.table.values())
@@ -251,10 +272,11 @@ def trace(family: UniformFamily, window: Iterable[int] | int) -> TraceStats:
     groups: dict[int, list[int]] = {}
     for m in family.masks:
         groups.setdefault(m & u, []).append(m & ~u)
-    # within a group m & u is fixed, so the residuals m & ~u keep the
-    # members' strictly increasing order
+    # within a group m & u is fixed, so the residuals m & ~u are
+    # (k - |S|)-sets of [n] that keep the members' strictly increasing order
     table = {s: (len(residual_masks),
-                 UniformFamily(family.n, family.k - s.bit_count(), tuple(residual_masks)))
+                 UniformFamily._trusted(family.n, family.k - s.bit_count(),
+                                        tuple(residual_masks)))
              for s, residual_masks in sorted(groups.items())}
     return TraceStats(family.n, family.k, u, table)
 

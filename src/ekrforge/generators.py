@@ -23,6 +23,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
@@ -32,14 +33,47 @@ from .covers import _added, has_cover, is_intersecting
 from .families import UniformFamily, ksets_colex, mask_of
 
 
+# saturate_random looks candidates up in a disjointness table up to this
+# many k-sets; the table holds up to C(n,k)^2 / 8 bytes of bitsets (288 KB
+# at (13,6), 1,716 k-sets)
+TABLE_LIMIT = 2048
+
+
 def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
-    """Maximal intersecting completion scanning candidates in random order."""
-    if not is_intersecting(family):
-        raise ValueError("saturate_random requires an intersecting family")
-    order = list(_colex_order(family.n, family.k))
+    """Maximal intersecting completion scanning candidates in random order.
+
+    The order is a shuffle of the colex positions of all k-sets; a shuffle
+    draws by length alone, so the result and the state of ``rng`` do not
+    depend on how a candidate is tested.  Up to ``TABLE_LIMIT`` k-sets a
+    candidate is one bit test: ``blocked`` holds the positions of the
+    members so far and of every k-set disjoint from one of them, and a
+    candidate is kept iff its bit is clear; the same test on the input's
+    members checks that it is intersecting.  Above that size the table
+    would not fit, and the point-indexed scan ``covers._added`` decides.
+    """
+    n, k = family.n, family.k
+    sets = _colex_order(n, k)
+    order = list(range(len(sets)))
+    if len(sets) > TABLE_LIMIT:
+        if not is_intersecting(family):
+            raise ValueError("saturate_random requires an intersecting family")
+        rng.shuffle(order)
+        added = _added(family, [sets[i] for i in order])
+        return UniformFamily.from_masks(n, k, [*family.masks, *added])
+    disjoint = _disjoint_table(n, k)
+    blocked = 0
+    for m in family.masks:
+        i = bisect_left(sets, m)
+        if blocked >> i & 1:  # m is disjoint from an earlier member
+            raise ValueError("saturate_random requires an intersecting family")
+        blocked |= disjoint[i] | 1 << i
     rng.shuffle(order)
-    return UniformFamily.from_masks(family.n, family.k,
-                                    [*family.masks, *_added(family, order)])
+    added = []
+    for i in order:
+        if not blocked >> i & 1:
+            added.append(sets[i])
+            blocked |= disjoint[i] | 1 << i
+    return UniformFamily.from_masks(n, k, [*family.masks, *added])
 
 
 def random_kset_mask(n: int, k: int, rng: random.Random) -> int:
@@ -71,6 +105,33 @@ def random_intersecting_seed(n: int, k: int, rng: random.Random,
 def _colex_order(n: int, k: int) -> tuple[int, ...]:
     """All k-sets of [n] in colex order, listed once per (n, k)."""
     return tuple(ksets_colex(n, k))
+
+
+@lru_cache(maxsize=16)
+def _disjoint_table(n: int, k: int) -> tuple[int, ...]:
+    """For each colex position i of a k-set of [n], the bitset of the
+    positions of the k-sets disjoint from it.
+
+    Built from a point index: the k-sets meeting the i-th are the OR of
+    the bitsets of the sets holding each of its points.
+    """
+    sets = _colex_order(n, k)
+    inc = [0] * n
+    for i, m in enumerate(sets):
+        while m:
+            b = m & -m
+            inc[b.bit_length() - 1] |= 1 << i
+            m ^= b
+    full = (1 << len(sets)) - 1
+    disjoint = []
+    for m in sets:
+        meets = 0
+        while m:
+            b = m & -m
+            meets |= inc[b.bit_length() - 1]
+            m ^= b
+        disjoint.append(full & ~meets)
+    return tuple(disjoint)
 
 
 @lru_cache(maxsize=16)

@@ -16,14 +16,16 @@ one scan over those pairs.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 from .binomial import binom
 from .certify import Certificate, make_certificate
 from .covers import has_cover, tau
-from .families import (UniformFamily, elements_of, is_intersecting, ksets_colex,
-                       mask_of, trace)
+from .families import (TraceStats, UniformFamily, elements_of, is_intersecting,
+                       ksets_colex, mask_of, trace)
 
 ENUM_BIT_LIMIT = 22  # refuse fix-side enumerations beyond 2^22 subsets
 
@@ -156,25 +158,40 @@ _STATEMENTS = ("single-pair", "disjoint-pair", "four-trace", "four-trace-k4",
                "four-trace-k4-equality", "four-trace-sperner", "sperner-alpha")
 
 
-def _sperner_pairs(stats, u_elems: Sequence[int], n: int, k: int):
-    """Yield (A, B, α(A), α(B)) for the disjoint nonempty window subsets
-    A, B to which the Sperner α-inequality applies.
+@lru_cache(maxsize=8)
+def _sperner_plan(window: int, n: int, k: int, denominators: tuple[int, ...],
+                  ) -> tuple[tuple[int, int, int, int], ...]:
+    """The (A, d_A, B, d_B) to which the Sperner α-inequality applies on
+    the window U, where ``denominators[s]`` is d_S, the denominator of
+    α(S), for every |S| = s.
 
-    The inequality has no window hypothesis, only the n-threshold
-    n >= 2k - |A| - |B| + |U| and α defined on both sides.  ``u_elems``
-    is the sorted window U, ``stats`` its trace statistics.
+    A and B run over the disjoint pairs of nonempty subsets of U, by size
+    and then colex, with d_A, d_B > 0 and the n-threshold
+    n >= 2k - |A| - |B| + |U|; the inequality has no window hypothesis.
     """
+    u_elems = elements_of(window)
     u_size = len(u_elems)
-    subsets = []
-    for size in range(1, u_size + 1):
-        for c in combinations(u_elems, size):
-            s = mask_of(c, n)
-            alpha = stats.alpha_of(s)
-            if alpha is not None:
-                subsets.append((s, alpha))
-    for (s_a, alpha_a), (s_b, alpha_b) in combinations(subsets, 2):
-        if not s_a & s_b and n >= 2 * k - s_a.bit_count() - s_b.bit_count() + u_size:
-            yield s_a, s_b, alpha_a, alpha_b
+    subsets = [(mask_of(c, n), denominators[size]) for size in range(1, u_size + 1)
+               if denominators[size] for c in combinations(u_elems, size)]
+    return tuple((s_a, d_a, s_b, d_b) for (s_a, d_a), (s_b, d_b) in combinations(subsets, 2)
+                 if not s_a & s_b
+                 and n >= 2 * k - s_a.bit_count() - s_b.bit_count() + u_size)
+
+
+def _sperner_violations(stats: TraceStats) -> tuple[int, list[tuple[int, int, Fraction]]]:
+    """Check α(A) + α(B) <= 1 over the window's Sperner plan, in integers:
+    f_A/d_A + f_B/d_B > 1 iff f_A d_B + f_B d_A > d_A d_B.  Returns the
+    number of pairs checked and each violating (A, B, α(A) + α(B)), the
+    sum as a Fraction for its witness."""
+    denominators = tuple(map(stats.denominator, range(stats.window.bit_count() + 1)))
+    plan = _sperner_plan(stats.window, stats.n, stats.k, denominators)
+    counts = {s: fs for s, (fs, _) in stats.table.items()}
+    found = []
+    for s_a, d_a, s_b, d_b in plan:
+        f_a, f_b = counts.get(s_a, 0), counts.get(s_b, 0)
+        if f_a * d_b + f_b * d_a > d_a * d_b:
+            found.append((s_a, s_b, Fraction(f_a, d_a) + Fraction(f_b, d_b)))
+    return len(plan), found
 
 
 def trace_bound_check(family: UniformFamily, window) -> Certificate:
@@ -265,11 +282,10 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
                                   "fP": fp, "fQ": fq, "expected": 2 * n - 13})
     witnesses += [w for *_, found in active for w in found]
 
-    for s_a, s_b, alpha_a, alpha_b in _sperner_pairs(stats, u_elems, n, k):
-        evaluated["sperner-alpha"] += 1
-        if alpha_a + alpha_b > 1:
-            witnesses.append({"statement": "sperner-alpha", "A": elements_of(s_a),
-                              "B": elements_of(s_b), "sum": str(alpha_a + alpha_b)})
+    evaluated["sperner-alpha"], violations = _sperner_violations(stats)
+    witnesses += [{"statement": "sperner-alpha", "A": elements_of(s_a),
+                   "B": elements_of(s_b), "sum": str(total)}
+                  for s_a, s_b, total in violations]
 
     return make_certificate(
         "TRACE-BOUNDS",

@@ -15,12 +15,13 @@ exactly the settings it reads.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 import warnings
 from dataclasses import replace
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Optional
 
 from .binomial import binom
 from . import certify
@@ -31,7 +32,7 @@ from .families import are_cross_intersecting, ksets_colex, trace
 from .constructions import lex_family
 from .generators import (random_intersecting_seed, random_saturated_family,
                          sample_saturated_tau3)
-from .oracles import (_meets_all_mask, _sperner_pairs, ft92_oracle,
+from .oracles import (_meets_all_mask, _sperner_violations, ft92_oracle,
                       hilton_corollary_oracle, trace_bound_check)
 
 
@@ -131,13 +132,10 @@ def suite_sperner_random(samples: int = 60, seed: int = 0) -> Certificate:
         for _ in range(per_point):
             fam = random_saturated_family(n, k, rng, "free")
             u_elems = tuple(rng.sample(range(1, n + 1), rng.choice((4, 5, 6))))
-            stats = trace(fam, u_elems)
-            for s_a, s_b, alpha_a, alpha_b in _sperner_pairs(stats, sorted(u_elems), n, k):
-                checked_pairs += 1
-                if alpha_a + alpha_b > 1:
-                    witnesses.append({"n": n, "k": k, "U": list(u_elems),
-                                      "A": s_a, "B": s_b,
-                                      "sum": str(alpha_a + alpha_b)})
+            checked, violations = _sperner_violations(trace(fam, u_elems))
+            checked_pairs += checked
+            witnesses += [{"n": n, "k": k, "U": list(u_elems), "A": s_a, "B": s_b,
+                           "sum": str(total)} for s_a, s_b, total in violations]
     return make_certificate(
         "SPERNER-RANDOM", "α(A) + α(B) <= 1 on random intersecting families",
         {"samples": samples, "seed": seed, "pairs_checked": checked_pairs},
@@ -273,12 +271,35 @@ SUITES: dict[str, Callable[..., Certificate]] = {
 }
 
 
+def range_refusal(suite_id: str, **settings) -> Optional[str]:
+    """Why a registered suite refuses the range that the settings, with
+    its defaults for the rest, give it, or None.  An empty range is
+    refused, since the suite would pass having checked nothing, and so is
+    an ID-G-SIZE range that ``certify.id_g_size_refusal`` refuses.  A
+    setting the suite's signature does not name raises TypeError."""
+    bound = inspect.signature(SUITES[suite_id]).bind(**settings)
+    bound.apply_defaults()
+    ranges = bound.arguments
+    if "k_min" in ranges and "k_max" in ranges and ranges["k_min"] > ranges["k_max"]:
+        return (f"{suite_id}: k_min {ranges['k_min']} is above k_max {ranges['k_max']}, "
+                f"so the range is empty")
+    if ranges.get("n_span", 0) < 0:
+        return f"{suite_id}: n_span {ranges['n_span']} is negative, so the range is empty"
+    if suite_id == "ID-G-SIZE":
+        return certify.id_g_size_refusal(**ranges)
+    return None
+
+
 def verify_identity_suite(suite_id: str, **settings) -> Certificate:
     """Run one registered suite with the given settings and record its wall
-    time.  A setting the suite's signature does not name raises TypeError."""
+    time.  A setting the suite's signature does not name raises TypeError,
+    and a range that ``range_refusal`` refuses raises ValueError."""
     suite = SUITES.get(suite_id)
     if suite is None:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(list_suites())}")
+    refusal = range_refusal(suite_id, **settings)
+    if refusal:
+        raise ValueError(refusal)
     start = time.perf_counter()
     cert = suite(**settings)
     return replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))

@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 from dataclasses import asdict
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from ekrforge.binomial import binom
 from ekrforge.properties import SUITES, list_suites, verify_identity_suite
 from ekrforge.constructions import build_G, build_HM
 from ekrforge.covers import tau
-from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
+from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of, trace
 from ekrforge.generators import sample_saturated_tau3
 from ekrforge.oracles import ft92_oracle, hilton_corollary_oracle, trace_bound_check
 
@@ -267,3 +268,47 @@ def test_trace_bound_check_matches_reference(patch, monkeypatch):
         assert not failed
         assert skipped == {"single-pair", "disjoint-pair", "four-trace",
                            "four-trace-k4", "four-trace-sperner"}
+
+
+def _sperner_family(f_a: int, f_b: int, b: tuple[int, ...]) -> UniformFamily:
+    """A 4-uniform family on [9] whose trace on the window [5] is f_a members
+    through {1,2} and f_b members through ``b``, each completed by points
+    of [6..9]; every other window subset has f = 0."""
+    def through(s, count):
+        return [(*s, *tail) for tail in combinations(range(6, 10), 4 - len(s))][:count]
+    return UniformFamily.from_sets(9, 4, through((1, 2), f_a) + through(b, f_b))
+
+
+# (f_{1,2}, f_B, B, the sperner-alpha sums that fail): with window [5] at
+# (9,4), α({1,2}) = f/6, α({3,4}) = f/6 and α({3,4,5}) = f/4
+SPERNER_BOUNDARY = [
+    (3, 3, (3, 4), []),
+    (4, 3, (3, 4), ["7/6"]),
+    (3, 2, (3, 4, 5), []),
+    (3, 3, (3, 4, 5), ["5/4"]),
+]
+
+
+@pytest.mark.parametrize("f_a,f_b,b,sums", SPERNER_BOUNDARY)
+def test_sperner_check_at_the_boundary(f_a, f_b, b, sums, monkeypatch):
+    """α(A) + α(B) = 1 exactly gives no witness, one step above gives one,
+    with the sum printed as the Fraction route prints it: whole
+    certificates against the reference, and the integer test itself
+    against α from ``TraceStats.alpha_of``.  The families are not
+    intersecting, so the gates of both checkers are patched open."""
+    monkeypatch.setattr(oracles, "is_intersecting", lambda fam: True)
+    monkeypatch.setattr(oracles, "has_cover", lambda fam, ell: False)
+    fam = _sperner_family(f_a, f_b, b)
+    window = [1, 2, 3, 4, 5]
+    cert = trace_bound_check(fam, window)
+    assert cert == reference_trace_bound_check(fam, window)
+    found = [w for w in cert.witnesses if w["statement"] == "sperner-alpha"]
+    assert [w["sum"] for w in found] == sums
+    assert [(w["A"], w["B"]) for w in found] == [((1, 2), b)] * len(sums)
+
+    stats = trace(fam, window)
+    checked, violations = oracles._sperner_violations(stats)
+    assert checked == cert.details["evaluated"]["sperner-alpha"]
+    assert [(a, b_, str(total)) for a, b_, total in violations] == [
+        (mask_of((1, 2), 9), mask_of(b, 9),
+         str(stats.alpha_of((1, 2)) + stats.alpha_of(b)))] * len(sums)

@@ -8,8 +8,9 @@ import pytest
 
 import ekrforge.cli
 from conftest import reference_parse_family
+from ekrforge import certify, properties
 from ekrforge.cli import run
-from ekrforge.constructions import build_G, full_star
+from ekrforge.constructions import build_G, full_star, g_size_formula
 from ekrforge.families import UniformFamily
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
                                render_family, write_family)
@@ -416,6 +417,18 @@ BAD_INPUT = [
      "g_size_formula requires n >= 2k >= 6, got n=4, k=2"),
     (["verify", "--suite", "INEQ-KEY-STEPS", "--k-min", "1"],
      "binom: negative top argument -2 (range bug?)"),
+    (["verify", "--suite", "ID-G-2K", "--k-min", "10", "--k-max", "3"],
+     "ID-G-2K: k_min 10 is above k_max 3, so the range is empty"),
+    (["verify", "--suite", "ID-G-SIZE", "--k-min", "10"],
+     "ID-G-SIZE: k_min 10 is above k_max 8, so the range is empty"),
+    (["verify", "--suite", "INEQ-CASE1", "--n-span", "-1"],
+     "INEQ-CASE1: n_span -1 is negative, so the range is empty"),
+    (["verify", "--suite", "ID-G-SIZE", "--k-max", "40"],
+     "ID-G-SIZE: n = 2k + n_span reaches 92 at k = 40, past the 64-point ground set"),
+    (["verify", "--suite", "ID-G-SIZE", "--k-max", "10"],
+     "ID-G-SIZE: G(30,9) has 3990315 members, past the limit of 1048576 per family"),
+    (["verify", "--suite", "all", "--k-max", "40"],
+     "ID-G-SIZE: n = 2k + n_span reaches 92 at k = 40, past the 64-point ground set"),
 ]
 FAMILIES = {"G73": build_G(7, 3), "STAR": full_star(7, 3), "EMPTY": UniformFamily(6, 3, ()),
             "DISJOINT": UniformFamily.from_sets(7, 3, [(2, 3, 4), (2, 5, 6), (5, 6, 7)])}
@@ -494,6 +507,23 @@ def test_verify_runs_every_registered_suite(capsys):
     assert [c["id"] for c in certs] == list_suites()
     assert len(certs) == 20
     assert [c["id"] for c in certs if c["verdict"] == "fail"] == ["TRACE-BOUNDS-RANDOM"]
+
+
+def test_verify_refuses_ranges_before_any_suite_runs(monkeypatch, capsys):
+    """A refused range exits 2 before any selected suite runs, so no G(n,k)
+    is built; the largest default ID-G-SIZE family stays inside the limit."""
+    ran = []
+    monkeypatch.setattr(ekrforge.cli, "verify_identity_suite",
+                        lambda name, **kw: ran.append(name))
+    for argv in (["--suite", "ID-G-2K", "--suite", "ID-G-SIZE", "--k-max", "12"],
+                 ["--suite", "all", "--n-span", "-3"]):
+        assert run(["verify", *argv]) == 2
+        assert capsys.readouterr().out == ""
+    assert ran == []
+    assert properties.range_refusal("ID-G-SIZE") is None
+    assert g_size_formula(28, 8) <= certify.G_SIZE_MEMBER_LIMIT
+    with pytest.raises(ValueError, match="past the limit"):
+        certify.suite_id_g_size(k_max=10)
 
 
 def test_verify_refuses_range_flags_no_suite_reads(capsys):

@@ -52,6 +52,18 @@ def test_build_G_matches_reference_filter():
         assert build_G(n, k).masks == reference_build_G(n, k).masks, (n, k)
 
 
+def test_build_G_passes_the_checked_constructor():
+    """``build_G`` checks its heads and tails and joins them unchecked; at
+    every point of the default ID-G-SIZE grid its members pass the
+    per-member checks of ``UniformFamily`` and number |G(n,k)|.  The
+    comparison with ``reference_build_G`` is above."""
+    for k in range(3, 9):
+        for n in range(2 * k, 2 * k + 13):
+            g = build_G(n, k)
+            assert UniformFamily(n, k, g.masks) == g, (n, k)
+            assert len(g) == g_size_formula(n, k), (n, k)
+
+
 def test_g_structure_instances():
     for n, k in ((9, 4), (11, 5)):
         g = build_G(n, k)

@@ -47,6 +47,31 @@ def test_family_validation():
         UniformFamily.from_sets(6, 3, [(1, 2, 7)])
     with pytest.raises(ValueError):
         UniformFamily(65, 3)
+    # the direct constructor checks every member: range, size, then order
+    for masks, message in (((0b111, 0b1000011), "outside the ground set"),
+                           ((0b111, 0b11000), "has size 2, expected 3"),
+                           ((0b1011, 0b111), "strictly colex-increasing"),
+                           ((0b111, 0b111), "strictly colex-increasing")):
+        with pytest.raises(ValueError, match=message):
+            UniformFamily(6, 3, masks)
+    with pytest.raises(ValueError, match="outside the ground set"):
+        UniformFamily.from_masks(6, 3, [0b1000011])
+    with pytest.raises(ValueError, match="has size 2"):
+        UniformFamily.from_masks(6, 3, [0b11000])
+
+
+def test_trace_residuals_pass_the_checked_constructor():
+    """``trace`` builds its residual families unchecked; each passes the
+    per-member checks, has the uniformity k - |S| and the count f_S."""
+    rng = random.Random(7)
+    for fam in (build_G(9, 4), build_G(20, 6), full_star(8, 3)):
+        windows = [list(range(1, 6))] + [rng.sample(range(1, fam.n + 1), 4)
+                                          for _ in range(3)]
+        for window in windows:
+            for s, (fs, residual) in trace(fam, window).table.items():
+                assert UniformFamily(fam.n, fam.k - s.bit_count(),
+                                     residual.masks) == residual
+                assert len(residual) == fs
 
 
 def test_is_intersecting():

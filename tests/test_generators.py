@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from conftest import pairwise_added
+from ekrforge.binomial import binom
 from ekrforge.covers import is_saturated, tau
-from ekrforge.families import is_intersecting, mask_of
-from ekrforge.generators import (blocked_lift_seed, lift_seed,
+from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of
+from ekrforge.generators import (TABLE_LIMIT, blocked_lift_seed, lift_seed,
                                  random_intersecting_seed,
                                  random_saturated_family, sample_saturated_tau3,
                                  saturate_random)
@@ -65,3 +67,40 @@ def test_common_free_seed():
     assert common == 0
     with pytest.raises(ValueError):
         random_intersecting_seed(8, 3, rng, size=2)
+
+
+# the generators' grid points, all inside the table, and (14,6), above it
+SATURATION_POINTS = ((6, 3), (7, 3), (8, 3), (9, 4), (11, 5), (13, 6), (14, 6))
+
+
+@pytest.mark.parametrize("n,k", SATURATION_POINTS)
+def test_saturate_random_against_pairwise_scan(n, k):
+    """The same family and the same rng state afterwards as the pairwise
+    saturation scan over a shuffle of the colex k-sets, drawn from an equal
+    stream; seeds of every generation mode that fits the point."""
+    assert (binom(n, k) > TABLE_LIMIT) == ((n, k) == (14, 6))
+    seeds = random.Random(n * 100 + k)
+    families = [random_intersecting_seed(n, k, seeds, size=3 + i % 3) for i in range(3)]
+    families += [lift_seed(n, k, seeds, "R", partial=True), UniformFamily(n, k, ())]
+    if k >= 4 and n >= 2 * k + 1:
+        families.append(blocked_lift_seed(n, k))
+    for i, seed_family in enumerate(families):
+        rng, twin = random.Random(i), random.Random(i)
+        fam = saturate_random(seed_family, rng)
+        order = list(ksets_colex(n, k))
+        twin.shuffle(order)
+        expected = UniformFamily.from_masks(
+            n, k, [*seed_family.masks, *pairwise_added(seed_family, order)])
+        assert fam == expected
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n,k", ((9, 4), (14, 6)))
+def test_saturate_random_refuses_non_intersecting_input(n, k):
+    """Both paths refuse a family with two disjoint members before drawing."""
+    fam = UniformFamily.from_sets(n, k, [range(1, k + 1), range(k + 1, 2 * k + 1)])
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="requires an intersecting family"):
+        saturate_random(fam, rng)
+    assert rng.getstate() == state
