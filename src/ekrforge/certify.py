@@ -69,11 +69,21 @@ def make_certificate(cert_id: str, statement: str, params: dict,
 
 # ── suite helpers ────────────────────────────────────────────────────────────
 
-def _grid(k_min, k_max, n_lo: Callable[[int], int], n_hi: Callable[[int], int]
-          ) -> Iterator[tuple[int, int]]:
+def _grid(k_min: int, k_max: int, offset: int, n_span: int) -> Iterator[tuple[int, int]]:
+    """The points 2k + offset <= n <= 2k + n_span for k_min <= k <= k_max."""
     for k in range(k_min, k_max + 1):
-        for n in range(n_lo(k), n_hi(k) + 1):
+        for n in range(2 * k + offset, 2 * k + n_span + 1):
             yield k, n
+
+
+def _sweeps(windows: Callable[..., list]) -> Callable:
+    """Attach to a suite, as ``suite.windows``, the function of its settings
+    that gives the n-windows (iterables of points) it loops over;
+    ``properties.range_refusal`` refuses settings that leave one empty."""
+    def attach(suite):
+        suite.windows = windows
+        return suite
+    return attach
 
 
 def _poly_g(n: int, k: int) -> Fraction:
@@ -114,12 +124,13 @@ def id_g_size_refusal(k_min: int, k_max: int, n_span: int) -> Optional[str]:
     return None
 
 
+@_sweeps(lambda k_min, k_max, n_span: [_grid(k_min, k_max, 0, n_span)])
 def suite_id_g_size(k_min=3, k_max=8, n_span=12) -> Certificate:
     refusal = id_g_size_refusal(k_min, k_max, n_span)
     if refusal:
         raise ValueError(refusal)
     witnesses = []
-    for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
+    for k, n in suite_id_g_size.windows(k_min, k_max, n_span)[0]:
         built = len(build_G(n, k))
         formula = g_size_formula(n, k)
         if built != formula:
@@ -153,9 +164,10 @@ def suite_id_g_2k(k_min=3, k_max=200) -> Certificate:
         {"k_min": k_min, "k_max": k_max}, witnesses)
 
 
+@_sweeps(lambda k_min, k_max, n_span: [_grid(k_min, k_max, 0, n_span)])
 def suite_id_ekr(k_min=3, k_max=12, n_span=60) -> Certificate:
     witnesses = []
-    for k, n in _grid(k_min, k_max, lambda k: 2 * k, lambda k: 2 * k + n_span):
+    for k, n in suite_id_ekr.windows(k_min, k_max, n_span)[0]:
         m1 = binom(n - 1, k - 1)
         m2 = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
         m3 = g_size_formula(n, k)
@@ -170,9 +182,10 @@ def suite_id_ekr(k_min=3, k_max=12, n_span=60) -> Certificate:
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
+@_sweeps(lambda k_min, k_max, n_span: [_grid(k_min, k_max, 1, n_span)])
 def suite_id_hm(k_min=3, k_max=12, n_span=60) -> Certificate:
     witnesses = []
-    for k, n in _grid(k_min, k_max, lambda k: 2 * k + 1, lambda k: 2 * k + n_span):
+    for k, n in suite_id_hm.windows(k_min, k_max, n_span)[0]:
         m2 = binom(n - 1, k - 1) - binom(n - k - 1, k - 1) + 1
         if not m2 < binom(n - 1, k - 1):
             witnesses.append({"n": n, "k": k, "m2": m2})
@@ -208,9 +221,10 @@ def suite_id_f_rec(k_max=200) -> Certificate:
         {"k_max": k_max}, witnesses, details={"f5": _f_gap(5)})
 
 
+@_sweeps(lambda k_min, k_max, n_span: [_grid(k_min, k_max, 1, n_span)])
 def suite_ineq_prop23(k_min=4, k_max=12, n_span=60) -> Certificate:
     witnesses = []
-    for k, n in _grid(k_min, k_max, lambda k: 2 * k + 1, lambda k: 2 * k + n_span):
+    for k, n in suite_ineq_prop23.windows(k_min, k_max, n_span)[0]:
         lhs = (3 * (binom(n - 4, k - 2) - binom(n - k - 2, k - 2) + 1)
                + 4 * binom(n - 4, k - 3) + binom(n - 4, k - 4))
         if not lhs < g_size_formula(n, k):
@@ -220,11 +234,12 @@ def suite_ineq_prop23(k_min=4, k_max=12, n_span=60) -> Certificate:
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
+@_sweeps(lambda k_min, k_max, n_span: [_grid(k_min, k_max, u - 4, n_span)
+                                       for u in (5, 6)])
 def suite_ineq_key_steps(k_min=4, k_max=12, n_span=60) -> Certificate:
     witnesses = []
-    for u in (5, 6):
-        for k, n in _grid(k_min, k_max,
-                          lambda k, u=u: 2 * k + u - 4, lambda k, u=u: 2 * k + n_span):
+    for u, grid in zip((5, 6), suite_ineq_key_steps.windows(k_min, k_max, n_span)):
+        for k, n in grid:
             a_lhs = binom(n - u, k - 2) - binom(n - k - u + 2, k - 2)
             a_rhs = binom(n - u - 1, k - 3) + binom(n - u - 2, k - 3)
             if not a_lhs >= a_rhs:
@@ -275,15 +290,17 @@ def _case1_alt_sum(n: int, k: int) -> int:
             + 5 * binom(n - 5, k - 4) + binom(n - 5, k - 5))
 
 
+@_sweeps(lambda n_span: [range(start, start + n_span) for start in (9, 13, 14)])
 def suite_ineq_case1(n_span=60) -> Certificate:
     witnesses = []
+    k4, k5, k6 = suite_ineq_case1.windows(n_span)
 
     def check(cond, **info):
         if not cond:
             witnesses.append(info)
 
     # k=4 strand: exact identities of the 13n-74 / 13n-69 chain
-    for n in range(9, 9 + n_span):
+    for n in k4:
         check(9 * (n - 6) + (n - 5) + (binom(5, 3) - 6 - 1) * (n - 5) == 13 * n - 74,
               k=4, n=n, step="13n-74")
         check(13 * n - 74 + binom(5, 4) == 13 * n - 69 == g_size_formula(n, 4),
@@ -292,13 +309,13 @@ def suite_ineq_case1(n_span=60) -> Certificate:
         check(binom(n - 6, 4 - 3) + binom(n - 6, 4 - 4) == binom(n - 5, 4 - 3),
               k=4, n=n, step="pascal-new1")
     # k=5 main range
-    for n in range(13, 13 + n_span):
+    for n in k5:
         poly = Fraction(16 * n * n - 196 * n + 636, 2)
         check(poly == _case1_sum(n, 5), k=5, n=n, step="sum=poly",
               sum=_case1_sum(n, 5), poly=str(poly))
         check(poly < _poly_g(n, 5), k=5, n=n, step="poly<G")
     # k=6 main range
-    for n in range(14, 14 + n_span):
+    for n in k6:
         poly = Fraction(19 * n**3 - 408 * n**2 + 3107 * n - 8322, 6)
         check(poly == _case1_sum(n, 6), k=6, n=n, step="sum=poly",
               sum=_case1_sum(n, 6), poly=str(poly))
@@ -330,8 +347,10 @@ def _case2_sum(n: int, k: int) -> int:
             + 6 * binom(n - 5, k - 3) - 3 * binom(n - 7, k - 4))
 
 
+@_sweeps(lambda n_span: [range(start, start + n_span) for start in (10, 12, 14)])
 def suite_ineq_case2(n_span=60) -> Certificate:
     witnesses = []
+    k4, k5, k6 = suite_ineq_case2.windows(n_span)
 
     def check(cond, **info):
         if not cond:
@@ -347,19 +366,19 @@ def suite_ineq_case2(n_span=60) -> Certificate:
                    + 6 * binom(n - 5, k - 3) - 3 * binom(n - 7, k - 4))
             check(lhs == rhs, k=k, n=n, step="fold")
     # k=4 strand: 6n-33 and 10n-45 < 13n-69 for n >= 10
-    for n in range(10, 10 + n_span):
+    for n in k4:
         check(3 * (binom(n - 6, 2) - binom(n - 8, 2)) + 12 * binom(n - 6, 0)
               + 3 * binom(n - 7, -1) == 6 * n - 33, k=4, n=n, step="6n-33")
         check(4 * (n - 8) + 20 == 4 * n - 12, k=4, n=n, step="4n-12")
         check(10 * n - 45 < 13 * n - 69, k=4, n=n, step="10n-45<13n-69")
     # k=5 for n >= 12
-    for n in range(12, 12 + n_span):
+    for n in k5:
         poly = Fraction(19 * n * n - 259 * n + 948, 2)
         check(poly == _case2_sum(n, 5), k=5, n=n, step="sum=poly",
               sum=_case2_sum(n, 5), poly=str(poly))
         check(poly < _poly_g(n, 5), k=5, n=n, step="poly<G")
     # k=6 for n >= 14
-    for n in range(14, 14 + n_span):
+    for n in k6:
         poly = Fraction(22 * n**3 - 516 * n**2 + 4328 * n - 12786, 6)
         check(poly == _case2_sum(n, 6), k=6, n=n, step="sum=poly",
               sum=_case2_sum(n, 6), poly=str(poly))

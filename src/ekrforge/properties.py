@@ -274,17 +274,21 @@ SUITES: dict[str, Callable[..., Certificate]] = {
 def range_refusal(suite_id: str, **settings) -> Optional[str]:
     """Why a registered suite refuses the range that the settings, with
     its defaults for the rest, give it, or None.  An empty range is
-    refused, since the suite would pass having checked nothing, and so is
-    an ID-G-SIZE range that ``certify.id_g_size_refusal`` refuses.  A
-    setting the suite's signature does not name raises TypeError."""
+    refused, since the suite would pass having checked nothing: k_min above
+    k_max, or an n_span that leaves one of the suite's ``windows`` (the
+    n-ranges it loops over) empty.  So is an ID-G-SIZE range that
+    ``certify.id_g_size_refusal`` refuses.  A setting the suite's
+    signature does not name raises TypeError."""
     bound = inspect.signature(SUITES[suite_id]).bind(**settings)
     bound.apply_defaults()
     ranges = bound.arguments
     if "k_min" in ranges and "k_max" in ranges and ranges["k_min"] > ranges["k_max"]:
         return (f"{suite_id}: k_min {ranges['k_min']} is above k_max {ranges['k_max']}, "
                 f"so the range is empty")
-    if ranges.get("n_span", 0) < 0:
-        return f"{suite_id}: n_span {ranges['n_span']} is negative, so the range is empty"
+    windows = getattr(SUITES[suite_id], "windows", None)
+    if windows and any(next(iter(w), None) is None for w in windows(**ranges)):
+        return (f"{suite_id}: n_span {ranges['n_span']} leaves one of its n-ranges "
+                f"empty, so it would check nothing there")
     if suite_id == "ID-G-SIZE":
         return certify.id_g_size_refusal(**ranges)
     return None

@@ -9,8 +9,9 @@ k-sets in colex order:
     normalisation is lossless;
   * for r >= 2 the covering constraints propagate as "this element/pair
     must still be avoidable": a branch dies when some small set can no
-    longer be avoided by any chosen or remaining candidate, and open
-    constraints are branched on directly (first-avoider split), skipping
+    longer be avoided by any chosen or remaining candidate, and the
+    tightest open constraint is branched on directly (first-avoider
+    split), a union of the node's cells first when there is one, skipping
     an avoider in the orbit of an earlier sibling under the symmetric
     groups on the cells of the node, ({1..k}, [k+1..n]) at the root;
   * the upper bound is a greedy clique cover of the remaining candidates
@@ -435,38 +436,6 @@ def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _orbit_constraint(cells: tuple[int, ...], cand: int, unsat: int,
-                      avoiders: list[int], constraints: tuple[int, ...]
-                      ) -> tuple[int, tuple[int, ...] | None]:
-    """The constraint that a split node with cells branches on: the
-    tightest open one that is a union of cells, so that the node's group
-    maps it onto itself; without one, the tightest open one, with the cells
-    refined by it.  Returns its avoiders among the candidates and the cells
-    that the children are keyed by (``None`` once discrete)."""
-    pick_av = pick_cm = union_av = 0
-    pick_cnt = union_cnt = 1 << 62
-    u = unsat
-    while u:
-        cb = u & -u
-        u ^= cb
-        ci = cb.bit_length() - 1
-        av = avoiders[ci] & cand
-        cnt = av.bit_count()
-        if cnt < pick_cnt:
-            pick_av, pick_cnt, pick_cm = av, cnt, constraints[ci]
-        if cnt < union_cnt:
-            cm = constraints[ci]
-            for cell in cells:
-                part = cell & cm
-                if part and part != cell:
-                    break
-            else:
-                union_av, union_cnt = av, cnt
-    if union_cnt < 1 << 62:
-        return union_av, cells
-    return pick_av, _refine_cells(cells, pick_cm)
-
-
 def _greedy_cover_bound(cand: int, disj: list[int]) -> tuple[int, int]:
     """Greedy partition of the candidate bitset into pairwise-disjoint groups;
     an intersecting family picks at most one per group.  Returns the number
@@ -613,9 +582,8 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     defined from the candidate set alone.  So it maps the node's chosen
     members, candidates, open constraints and excluded candidates onto
     themselves, and with them the node's space of families.  A split node
-    picks C, the tightest open constraint that is a union of cells, which
-    the group maps onto itself, or else the tightest open constraint, with
-    the cells refined by it (``_orbit_constraint``).  Two avoiders lie in
+    branches on C, the tightest open constraint, preferring the tightest
+    one that is a union of cells when there is one.  Two avoiders lie in
     one orbit exactly when they meet every cell in the same number of
     points; an avoider whose vector of those numbers matches that of an
     earlier sibling is skipped, and still joins ``prefix``.  A child's cells
@@ -629,18 +597,23 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     Why the skips are sound, by induction on the position in the loop:
     take a family of the node's space whose first avoider of C in loop
     order is a skipped ``v``.  An element g of the node's group maps ``v``
-    onto an earlier sibling with the same vector and maps the family onto
-    g(family), of the same size, in the node's space (g keeps
-    intersections and maps C onto itself), holding that earlier sibling,
-    so with an earlier first avoider.  That avoider was tried, and its
-    subtree covers g(family), or was skipped, and the induction applies
+    onto an earlier sibling ``w`` with the same vector and maps the family
+    onto g(family), of the same size, in the node's space (g keeps
+    intersections).  g(family) holds ``w``, which avoids C by construction,
+    so its first avoider of C comes earlier.  That avoider was tried, and
+    its subtree covers g(family), or was skipped, and the induction applies
     again.  So every subtree that is dropped holds only families of which
     a searched subtree holds an isomorphic copy: the value is unchanged.
     Collection stays exact up to isomorphism for the same reason: every
     optimum of the branch has an image under the root's group, a
     relabelling that keeps the branch, among the collected optima (the
     composite of the group elements met along the way), so every class of
-    optima is still collected, only fewer labelled copies of it.
+    optima is still collected, only fewer labelled copies of it.  The
+    argument never needs g to map C onto itself, so the cells are not
+    refined by C; nor would that change an avoider's orbit, as its vector
+    would only gain zeros for the parts of cells inside C.  Preferring a C
+    that is a union of cells is only a branching choice, kept because it
+    prunes: without it the (9,4) split walks about a fifth more nodes.
     """
     if n < 2 * k:
         raise ValueError("max_intersecting requires n >= 2k")
@@ -758,23 +731,26 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
             if unsat == 0:
                 note_solution(chosen)
         if unsat:
-            # branch on the tightest open constraint: first-avoider split
-            if cells is None:
-                pick_av, pick_cnt = 0, 1 << 62
-                u = unsat
-                while u:
-                    cb = u & -u
-                    u ^= cb
-                    av = avoiders[cb.bit_length() - 1] & cand
-                    cnt = av.bit_count()
-                    if cnt < pick_cnt:
-                        pick_av, pick_cnt = av, cnt
-            else:
-                pick_av, cells = _orbit_constraint(cells, cand, unsat, avoiders,
-                                                   constraints)
-                # orbits of the children tried so far, and the cells refined
-                # by every avoider passed so far (the next child's)
-                tried = set()
+            # first-avoider split on the tightest open constraint, unions of cells first
+            pick_av, pick_key = 0, 1 << 63
+            u = unsat
+            while u:
+                cb = u & -u
+                u ^= cb
+                ci = cb.bit_length() - 1
+                av = avoiders[ci] & cand
+                key = av.bit_count()
+                if key < pick_key and cells is not None:
+                    cm = constraints[ci]
+                    for cell in cells:
+                        if cell & cm and cell & ~cm:
+                            key |= 1 << 62
+                            break
+                if key < pick_key:
+                    pick_av, pick_key = av, key
+            # orbits of the children tried so far, and the cells refined by
+            # every avoider passed so far (the next child's)
+            tried = set()
             rest = cells
             prefix = 0
             av = pick_av

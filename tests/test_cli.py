@@ -422,7 +422,20 @@ BAD_INPUT = [
     (["verify", "--suite", "ID-G-SIZE", "--k-min", "10"],
      "ID-G-SIZE: k_min 10 is above k_max 8, so the range is empty"),
     (["verify", "--suite", "INEQ-CASE1", "--n-span", "-1"],
-     "INEQ-CASE1: n_span -1 is negative, so the range is empty"),
+     "INEQ-CASE1: n_span -1 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "ID-HM", "--n-span", "0"],
+     "ID-HM: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "INEQ-PROP23", "--n-span", "0"],
+     "INEQ-PROP23: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "INEQ-KEY-STEPS", "--n-span", "0"],
+     "INEQ-KEY-STEPS: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
+    # |U| = 6 starts at n = 2k + 2
+    (["verify", "--suite", "INEQ-KEY-STEPS", "--n-span", "1"],
+     "INEQ-KEY-STEPS: n_span 1 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "INEQ-CASE1", "--n-span", "0"],
+     "INEQ-CASE1: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "INEQ-CASE2", "--n-span", "0"],
+     "INEQ-CASE2: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
     (["verify", "--suite", "ID-G-SIZE", "--k-max", "40"],
      "ID-G-SIZE: n = 2k + n_span reaches 92 at k = 40, past the 64-point ground set"),
     (["verify", "--suite", "ID-G-SIZE", "--k-max", "10"],
@@ -521,6 +534,9 @@ def test_verify_refuses_ranges_before_any_suite_runs(monkeypatch, capsys):
         assert capsys.readouterr().out == ""
     assert ran == []
     assert properties.range_refusal("ID-G-SIZE") is None
+    # n = 2k lies in both ranges, so they still check a point at n_span 0
+    assert properties.range_refusal("ID-EKR", n_span=0) is None
+    assert properties.range_refusal("ID-G-SIZE", n_span=0) is None
     assert g_size_formula(28, 8) <= certify.G_SIZE_MEMBER_LIMIT
     with pytest.raises(ValueError, match="past the limit"):
         certify.suite_id_g_size(k_max=10)

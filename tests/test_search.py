@@ -698,7 +698,10 @@ def test_optima_7_3_3_against_clique_enumeration():
 @pytest.mark.slow
 def test_seeded_search_structure():
     """Branch A of the structural split, the covering-number-3 case, proves
-    48 at (9,4): every forced branch A_j is proved, and their maximum is 48."""
+    48 at (9,4): every forced branch A_j is proved, and their maximum is 48.
+    The node counts pin the orbit-pruned trees: a split that drops its
+    preference for a constraint that is a union of cells stays sound but
+    walks 239,994 / 378,275 / 277,790 nodes."""
     incumbent = _default_incumbent(9, 4, 3)
     branches = [b for b in _structural_branches(9, 4)
                 if b.constraints == _avoidance(9, 3)]
@@ -706,3 +709,4 @@ def test_seeded_search_structure():
     results = [_search(9, 4, b, 600, incumbent)[0] for b in branches]
     assert all(res.status == "proved-optimal" for res in results)
     assert max(res.value for res in results) == 48
+    assert [res.nodes for res in results] == [239994, 364946, 261243]
