@@ -78,8 +78,10 @@ def _grid(k_min: int, k_max: int, offset: int, n_span: int) -> Iterator[tuple[in
 
 def _sweeps(windows: Callable[..., list]) -> Callable:
     """Attach to a suite, as ``suite.windows``, the function of its settings
-    that gives the n-windows (iterables of points) it loops over;
-    ``properties.range_refusal`` refuses settings that leave one empty."""
+    that gives the windows (iterables of points: n-ranges, or the k-range
+    of ID-F-REC) it loops over; ``properties.range_refusal`` refuses
+    settings that leave one empty.  The function's last parameter is the
+    setting that empties a window once k_min <= k_max."""
     def attach(suite):
         suite.windows = windows
         return suite
@@ -140,10 +142,10 @@ def suite_id_g_size(k_min=3, k_max=8, n_span=12) -> Certificate:
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
+@_sweeps(lambda n_max: [range(start, n_max + 1) for start in (9, 11, 13)])
 def suite_id_g_poly(n_max=200) -> Certificate:
     witnesses = []
-    ranges = {4: range(9, n_max + 1), 5: range(11, n_max + 1), 6: range(13, n_max + 1)}
-    for k, ns in ranges.items():
+    for k, ns in zip((4, 5, 6), suite_id_g_poly.windows(n_max)):
         for n in ns:
             poly = _poly_g(n, k)
             if poly.denominator != 1 or poly != g_size_formula(n, k):
@@ -200,11 +202,12 @@ def suite_id_hm(k_min=3, k_max=12, n_span=60) -> Certificate:
         {"k_min": k_min, "k_max": k_max, "n_span": n_span}, witnesses)
 
 
+@_sweeps(lambda k_max: [range(5, k_max)])
 def suite_id_f_rec(k_max=200) -> Certificate:
     witnesses = []
     if _f_gap(5) != 3:
         witnesses.append({"k": 5, "f": _f_gap(5), "expected": 3})
-    for k in range(5, k_max):
+    for k in suite_id_f_rec.windows(k_max)[0]:
         lhs = _f_gap(k + 1) - _f_gap(k)
         rhs = binom(2 * k - 3, k - 1) - binom(2 * k - 3, k - 4) - 3
         if lhs != rhs:

@@ -8,6 +8,7 @@ Hilton-Milner family, and lexicographic initial segments L(n, k, m).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
 from operator import ge
 
@@ -37,6 +38,30 @@ def build_K34(n: int = 4) -> UniformFamily:
     return UniformFamily.from_sets(n, 3, combinations(range(1, 5), 3))
 
 
+def _g_blockers(k: int) -> tuple[int, int, int]:
+    """The three blockers of G(n,k), which lie inside [2..2k] for every n."""
+    ends = list(range(k + 2, 2 * k + 1))
+    return mask_of(range(2, k + 2), 2 * k), mask_of([2] + ends, 2 * k), mask_of([3] + ends, 2 * k)
+
+
+@lru_cache(maxsize=8)
+def _g_heads(k: int) -> tuple[tuple[int, ...], ...]:
+    """The heads of G(n,k), for every n: ``heads[j]`` lists in increasing
+    order the masks of 1 plus a j-subset of the core [2..2k] that meet all
+    three blockers, for 0 <= j < k.
+
+    Each ``heads[j]`` is checked as a (j+1)-uniform family on [2k] once
+    per k.  They are tuples, so no caller can change the cached heads.
+    """
+    b1, b2, b3 = _g_blockers(k)
+    core = [1 << (x - 1) for x in range(2, 2 * k + 1)]
+    heads = tuple(tuple(sorted(m for m in map(sum, combinations(core, j), repeat(1))
+                               if m & b1 and m & b2 and m & b3)) for j in range(k))
+    for j, head in enumerate(heads):
+        UniformFamily(2 * k, j + 1, head)  # raises unless each head is in order
+    return heads
+
+
 def build_G(n: int, k: int) -> UniformFamily:
     """G(n,k) = A ∪ B with B the three blocking sets and A the 1-star filtered by B.
 
@@ -49,35 +74,29 @@ def build_G(n: int, k: int) -> UniformFamily:
     joined to a tail, any (k-1-j)-subset of [2k+1..n].  The tails need no
     filter: they are disjoint from the core and so from every blocker, and
     whether a set meets the blockers is decided by its head alone.  Only
-    the heads, at most 2^(2k-1) of them, are tested one by one; the
-    members are then built in C, one ``map(tail.__add__, heads[j])`` per
-    tail.  Every tail bit lies above every head bit, so taking the tails
-    in increasing mask order lists A in increasing (colex) order already.
-    The blockers lie below 2^(2k) and merge into the tail-free prefix
-    only; the whole list is never sorted.
+    the heads, at most 2^(2k-1) of them, are tested one by one, once per k
+    (``_g_heads``); the members are then built in C, one
+    ``map(tail.__add__, heads[j])`` per tail.  Every tail bit lies above
+    every head bit, so taking the tails in increasing mask order lists A
+    in increasing (colex) order already.  The blockers lie below 2^(2k)
+    and merge into the tail-free prefix only; the whole list is never
+    sorted.
 
     The members are checked through their parts, in O(#heads + #tails)
     rather than per member: the tail-free prefix as a family, each
-    ``heads[j]`` as a (j+1)-uniform family on [2k], and the tails as
-    strictly increasing nonempty sets of fewer than k points inside
-    [2k+1..n].  A head of j+1 points joined to a tail of k-1-j points is
-    then a k-set of [n], and the join is strictly increasing, so the
-    result is built through ``UniformFamily._trusted``.
+    ``heads[j]`` as a (j+1)-uniform family on [2k] (once per k), and the
+    tails as strictly increasing nonempty sets of fewer than k points
+    inside [2k+1..n].  A head of j+1 points joined to a tail of k-1-j
+    points is then a k-set of [n], and the join is strictly increasing, so
+    the result is built through ``UniformFamily._trusted``.
     """
     if not (n >= 2 * k >= 6):
         raise ValueError(f"build_G requires n >= 2k >= 6, got n={n}, k={k}")
-    b1 = mask_of(range(2, k + 2), n)
-    b2 = mask_of([2] + list(range(k + 2, 2 * k + 1)), n)
-    b3 = mask_of([3] + list(range(k + 2, 2 * k + 1)), n)
-    core = [1 << (x - 1) for x in range(2, 2 * k + 1)]
-    heads = [sorted(m for m in map(sum, combinations(core, j), repeat(1))
-                    if m & b1 and m & b2 and m & b3) for j in range(k)]
+    heads = _g_heads(k)
     free = [1 << (x - 1) for x in range(2 * k + 1, n + 1)]
     tails = sorted(chain.from_iterable(map(sum, combinations(free, t))
                                        for t in range(1, k - 1)))
-    prefix = UniformFamily(n, k, tuple(sorted(heads[k - 1] + [b1, b2, b3])))  # empty tail
-    for j, head in enumerate(heads):
-        UniformFamily(2 * k, j + 1, tuple(head))  # raises unless each head is in order
+    prefix = UniformFamily(n, k, tuple(sorted(heads[k - 1] + _g_blockers(k))))  # empty tail
     core_bits = (1 << (2 * k)) - 1
     if any(map(ge, tails, tails[1:])) or not all(
             0 < t.bit_count() < k and not t & core_bits and not t >> n for t in tails):

@@ -1,10 +1,13 @@
 """Brute-force extremal oracles and the trace-bound checker.
 
-The cross-intersecting oracles exploit the fix-A / derive-B reduction:
-for a fixed family A of a-sets the optimal partner is B_max(A), the set
-of all b-sets meeting every member of A, so the search space collapses
-to subsets of C([n], a).  Enumeration is exact; meet-in-the-middle over
-bit halves keeps the 2^C(n,a) sweep at desk speed.
+The cross-intersecting oracles exploit the fix-one-side reduction: for
+a fixed family A of a-sets the optimal partner is B_max(A), the set of
+all b-sets meeting every member of A, so the search space collapses to
+the subsets of one side.  Each oracle sweeps its smaller side:
+``ft92_oracle`` the a-sets (a <= b and n >= a+b), and
+``hilton_corollary_oracle`` the b-sets (b < a and m > a+b).
+Enumeration is exact; meet-in-the-middle over bit halves keeps the
+2^C(n,s) sweep over the s-sets of the fixed side at desk speed.
 
 The trace-bound checker evaluates every applicable window inequality of
 the four-trace machinery on a concrete family, with per-statement
@@ -27,7 +30,7 @@ from .covers import has_cover, tau
 from .families import (TraceStats, UniformFamily, elements_of, is_intersecting,
                        ksets_colex, mask_of, trace)
 
-ENUM_BIT_LIMIT = 22  # refuse fix-side enumerations beyond 2^22 subsets
+ENUM_BIT_LIMIT = 22  # refuse sweeps of the fixed side beyond 2^22 subsets
 
 
 def _meets_all_mask(items_b: Sequence[int], a_mask: int) -> int:
@@ -42,15 +45,19 @@ def _meets_all_mask(items_b: Sequence[int], a_mask: int) -> int:
 def _enumerate_fix_a(n: int, a: int, b: int):
     """Yield (count_a, bmax_bitset) over all subsets of C([n],a), meet-in-middle.
 
-    The b-side compatibility bitset of a subset is the AND of its members'
-    bitsets; halving the item list gives 2^(N/2) precomputed partial ANDs.
+    The fixed side is the one named first: a caller that sweeps the
+    b-sets calls ``_enumerate_fix_a(n, b, a)`` and gets, for each family
+    B, |B| and the bitset of A_max(B).  ``ENUM_BIT_LIMIT`` caps C(n,a),
+    the size of the swept side.  The other side's compatibility bitset of
+    a subset is the AND of its members' bitsets; halving the item list
+    gives 2^(N/2) precomputed partial ANDs.
     """
     items_a = list(ksets_colex(n, a))
     items_b = list(ksets_colex(n, b))
     na = len(items_a)
     if na > ENUM_BIT_LIMIT:
         raise ValueError(
-            f"fix-A enumeration needs 2^{na} subsets of C({n},{a}); "
+            f"the fixed-side sweep needs 2^{na} subsets of C({n},{a}); "
             f"2^{ENUM_BIT_LIMIT} is the desk-scale cap")
     full_b = (1 << len(items_b)) - 1
     compat = [_meets_all_mask(items_b, am) for am in items_a]
@@ -118,8 +125,18 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
     """Check |A|+|B| <= C(m-1,a-1)+C(m-1,b-1) under the corollary's hypothesis.
 
     Hypothesis: |B| >= C(m-1,b-1) or |A| <= C(m-1,a-1); requires
-    m > a+b and a > b.  Fix-A enumeration with B = B_max(A); when the
-    hypothesis forces a smaller A, the cap |A| <= C(m-1,a-1) is applied.
+    m > a+b and a > b.  The sweep fixes the smaller side, B ⊆ C([m],b),
+    and pairs it with A_max(B), the a-sets meeting every member of B.
+    A pair scores
+
+        total(|A|, |B|) = (|A| if |B| >= C(m-1,b-1) else min(|A|, C(m-1,a-1))) + |B|,
+
+    the largest admissible sum inside it: when the hypothesis fails, any
+    C(m-1,a-1) members of A with the same B satisfy it.  total never falls
+    as |A| or |B| grows, so the maximum over B equals the maximum over A
+    with B_max(A): the pair (A, B_max(A)) is dominated by (A_max(B), B)
+    with B = B_max(A), since A ⊆ A_max(B); and (A_max(B), B) is dominated
+    by (A', B_max(A')) with A' = A_max(B), since B ⊆ B_max(A').
     """
     if not (m > a + b and a > b):
         raise ValueError(f"hilton_corollary_oracle needs m > a+b and a > b, got {(m, a, b)}")
@@ -127,15 +144,9 @@ def hilton_corollary_oracle(m: int, a: int, b: int) -> Certificate:
     a_cap = binom(m - 1, a - 1)
     b_floor = binom(m - 1, b - 1)
     best = 0
-    for cnt_a, bmax in _enumerate_fix_a(m, a, b):
-        cnt_b = bmax.bit_count()
-        if cnt_a <= a_cap or cnt_b >= b_floor:
-            total = cnt_a + cnt_b
-        elif cnt_b > 0:
-            # hypothesis fails for (A, B_max); capped sub-A still admissible
-            total = a_cap + cnt_b
-        else:
-            total = min(cnt_a, a_cap)
+    for cnt_b, amax in _enumerate_fix_a(m, b, a):
+        cnt_a = amax.bit_count()
+        total = (cnt_a if cnt_b >= b_floor else min(cnt_a, a_cap)) + cnt_b
         if total > best:
             best = total
     witnesses = []

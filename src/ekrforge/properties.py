@@ -20,6 +20,7 @@ import random
 import time
 import warnings
 from dataclasses import replace
+from functools import cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -166,15 +167,20 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0) -> Certificate:
     Exhaustive at (n,a,b) = (5,2,2) through the derive-B_max reduction
     (checking each A against its maximal partner covers every pair by
     monotonicity of initial segments), plus seeded random pairs at
-    (6,2,3).
+    (6,2,3).  A verdict depends only on (n, a, b, |A|, |B|), so each is
+    decided once; every sample that fails still records its own witness.
     """
     witnesses = []
+
+    @cache  # local to this call
+    def lex_cross(n: int, a: int, b: int, ca: int, cb: int) -> bool:
+        return are_cross_intersecting(lex_family(n, a, ca), lex_family(n, b, cb))
+
     # exhaustive at (5,2,2)
     count_a, _, bmax = _bmax_of(5, 2, 2)
     for mask in range(1, 1 << count_a):
         ca, cb = mask.bit_count(), bmax(mask).bit_count()
-        la, lb = lex_family(5, 2, ca), lex_family(5, 2, cb)
-        if not are_cross_intersecting(la, lb):
+        if not lex_cross(5, 2, 2, ca, cb):
             witnesses.append({"case": "exhaustive-522", "A_count": ca, "B_count": cb})
     # randomized at (6,2,3)
     rng = random.Random(seed)
@@ -186,8 +192,7 @@ def suite_hilton_lex(samples: int = 10000, seed: int = 0) -> Certificate:
         # random admissible B inside B_max
         bsel = bmax(mask) & rng.getrandbits(count_b)
         ca, cb = mask.bit_count(), bsel.bit_count()
-        la, lb = lex_family(6, 2, ca), lex_family(6, 3, cb)
-        if not are_cross_intersecting(la, lb):
+        if not lex_cross(6, 2, 3, ca, cb):
             witnesses.append({"case": "random-623", "A_count": ca, "B_count": cb})
     return make_certificate(
         "HILTON-LEX", "L(n,a,|A|), L(n,b,|B|) stay cross-intersecting",
@@ -275,8 +280,9 @@ def range_refusal(suite_id: str, **settings) -> Optional[str]:
     """Why a registered suite refuses the range that the settings, with
     its defaults for the rest, give it, or None.  An empty range is
     refused, since the suite would pass having checked nothing: k_min above
-    k_max, or an n_span that leaves one of the suite's ``windows`` (the
-    n-ranges it loops over) empty.  So is an ID-G-SIZE range that
+    k_max, or an n_span, n_max or k_max that leaves one of the suite's
+    ``windows`` (the n- or k-ranges it loops over) empty; the refusal
+    names that setting.  So is an ID-G-SIZE range that
     ``certify.id_g_size_refusal`` refuses.  A setting the suite's
     signature does not name raises TypeError."""
     bound = inspect.signature(SUITES[suite_id]).bind(**settings)
@@ -287,8 +293,10 @@ def range_refusal(suite_id: str, **settings) -> Optional[str]:
                 f"so the range is empty")
     windows = getattr(SUITES[suite_id], "windows", None)
     if windows and any(next(iter(w), None) is None for w in windows(**ranges)):
-        return (f"{suite_id}: n_span {ranges['n_span']} leaves one of its n-ranges "
-                f"empty, so it would check nothing there")
+        setting = list(inspect.signature(windows).parameters)[-1]
+        # n_span and n_max bound n-ranges, k_max the k-range of ID-F-REC
+        return (f"{suite_id}: {setting} {ranges[setting]} leaves one of its "
+                f"{setting[0]}-ranges empty, so it would check nothing there")
     if suite_id == "ID-G-SIZE":
         return certify.id_g_size_refusal(**ranges)
     return None

@@ -5,13 +5,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from ekrforge import families, oracles
+from ekrforge.binomial import binom
 from ekrforge.certify import make_certificate
-from ekrforge.families import UniformFamily, elements_of, mask_of
+from ekrforge.constructions import lex_family
+from ekrforge.families import (UniformFamily, are_cross_intersecting, elements_of, ksets_colex,
+                               mask_of)
 from ekrforge.familyio import FamilyFormatError
+from ekrforge.oracles import ENUM_BIT_LIMIT
+from ekrforge.properties import _bmax_of
 
 
 def pairwise_is_intersecting(family: UniformFamily) -> bool:
@@ -54,7 +60,6 @@ def reference_build_G(n: int, k: int) -> UniformFamily:
 
     Independent oracle for ``constructions.build_G``.
     """
-    from ekrforge.families import ksets_colex
     b1 = mask_of(range(2, k + 2), n)
     b2 = mask_of([2] + list(range(k + 2, 2 * k + 1)), n)
     b3 = mask_of([3] + list(range(k + 2, 2 * k + 1)), n)
@@ -255,6 +260,118 @@ def reference_trace_bound_check(family: UniformFamily, window):
         details={"skipped": skipped, "evaluated": evaluated})
 
 
+def _reference_meets_all_mask(items_b, a_mask: int) -> int:
+    """Bitset over items_b of the b-sets meeting a given a-set."""
+    out = 0
+    for idx, b in enumerate(items_b):
+        if b & a_mask:
+            out |= 1 << idx
+    return out
+
+
+def _reference_enumerate_fix_a(n: int, a: int, b: int):
+    """Yield (count_a, bmax_bitset) over all subsets of C([n],a), meet-in-middle.
+
+    The b-side compatibility bitset of a subset is the AND of its members'
+    bitsets; halving the item list gives 2^(N/2) precomputed partial ANDs.
+    """
+    items_a = list(ksets_colex(n, a))
+    items_b = list(ksets_colex(n, b))
+    na = len(items_a)
+    if na > ENUM_BIT_LIMIT:
+        raise ValueError(
+            f"fix-A enumeration needs 2^{na} subsets of C({n},{a}); "
+            f"2^{ENUM_BIT_LIMIT} is the desk-scale cap")
+    full_b = (1 << len(items_b)) - 1
+    compat = [_reference_meets_all_mask(items_b, am) for am in items_a]
+    half = na // 2
+    lo_items, hi_items = compat[:half], compat[half:]
+
+    def half_table(items):
+        table = [(0, full_b)]
+        for idx, cm in enumerate(items):
+            table += [(cnt + 1, acc & cm) for cnt, acc in table]
+        return table
+
+    lo = half_table(lo_items)
+    hi = half_table(hi_items)
+    for cnt_h, acc_h in hi:
+        for cnt_l, acc_l in lo:
+            yield cnt_h + cnt_l, acc_h & acc_l
+
+
+def reference_hilton_corollary(m: int, a: int, b: int):
+    """Hilton's corollary checked by sweeping the a-side: every A ⊆ C([m],a)
+    with B = B_max(A), capped at |A| <= C(m-1,a-1) where the hypothesis
+    fails.
+
+    Independent oracle for ``oracles.hilton_corollary_oracle``, which
+    sweeps the smaller b-side; the cap is ``ENUM_BIT_LIMIT`` on C(m,a).
+    """
+    if not (m > a + b and a > b):
+        raise ValueError(f"hilton_corollary_oracle needs m > a+b and a > b, got {(m, a, b)}")
+    bound = binom(m - 1, a - 1) + binom(m - 1, b - 1)
+    a_cap = binom(m - 1, a - 1)
+    b_floor = binom(m - 1, b - 1)
+    best = 0
+    for cnt_a, bmax in _reference_enumerate_fix_a(m, a, b):
+        cnt_b = bmax.bit_count()
+        if cnt_a <= a_cap or cnt_b >= b_floor:
+            total = cnt_a + cnt_b
+        elif cnt_b > 0:
+            # hypothesis fails for (A, B_max); capped sub-A still admissible
+            total = a_cap + cnt_b
+        else:
+            total = min(cnt_a, a_cap)
+        if total > best:
+            best = total
+    witnesses = []
+    if best > bound:
+        witnesses.append({"kind": "bound-violated", "max": best, "bound": bound})
+    if best != bound:
+        witnesses.append({"kind": "attainment", "max": best, "bound": bound})
+    return make_certificate(
+        "HILTON-COROLLARY",
+        f"hypothesis-restricted max |A|+|B| equals C({m - 1},{a - 1})+C({m - 1},{b - 1})"
+        f" = {bound}",
+        {"m": m, "a": a, "b": b, "bound": bound, "max": best},
+        witnesses)
+
+
+def reference_suite_hilton_lex(samples: int = 10000, seed: int = 0):
+    """HILTON-LEX with a fresh pair of ``lex_family`` and a cross-check for
+    every sample.
+
+    Independent oracle for ``properties.suite_hilton_lex``, which decides
+    each (n, a, b, |A|, |B|) once.  It looks up ``are_cross_intersecting``
+    in this module, so a test can patch it here.
+    """
+    witnesses = []
+    # exhaustive at (5,2,2)
+    count_a, _, bmax = _bmax_of(5, 2, 2)
+    for mask in range(1, 1 << count_a):
+        ca, cb = mask.bit_count(), bmax(mask).bit_count()
+        la, lb = lex_family(5, 2, ca), lex_family(5, 2, cb)
+        if not are_cross_intersecting(la, lb):
+            witnesses.append({"case": "exhaustive-522", "A_count": ca, "B_count": cb})
+    # randomized at (6,2,3)
+    rng = random.Random(seed)
+    count_a, count_b, bmax = _bmax_of(6, 2, 3)
+    for _ in range(samples):
+        mask = rng.getrandbits(count_a)
+        if not mask:
+            continue
+        # random admissible B inside B_max
+        bsel = bmax(mask) & rng.getrandbits(count_b)
+        ca, cb = mask.bit_count(), bsel.bit_count()
+        la, lb = lex_family(6, 2, ca), lex_family(6, 3, cb)
+        if not are_cross_intersecting(la, lb):
+            witnesses.append({"case": "random-623", "A_count": ca, "B_count": cb})
+    return make_certificate(
+        "HILTON-LEX", "L(n,a,|A|), L(n,b,|B|) stay cross-intersecting",
+        {"samples": samples, "seed": seed}, witnesses)
+
+
 def k34_window_family(n: int = 9) -> UniformFamily:
     """A saturated intersecting 4-graph on [9] whose 3-cover family is K3(4).
 
@@ -339,7 +456,6 @@ def brute_max_by_cliques(n: int, k: int, r_min: int) -> int:
     """Independent oracle for m(n,k,r): enumerate every maximal intersecting
     family via Bron-Kerbosch, filter by covering number, take the max size."""
     from ekrforge.covers import tau
-    from ekrforge.families import ksets_colex
 
     masks = list(ksets_colex(n, k))
     compat = intersect_compat(masks)

@@ -8,10 +8,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import prop34_equality_family, reference_trace_bound_check
-from ekrforge import families, oracles
+import conftest
+from conftest import (prop34_equality_family, reference_hilton_corollary,
+                      reference_suite_hilton_lex, reference_trace_bound_check)
+from ekrforge import families, oracles, properties
 from ekrforge.binomial import binom
-from ekrforge.properties import SUITES, list_suites, verify_identity_suite
+from ekrforge.properties import SUITES, list_suites, suite_hilton_lex, verify_identity_suite
 from ekrforge.constructions import build_G, build_HM
 from ekrforge.covers import tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of, trace
@@ -134,6 +136,61 @@ def test_hilton_corollary_oracle():
         hilton_corollary_oracle(5, 3, 2)
     with pytest.raises(ValueError):
         hilton_corollary_oracle(6, 2, 3)
+
+
+# every (m,a,b) with m > a+b and a > b whose a-side, C([m],a), an a-side
+# sweep can enumerate (a >= 6 would need m >= a+2 and C(a+2,2) >= 28 a-sets)
+HILTON_POINTS = [(m, a, b) for a in range(2, 6) for b in range(1, a)
+                 for m in range(a + b + 1, 12) if binom(m, a) <= oracles.ENUM_BIT_LIMIT]
+
+
+def test_hilton_points():
+    assert HILTON_POINTS == [(4, 2, 1), (5, 2, 1), (6, 2, 1), (7, 2, 1), (5, 3, 1),
+                             (6, 3, 1), (6, 3, 2), (6, 4, 1), (7, 5, 1)]
+
+
+@pytest.mark.parametrize("m,a,b", HILTON_POINTS)
+def test_hilton_corollary_matches_a_side_sweep(m, a, b):
+    """Sweeping the b-side with A = A_max(B) gives the a-side sweep's
+    maximum, verdict and witnesses."""
+    cert, ref = hilton_corollary_oracle(m, a, b), reference_hilton_corollary(m, a, b)
+    assert (cert.params, cert.verdict, cert.witnesses) == (ref.params, ref.verdict, ref.witnesses)
+
+
+def test_hilton_corollary_past_the_a_side_cap():
+    """C(7,3) = C(7,4) = 35 a-sets are past the cap, but the b-side has
+    C(7,2) = 21 sets; the cap now applies to the swept b-side."""
+    for (m, a, b), value in {(7, 3, 2): 21, (7, 4, 2): 26}.items():
+        cert = hilton_corollary_oracle(m, a, b)
+        assert cert.passed and cert.params["max"] == value == cert.params["bound"]
+        with pytest.raises(ValueError, match="desk-scale cap"):
+            reference_hilton_corollary(m, a, b)
+    with pytest.raises(ValueError, match=r"2\^28 subsets of C\(8,2\)"):
+        hilton_corollary_oracle(8, 3, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_hilton_lex_matches_unmemoized_suite(seed):
+    assert suite_hilton_lex(seed=seed) == reference_suite_hilton_lex(seed=seed)
+
+
+def test_hilton_lex_one_witness_per_sample(monkeypatch):
+    """With every cross-check failing, each sample still records its own
+    witness, while each (n, a, b, |A|, |B|) is checked once."""
+    calls = []
+
+    def never(la, lb):
+        calls.append((la.n, la.k, lb.k, len(la), len(lb)))
+        return False
+
+    monkeypatch.setattr(properties, "are_cross_intersecting", never)
+    monkeypatch.setattr(conftest, "are_cross_intersecting", lambda la, lb: False)
+    cert = suite_hilton_lex(samples=500, seed=3)
+    assert cert.witnesses == reference_suite_hilton_lex(samples=500, seed=3).witnesses
+    cases = [w["case"] for w in cert.witnesses]
+    assert cases.count("exhaustive-522") == 2 ** 10 - 1
+    assert len(calls) == len(set(calls)) == len(
+        {(w["case"], w["A_count"], w["B_count"]) for w in cert.witnesses})
 
 
 def test_hilton_corollary_star_pair():

@@ -436,6 +436,16 @@ BAD_INPUT = [
      "INEQ-CASE1: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
     (["verify", "--suite", "INEQ-CASE2", "--n-span", "0"],
      "INEQ-CASE2: n_span 0 leaves one of its n-ranges empty, so it would check nothing there"),
+    # ID-G-POLY's n-ranges start at 9, 11 and 13 (k = 4, 5, 6)
+    (["verify", "--suite", "ID-G-POLY", "--n-max", "5"],
+     "ID-G-POLY: n_max 5 leaves one of its n-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "ID-G-POLY", "--n-max", "12"],
+     "ID-G-POLY: n_max 12 leaves one of its n-ranges empty, so it would check nothing there"),
+    # ID-F-REC checks the recurrence for 5 <= k < k_max
+    (["verify", "--suite", "ID-F-REC", "--k-max", "3"],
+     "ID-F-REC: k_max 3 leaves one of its k-ranges empty, so it would check nothing there"),
+    (["verify", "--suite", "ID-F-REC", "--k-max", "5"],
+     "ID-F-REC: k_max 5 leaves one of its k-ranges empty, so it would check nothing there"),
     (["verify", "--suite", "ID-G-SIZE", "--k-max", "40"],
      "ID-G-SIZE: n = 2k + n_span reaches 92 at k = 40, past the 64-point ground set"),
     (["verify", "--suite", "ID-G-SIZE", "--k-max", "10"],
@@ -513,8 +523,9 @@ def test_verify_text_output_byte_stable(capsys):
 
 
 def test_verify_runs_every_registered_suite(capsys):
-    # three samples are below TRACE-BOUNDS-RANDOM's applicability floor
-    assert run(["verify", "--suite", "all", "--k-max", "5", "--n-span", "4",
+    # three samples are below TRACE-BOUNDS-RANDOM's applicability floor;
+    # k_max 6 is the least that ID-F-REC accepts (its recurrence runs to k_max - 1)
+    assert run(["verify", "--suite", "all", "--k-max", "6", "--n-span", "4",
                 "--n-max", "20", "--samples", "3", "--format", "json-lines"]) == 1
     certs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [c["id"] for c in certs] == list_suites()

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import reference_build_G
 from ekrforge.binomial import binom
-from ekrforge.constructions import (build_F_H, build_G, build_HM, build_K34,
+from ekrforge.constructions import (_g_heads, build_F_H, build_G, build_HM, build_K34,
                                     build_R, build_S, full_star, g_size_formula,
                                     lex_family, lex_precedes)
 from ekrforge.covers import brute_force_tau, covers, is_saturated, tau
@@ -62,6 +62,21 @@ def test_build_G_passes_the_checked_constructor():
             g = build_G(n, k)
             assert UniformFamily(n, k, g.masks) == g, (n, k)
             assert len(g) == g_size_formula(n, k), (n, k)
+
+
+def test_g_heads_are_cached_tuples():
+    """The heads of G(n,k) are built and checked once per k, as tuples, so
+    no caller can change them for the next build."""
+    _g_heads.cache_clear()
+    for n in (8, 9, 12):
+        build_G(n, 4)
+    info = _g_heads.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    heads = _g_heads(4)
+    assert type(heads) is tuple and len(heads) == 4
+    assert all(type(head) is tuple for head in heads)
+    assert all(m & 1 and m.bit_count() == j + 1 and m < 1 << 8
+               for j, head in enumerate(heads) for m in head)
 
 
 def test_g_structure_instances():

@@ -8,7 +8,7 @@ the sampling suites that read covers, traces and saturation, at a sample
 count where every certificate passes (at 150 samples TRACE-BOUNDS-RANDOM
 misses its applicability floor).  ``verify --suite all`` runs every suite
 at its default range and sample count, ID-G-SIZE and TRACE-BOUNDS-RANDOM
-included.
+included, at seeds 1 and 7.
 """
 
 import hashlib
@@ -39,12 +39,13 @@ VERIFY = ["verify", "--suite", "PROP-14", "--suite", "PROP-22",
           "--samples", "300", "--seed", "1", "--format", "json-lines"]
 
 
-VERIFY_ALL = ["verify", "--suite", "all", "--seed", "1", "--format", "json-lines"]
+VERIFY_ALL = [["verify", "--suite", "all", "--seed", seed, "--format", "json-lines"]
+              for seed in ("1", "7")]
 
 
 def invocations() -> list[list[str]]:
     """Every pinned command line; a family's name stands for its file."""
-    out = [VERIFY, VERIFY_ALL]
+    out = [VERIFY, *VERIFY_ALL]
     for name, (n, k) in FAMILIES.items():
         out.append(["construct", "g", "--n", str(n), "--k", str(k)])
         out += [[name if a == "{F}" else a for a in argv] for argv in COMMANDS]
@@ -56,6 +57,8 @@ GOLDEN = {
         "d7972dd011877c37c96ad7e1dcc6534d73cf7d1d670c16a0c2663b06b09a01af",
     "verify --suite all --seed 1 --format json-lines":
         "131fdecc87c8048c9bb3fb8f70efa35829087347202c18c81a98ccac8270f2a5",
+    "verify --suite all --seed 7 --format json-lines":
+        "9bca632c277d25cf0fadfa47102720d15f3f9ade49374c2836f24ecbc51480f8",
     "construct g --n 9 --k 4":
         "aaec1f2588c7ec0ba017ae360abcbc0cb4f0a7742e750f071fb8ca4a8b1ced7a",
     "tau G(9,4)":
