@@ -21,8 +21,9 @@ error.  verify runs the selected suites of the one registry in
 each suite only the range flags its signature names; a range flag that
 no selected suite reads is refused, and so are a repeated suite id,
 ``all`` next to another id, and, before any suite runs, a range that a
-selected suite refuses (``properties.range_refusal``: an empty one, or
-an ID-G-SIZE range past 64 points or its member limit).  construct
+selected suite refuses (``properties.range_refusal``: an empty one, an
+ID-G-SIZE range past 64 points or its member limit, a --samples below
+1, or one too small for TRACE-BOUNDS-RANDOM ever to pass).  construct
 takes --k, --apex and --input only for the kinds that read them.
 """
 

@@ -50,6 +50,9 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     candidate is kept iff its bit is clear; the same test on the input's
     members checks that it is intersecting.  Above that size the table
     would not fit, and the point-indexed scan ``covers._added`` decides.
+    Both branches shuffle through ``_shuffle``, which makes the draws of
+    ``rng.shuffle`` with one Python call less per draw, so ``rng`` must be
+    a ``random.Random``.
     """
     n, k = family.n, family.k
     sets = _colex_order(n, k)
@@ -57,7 +60,7 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     if len(sets) > TABLE_LIMIT:
         if not is_intersecting(family):
             raise ValueError("saturate_random requires an intersecting family")
-        rng.shuffle(order)
+        _shuffle(order, rng)
         added = _added(family, [sets[i] for i in order])
         return UniformFamily.from_masks(n, k, [*family.masks, *added])
     disjoint = _disjoint_table(n, k)
@@ -67,13 +70,36 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
         if blocked >> i & 1:  # m is disjoint from an earlier member
             raise ValueError("saturate_random requires an intersecting family")
         blocked |= disjoint[i] | 1 << i
-    rng.shuffle(order)
+    _shuffle(order, rng)
     added = []
     for i in order:
         if not blocked >> i & 1:
             added.append(sets[i])
             blocked |= disjoint[i] | 1 << i
     return UniformFamily.from_masks(n, k, [*family.masks, *added])
+
+
+def _shuffle(order: list, rng: random.Random) -> None:
+    """Shuffle ``order`` in place with exactly the draws of
+    ``rng.shuffle(order)`` on CPython 3.11, so the permutation and
+    ``rng.getstate()`` afterwards are the same.
+
+    It exists to save a Python call per draw: ``Random.shuffle`` calls
+    ``Random._randbelow`` once for each position, and this loop makes the
+    same Fisher-Yates draws (Durstenfeld, CACM 1964, Algorithm 235) inline.
+    For i from len - 1 down to 1 it draws j = ``rng.getrandbits`` of
+    (i + 1).bit_length() bits again while j > i, then swaps positions i
+    and j.  That is ``_randbelow(i + 1)`` of a ``random.Random``, whose
+    ``getrandbits`` is not overridden; ``tests/test_generators.py``
+    compares the two, so a CPython that draws otherwise fails there.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(order) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
 
 
 def random_kset_mask(n: int, k: int, rng: random.Random) -> int:

@@ -89,10 +89,14 @@ def suite_prop22_classify(samples: int = 100, seed: int = 0) -> Certificate:
         witnesses, details={"tags": tags})
 
 
+# the (n, k) points of TRACE-BOUNDS-RANDOM; ``range_refusal`` reads how many
+TRACE_GRID = ((9, 4), (11, 5))
+
+
 def suite_trace_bounds_random(samples: int = 1000, seed: int = 0,
                               min_applicable: int = 100) -> Certificate:
     """All applicable window trace bounds over saturated τ≥3 samples."""
-    grid, window = ((9, 4), (11, 5)), (1, 2, 3, 4, 5)
+    grid, window = TRACE_GRID, (1, 2, 3, 4, 5)
     witnesses = []
     per_point = max(1, samples // len(grid))
     applicable = 0
@@ -129,9 +133,11 @@ def suite_sperner_random(samples: int = 60, seed: int = 0) -> Certificate:
     witnesses = []
     per_point = max(1, samples // len(grid))
     checked_pairs = 0
+    families = 0
     for n, k in grid:
         for _ in range(per_point):
             fam = random_saturated_family(n, k, rng, "free")
+            families += 1
             u_elems = tuple(rng.sample(range(1, n + 1), rng.choice((4, 5, 6))))
             checked, violations = _sperner_violations(trace(fam, u_elems))
             checked_pairs += checked
@@ -139,7 +145,7 @@ def suite_sperner_random(samples: int = 60, seed: int = 0) -> Certificate:
                            "sum": str(total)} for s_a, s_b, total in violations]
     return make_certificate(
         "SPERNER-RANDOM", "α(A) + α(B) <= 1 on random intersecting families",
-        {"samples": samples, "seed": seed, "pairs_checked": checked_pairs},
+        {"samples": families, "seed": seed, "pairs_checked": checked_pairs},
         witnesses)
 
 
@@ -283,8 +289,10 @@ def range_refusal(suite_id: str, **settings) -> Optional[str]:
     k_max, or an n_span, n_max or k_max that leaves one of the suite's
     ``windows`` (the n- or k-ranges it loops over) empty; the refusal
     names that setting.  So is an ID-G-SIZE range that
-    ``certify.id_g_size_refusal`` refuses.  A setting the suite's
-    signature does not name raises TypeError."""
+    ``certify.id_g_size_refusal`` refuses, a samples count below 1, and a
+    TRACE-BOUNDS-RANDOM samples count that draws fewer families in all
+    than its min_applicable, so the suite could never pass.  A setting the
+    suite's signature does not name raises TypeError."""
     bound = inspect.signature(SUITES[suite_id]).bind(**settings)
     bound.apply_defaults()
     ranges = bound.arguments
@@ -299,6 +307,15 @@ def range_refusal(suite_id: str, **settings) -> Optional[str]:
                 f"{setting[0]}-ranges empty, so it would check nothing there")
     if suite_id == "ID-G-SIZE":
         return certify.id_g_size_refusal(**ranges)
+    samples = ranges.get("samples", 1)
+    if samples < 1:
+        return f"{suite_id}: samples must be at least 1, got {samples}"
+    if suite_id == "TRACE-BOUNDS-RANDOM":
+        drawn = len(TRACE_GRID) * max(1, samples // len(TRACE_GRID))
+        if drawn < ranges["min_applicable"]:
+            return (f"{suite_id}: samples {samples} draw {drawn} families, fewer than "
+                    f"the {ranges['min_applicable']} that must meet the window "
+                    f"hypothesis, so it would always fail")
     return None
 
 

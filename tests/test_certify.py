@@ -11,7 +11,7 @@ import pytest
 import conftest
 from conftest import (prop34_equality_family, reference_hilton_corollary,
                       reference_suite_hilton_lex, reference_trace_bound_check)
-from ekrforge import families, oracles, properties
+from ekrforge import certify, families, oracles, properties
 from ekrforge.binomial import binom
 from ekrforge.properties import SUITES, list_suites, suite_hilton_lex, verify_identity_suite
 from ekrforge.constructions import build_G, build_HM
@@ -19,6 +19,35 @@ from ekrforge.covers import tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of, trace
 from ekrforge.generators import sample_saturated_tau3
 from ekrforge.oracles import ft92_oracle, hilton_corollary_oracle, trace_bound_check
+
+
+def test_id_g_size_reports_a_wrong_closed_form(monkeypatch):
+    """A closed form off by one at (13,5) alone gives exactly that witness."""
+    real = certify.g_size_formula
+    monkeypatch.setattr(certify, "g_size_formula",
+                        lambda n, k: real(n, k) + ((n, k) == (13, 5)))
+    cert = certify.suite_id_g_size()
+    assert cert.witnesses == [{"n": 13, "k": 5, "built": real(13, 5),
+                               "formula": real(13, 5) + 1}]
+
+
+def test_id_g_size_reports_a_short_build_at_each_largest_n(monkeypatch):
+    """One G(N,k), N = 2k + 12, is built per k.  If it loses its colex-last
+    member, each k reports a witness at its largest n.  For k >= 4 that
+    member holds the point N, so n = N alone counts short; G(n,3) = G(6,3)
+    has no member past 6, so at k = 3 every n does."""
+    real, built = certify.build_G, []
+
+    def short(n, k):
+        built.append((n, k))
+        return UniformFamily._trusted(n, k, real(n, k).masks[:-1])
+
+    monkeypatch.setattr(certify, "build_G", short)
+    cert = certify.suite_id_g_size()
+    assert built == [(2 * k + 12, k) for k in range(3, 9)]
+    assert [(w["n"], w["k"]) for w in cert.witnesses] == (
+        [(n, 3) for n in range(6, 19)] + built[1:])
+    assert all(w["built"] == w["formula"] - 1 for w in cert.witnesses)
 
 
 def test_all_identity_suites_pass_small_ranges():

@@ -452,6 +452,26 @@ BAD_INPUT = [
      "ID-G-SIZE: G(30,9) has 3990315 members, past the limit of 1048576 per family"),
     (["verify", "--suite", "all", "--k-max", "40"],
      "ID-G-SIZE: n = 2k + n_span reaches 92 at k = 40, past the 64-point ground set"),
+    # the closed form is evaluated before G(N,k) is built, so the first point is named
+    (["verify", "--suite", "ID-G-SIZE", "--k-min", "2"],
+     "g_size_formula requires n >= 2k >= 6, got n=4, k=2"),
+    (["verify", "--suite", "SATURATION-PROPS", "--samples", "0"],
+     "SATURATION-PROPS: samples must be at least 1, got 0"),
+    (["verify", "--suite", "SATURATION-PROPS", "--samples", "-5"],
+     "SATURATION-PROPS: samples must be at least 1, got -5"),
+    (["verify", "--suite", "SPERNER-RANDOM", "--samples", "-5"],
+     "SPERNER-RANDOM: samples must be at least 1, got -5"),
+    (["verify", "--suite", "PROP-14", "--samples", "0"],
+     "PROP-14: samples must be at least 1, got 0"),
+    (["verify", "--suite", "all", "--samples", "0"],
+     "HILTON-LEX: samples must be at least 1, got 0"),
+    (["verify", "--suite", "TRACE-BOUNDS-RANDOM", "--samples", "50"],
+     "TRACE-BOUNDS-RANDOM: samples 50 draw 50 families, fewer than the 100 that must "
+     "meet the window hypothesis, so it would always fail"),
+    # 99 samples draw 49 families at each of the two grid points
+    (["verify", "--suite", "TRACE-BOUNDS-RANDOM", "--samples", "99"],
+     "TRACE-BOUNDS-RANDOM: samples 99 draw 98 families, fewer than the 100 that must "
+     "meet the window hypothesis, so it would always fail"),
 ]
 FAMILIES = {"G73": build_G(7, 3), "STAR": full_star(7, 3), "EMPTY": UniformFamily(6, 3, ()),
             "DISJOINT": UniformFamily.from_sets(7, 3, [(2, 3, 4), (2, 5, 6), (5, 6, 7)])}
@@ -523,10 +543,11 @@ def test_verify_text_output_byte_stable(capsys):
 
 
 def test_verify_runs_every_registered_suite(capsys):
-    # three samples are below TRACE-BOUNDS-RANDOM's applicability floor;
+    # of 100 samples, fewer than TRACE-BOUNDS-RANDOM's floor of 100 meet the
+    # window hypothesis (3 samples are refused: they could never meet it);
     # k_max 6 is the least that ID-F-REC accepts (its recurrence runs to k_max - 1)
     assert run(["verify", "--suite", "all", "--k-max", "6", "--n-span", "4",
-                "--n-max", "20", "--samples", "3", "--format", "json-lines"]) == 1
+                "--n-max", "20", "--samples", "100", "--format", "json-lines"]) == 1
     certs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [c["id"] for c in certs] == list_suites()
     assert len(certs) == 20
@@ -548,6 +569,9 @@ def test_verify_refuses_ranges_before_any_suite_runs(monkeypatch, capsys):
     # n = 2k lies in both ranges, so they still check a point at n_span 0
     assert properties.range_refusal("ID-EKR", n_span=0) is None
     assert properties.range_refusal("ID-G-SIZE", n_span=0) is None
+    # 100 samples draw 100 families, enough to reach the floor of 100
+    assert properties.range_refusal("TRACE-BOUNDS-RANDOM", samples=100) is None
+    assert properties.range_refusal("SATURATION-PROPS", samples=1) is None
     assert g_size_formula(28, 8) <= certify.G_SIZE_MEMBER_LIMIT
     with pytest.raises(ValueError, match="past the limit"):
         certify.suite_id_g_size(k_max=10)

@@ -1,5 +1,7 @@
 """Named constructions and the lexicographic order."""
 
+from bisect import bisect_left
+
 import pytest
 
 from conftest import reference_build_G
@@ -55,13 +57,16 @@ def test_build_G_matches_reference_filter():
 def test_build_G_passes_the_checked_constructor():
     """``build_G`` checks its heads and tails and joins them unchecked; at
     every point of the default ID-G-SIZE grid its members pass the
-    per-member checks of ``UniformFamily`` and number |G(n,k)|.  The
-    comparison with ``reference_build_G`` is above."""
+    per-member checks of ``UniformFamily`` and number |G(n,k)|, and they
+    are the masks below 2^n of G(2k+12,k), the prefix that ID-G-SIZE
+    counts.  The comparison with ``reference_build_G`` is above."""
     for k in range(3, 9):
+        largest = build_G(2 * k + 12, k).masks
         for n in range(2 * k, 2 * k + 13):
             g = build_G(n, k)
             assert UniformFamily(n, k, g.masks) == g, (n, k)
             assert len(g) == g_size_formula(n, k), (n, k)
+            assert g.masks == largest[:bisect_left(largest, 1 << n)], (n, k)
 
 
 def test_g_heads_are_cached_tuples():

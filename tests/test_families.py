@@ -215,6 +215,9 @@ def test_sperner_alpha_property_random():
     from ekrforge.properties import suite_sperner_random
     cert = suite_sperner_random(samples=18, seed=11)
     assert cert.passed, cert.witnesses[:3]
+    assert cert.params["samples"] == 18
+    # 7 samples draw 2 families at each of the three grid points
+    assert suite_sperner_random(samples=7, seed=11).params["samples"] == 6
     assert cert.params["pairs_checked"] > 100
 
 

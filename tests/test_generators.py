@@ -8,7 +8,7 @@ from conftest import pairwise_added
 from ekrforge.binomial import binom
 from ekrforge.covers import is_saturated, tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of
-from ekrforge.generators import (TABLE_LIMIT, blocked_lift_seed, lift_seed,
+from ekrforge.generators import (TABLE_LIMIT, _shuffle, blocked_lift_seed, lift_seed,
                                  random_intersecting_seed,
                                  random_saturated_family, sample_saturated_tau3,
                                  saturate_random)
@@ -93,6 +93,21 @@ def test_saturate_random_against_pairwise_scan(n, k):
             n, k, [*seed_family.masks, *pairwise_added(seed_family, order)])
         assert fam == expected
         assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7, 13, 2024))
+def test_shuffle_draws_as_random_shuffle(seed):
+    """``_shuffle`` gives the permutation of ``random.Random.shuffle`` and
+    leaves the generator in the same state, at every length 0..600 and at
+    C(13,6) = 1716 and C(14,6) = 3003, one length after another from one
+    stream.  A CPython whose shuffle draws otherwise fails here."""
+    rng, twin = random.Random(seed), random.Random(seed)
+    for length in [*range(601), 1716, 3003]:
+        mine, theirs = list(range(length)), list(range(length))
+        _shuffle(mine, rng)
+        twin.shuffle(theirs)
+        assert mine == theirs, length
+        assert rng.getstate() == twin.getstate(), length
 
 
 @pytest.mark.parametrize("n,k", ((9, 4), (14, 6)))
