@@ -121,7 +121,8 @@ def build_F_H(h: UniformFamily, n: int, k: int) -> UniformFamily:
 
     A k-set containing 1 includes a (≤k)-cover of H iff it meets every
     member of H (the set itself is then such a cover), so the filter is a
-    plain meets-all test.
+    plain meets-all test.  It stays a scan that breaks at the first member
+    missed, not ``families.meeting``: most candidates miss a member early.
     """
     if h.k != k:
         raise ValueError(f"H has uniformity {h.k}, expected {k}")

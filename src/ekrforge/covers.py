@@ -16,13 +16,18 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .families import (UniformFamily, elements_of, is_intersecting, ksets_colex,
-                       mask_of)
+                       mask_of, point_index)
 
 
 def covers(family: UniformFamily, ell: int) -> UniformFamily:
     """The ℓ-uniform family of exactly the ℓ-subsets of [n] meeting every member.
 
     An empty family is covered vacuously, so every ℓ-subset qualifies.
+
+    This stays a scan that breaks at the first member a candidate misses,
+    not ``families.meeting``: most ℓ-sets miss a member early, and there
+    the scan wins, as a pairwise scan beat ``_added``'s point index on
+    G(20,6), where nearly every candidate is rejected.
     """
     if not 1 <= ell <= family.n:
         raise ValueError(f"cover size {ell} outside [1, n={family.n}]")
@@ -113,10 +118,12 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
     The test goes through a point index, as in ``is_intersecting``: inc[x]
     is the bitset of the sets so far that hold the point x + 1, and a
     candidate meets them all iff the OR of its points' bitsets is full.
+    The index starts as ``point_index`` of the members and grows by one
+    position per candidate yielded.
     """
     present = set(family.masks)
-    inc = [0] * family.n
-    full = 0  # one bit per set indexed so far
+    inc = point_index(family.masks, family.n)
+    full = (1 << len(family.masks)) - 1  # one bit per set indexed so far
 
     def index(m: int) -> None:
         nonlocal full
@@ -127,8 +134,6 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
             inc[b.bit_length() - 1] |= bit
             m ^= b
 
-    for m in family.masks:
-        index(m)
     for cand in order:
         if cand in present:
             continue

@@ -5,9 +5,11 @@ one member separated by single spaces; member lines in colex order;
 trailing newline; no comments.  The reader accepts member lines in any
 order (families are canonically re-sorted on load) but insists on sorted
 elements within a line, correct cardinalities, in-range elements and no
-duplicate members.  It reports the first problem in file order with its
-1-based line number; within one line, a non-integer element comes first,
-then a wrong cardinality, an out-of-range element and an order error.
+duplicate members.  It skips blank lines, except at k = 0, where a blank
+line is the one possible member, ∅ (so a second one is a duplicate).  It
+reports the first problem in file order with its 1-based line number;
+within one line, a non-integer element comes first, then a wrong
+cardinality, an out-of-range element and an order error.
 
 After the header, the member lines go through a bulk path in chunks of
 ``CHUNK_LINES`` lines, so that the per-member work runs in C and only one
@@ -91,7 +93,8 @@ def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | No
 def _checked_masks(lines: list[str], n: int, k: int, m: int) -> list[int]:
     """The members of ``lines[1:]`` in file order, checked line by line;
     raises the ``FamilyFormatError`` of the first problem in file order."""
-    body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if ln.strip()]
+    # at k = 0 a blank line is the member ∅; otherwise blank lines are skipped
+    body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if k == 0 or ln.strip()]
     if len(body) != m:
         raise FamilyFormatError(
             len(lines) + 1 if len(body) < m else body[m][0],

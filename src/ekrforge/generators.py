@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 from .constructions import build_R, build_S
 from .covers import _added, has_cover, is_intersecting
-from .families import UniformFamily, ksets_colex, mask_of
+from .families import UniformFamily, ksets_colex, mask_of, meeting
 
 
 # saturate_random looks candidates up in a disjointness table up to this
@@ -138,26 +138,12 @@ def _disjoint_table(n: int, k: int) -> tuple[int, ...]:
     """For each colex position i of a k-set of [n], the bitset of the
     positions of the k-sets disjoint from it.
 
-    Built from a point index: the k-sets meeting the i-th are the OR of
-    the bitsets of the sets holding each of its points.
+    The complement of ``meeting``: the k-sets disjoint from the i-th are
+    those whose position is missing from its bitset.
     """
     sets = _colex_order(n, k)
-    inc = [0] * n
-    for i, m in enumerate(sets):
-        while m:
-            b = m & -m
-            inc[b.bit_length() - 1] |= 1 << i
-            m ^= b
     full = (1 << len(sets)) - 1
-    disjoint = []
-    for m in sets:
-        meets = 0
-        while m:
-            b = m & -m
-            meets |= inc[b.bit_length() - 1]
-            m ^= b
-        disjoint.append(full & ~meets)
-    return tuple(disjoint)
+    return tuple(full & ~met for met in meeting(sets, sets, n))
 
 
 @lru_cache(maxsize=16)

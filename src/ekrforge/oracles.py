@@ -7,7 +7,9 @@ the subsets of one side.  Each oracle sweeps its smaller side:
 ``ft92_oracle`` the a-sets (a <= b and n >= a+b), and
 ``hilton_corollary_oracle`` the b-sets (b < a and m > a+b).
 Enumeration is exact; meet-in-the-middle over bit halves keeps the
-2^C(n,s) sweep over the s-sets of the fixed side at desk speed.
+2^C(n,s) sweep over the s-sets of the fixed side at desk speed.  The
+bitset of the other side's sets meeting one fixed-side set comes from
+``families.meeting``, as every such bitset in the package does.
 
 The trace-bound checker evaluates every applicable window inequality of
 the four-trace machinery on a concrete family, with per-statement
@@ -22,24 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
 
 from .binomial import binom
 from .certify import Certificate, make_certificate
 from .covers import has_cover, tau
 from .families import (TraceStats, UniformFamily, elements_of, is_intersecting,
-                       ksets_colex, mask_of, trace)
+                       ksets_colex, mask_of, meeting, trace)
 
 ENUM_BIT_LIMIT = 22  # refuse sweeps of the fixed side beyond 2^22 subsets
-
-
-def _meets_all_mask(items_b: Sequence[int], a_mask: int) -> int:
-    """Bitset over items_b of the b-sets meeting a given a-set."""
-    out = 0
-    for idx, b in enumerate(items_b):
-        if b & a_mask:
-            out |= 1 << idx
-    return out
 
 
 def _enumerate_fix_a(n: int, a: int, b: int):
@@ -49,8 +41,8 @@ def _enumerate_fix_a(n: int, a: int, b: int):
     b-sets calls ``_enumerate_fix_a(n, b, a)`` and gets, for each family
     B, |B| and the bitset of A_max(B).  ``ENUM_BIT_LIMIT`` caps C(n,a),
     the size of the swept side.  The other side's compatibility bitset of
-    a subset is the AND of its members' bitsets; halving the item list
-    gives 2^(N/2) precomputed partial ANDs.
+    a subset is the AND of its members' ``meeting`` bitsets; halving the
+    item list gives 2^(N/2) precomputed partial ANDs.
     """
     items_a = list(ksets_colex(n, a))
     items_b = list(ksets_colex(n, b))
@@ -60,7 +52,7 @@ def _enumerate_fix_a(n: int, a: int, b: int):
             f"the fixed-side sweep needs 2^{na} subsets of C({n},{a}); "
             f"2^{ENUM_BIT_LIMIT} is the desk-scale cap")
     full_b = (1 << len(items_b)) - 1
-    compat = [_meets_all_mask(items_b, am) for am in items_a]
+    compat = list(meeting(items_a, items_b, n))
     half = na // 2
     lo_items, hi_items = compat[:half], compat[half:]
 

@@ -29,12 +29,12 @@ from . import certify
 from .certify import Certificate, make_certificate
 from .classify import ClassificationTag, classify_T3
 from .covers import all_covers, covers, is_saturated, saturate, tau
-from .families import are_cross_intersecting, ksets_colex, trace
+from .families import are_cross_intersecting, ksets_colex, meeting, trace
 from .constructions import lex_family
 from .generators import (random_intersecting_seed, random_saturated_family,
                          sample_saturated_tau3)
-from .oracles import (_meets_all_mask, _sperner_violations, ft92_oracle,
-                      hilton_corollary_oracle, trace_bound_check)
+from .oracles import (_sperner_violations, ft92_oracle, hilton_corollary_oracle,
+                      trace_bound_check)
 
 
 def suite_prop14(samples: int = 200, seed: int = 0) -> Certificate:
@@ -153,7 +153,7 @@ def _bmax_of(n: int, a: int, b: int):
     """Sizes of C([n],a) and C([n],b), and the map from a bitset of a-sets
     to the bitset of B_max, the b-sets meeting every one of them."""
     items_a, items_b = list(ksets_colex(n, a)), list(ksets_colex(n, b))
-    compat = [_meets_all_mask(items_b, am) for am in items_a]
+    compat = list(meeting(items_a, items_b, n))
     full_b = (1 << len(items_b)) - 1
 
     def bmax(mask: int) -> int:

@@ -65,7 +65,8 @@ from itertools import combinations
 from .binomial import binom
 from .constructions import build_G, build_HM, full_star
 from .covers import is_intersecting, tau
-from .families import UniformFamily, elements_of, ksets_colex, mask_of, max_degree
+from .families import (UniformFamily, elements_of, ksets_colex, mask_of, max_degree,
+                       meeting, point_index)
 
 PROVED = "proved-optimal"
 TIMEBOXED = "timeboxed-lower-bound"
@@ -482,24 +483,20 @@ def _colour_classes(cand: int, disj: list[int]) -> list[int]:
     return classes
 
 
-def _candidate_graph(universe, forced) -> tuple[list[int], list[int], list[int]]:
+def _candidate_graph(n: int, universe, forced) -> tuple[list[int], list[int], list[int]]:
     """The candidates (universe members other than the forced ones that
-    meet each of them) with their intersecting and disjoint bitsets."""
+    meet each of them) with their intersecting and disjoint bitsets, read
+    off ``meeting``.  Neither bitset holds a candidate's own bit, not even
+    at k = 0, where the one candidate, ∅, does not meet itself."""
     forced_set = set(forced)
     cand_masks = [m for m in universe
                   if m not in forced_set and all(m & f for f in forced)]
-    nc = len(cand_masks)
-    compat = [0] * nc
-    disj = [0] * nc
-    for i in range(nc):
-        mi = cand_masks[i]
-        for j in range(i + 1, nc):
-            if mi & cand_masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-            else:
-                disj[i] |= 1 << j
-                disj[j] |= 1 << i
+    full = (1 << len(cand_masks)) - 1
+    compat, disj = [], []
+    for i, met in enumerate(meeting(cand_masks, cand_masks, n)):
+        bit = 1 << i
+        compat.append(met & ~bit)
+        disj.append(full & ~(met | bit))
     return cand_masks, compat, disj
 
 
@@ -620,15 +617,11 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     t_start = time.perf_counter()
     deadline = t_start + budget
     forced, constraints = branch.forced, branch.constraints
-    cand_masks, compat, disj = _candidate_graph(branch.universe, forced)
-    avoiders = []
-    for cm in constraints:
-        bits = 0
-        for i, m in enumerate(cand_masks):
-            if not m & cm:
-                bits |= 1 << i
-        avoiders.append(bits)
-    # constraints already satisfied by the forced members
+    cand_masks, compat, disj = _candidate_graph(n, branch.universe, forced)
+    full = (1 << len(cand_masks)) - 1
+    avoiders = [full & ~met for met in meeting(constraints, cand_masks, n)]
+    # constraints already satisfied by the forced members; there are at
+    # most two of them, so a scan rather than ``meeting``
     sat0 = 0
     for ci, cm in enumerate(constraints):
         if any(not pm & cm for pm in forced):
@@ -784,8 +777,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
         if forced_bits:
             del chosen[size:]
 
-    status = _timebox(recurse, list(forced), (1 << len(cand_masks)) - 1,
-                      all_sat & ~sat0, 0, branch.cells)
+    status = _timebox(recurse, list(forced), full, all_sat & ~sat0, 0, branch.cells)
     witness = UniformFamily.from_masks(n, k, best_masks)
     if (optima or not collect) and len(witness) != best:
         raise AssertionError("witness size disagrees with the proven value")
@@ -923,12 +915,9 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     deadline = t_start + budget
 
     first = mask_of(range(1, k + 1), n)
-    cand_masks, compat, disj = _candidate_graph(ksets_colex(n, k), (first,))
+    cand_masks, compat, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
     points = [[x - 1 for x in elements_of(m)] for m in cand_masks]
-    through = [0] * n
-    for i, pts in enumerate(points):
-        for x in pts:
-            through[x] |= 1 << i
+    through = point_index(cand_masks, n)
     degs = [1 if x < k else 0 for x in range(n)]
 
     best = 0

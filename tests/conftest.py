@@ -94,7 +94,8 @@ def reference_parse_family(text: str) -> UniformFamily:
         raise FamilyFormatError(1, f"uniformity {k} outside [0, {n}]")
     if m < 0:
         raise FamilyFormatError(1, f"negative member count {m}")
-    body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if ln.strip()]
+    # at k = 0 a blank line is the member ∅; otherwise blank lines are skipped
+    body = [(idx + 2, ln) for idx, ln in enumerate(lines[1:]) if k == 0 or ln.strip()]
     if len(body) != m:
         raise FamilyFormatError(
             len(lines) + 1 if len(body) < m else body[m][0],
@@ -267,6 +268,31 @@ def _reference_meets_all_mask(items_b, a_mask: int) -> int:
         if b & a_mask:
             out |= 1 << idx
     return out
+
+
+def reference_candidate_graph(universe, forced) -> tuple[list[int], list[int], list[int]]:
+    """The candidates (universe members other than the forced ones that
+    meet each of them) with their intersecting and disjoint bitsets.
+
+    Independent oracle for ``search._candidate_graph``: every pair of
+    candidates is tested directly.
+    """
+    forced_set = set(forced)
+    cand_masks = [m for m in universe
+                  if m not in forced_set and all(m & f for f in forced)]
+    nc = len(cand_masks)
+    compat = [0] * nc
+    disj = [0] * nc
+    for i in range(nc):
+        mi = cand_masks[i]
+        for j in range(i + 1, nc):
+            if mi & cand_masks[j]:
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+            else:
+                disj[i] |= 1 << j
+                disj[j] |= 1 << i
+    return cand_masks, compat, disj
 
 
 def _reference_enumerate_fix_a(n: int, a: int, b: int):
@@ -547,18 +573,8 @@ def reference_degcap(n: int, k: int, ell: int) -> tuple[int, tuple[int, ...], in
 
     cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
     first = mask_of(range(1, k + 1), n)
-    cand_masks = [m for m in ksets_colex(n, k) if m != first and m & first]
+    cand_masks, compat, disj = reference_candidate_graph(ksets_colex(n, k), (first,))
     nc = len(cand_masks)
-    compat = [0] * nc
-    disj = [0] * nc
-    for i in range(nc):
-        for j in range(i + 1, nc):
-            if cand_masks[i] & cand_masks[j]:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-            else:
-                disj[i] |= 1 << j
-                disj[j] |= 1 << i
 
     best = 0
     best_masks: tuple[int, ...] = ()

@@ -11,7 +11,7 @@ from conftest import reference_parse_family
 from ekrforge import certify, properties
 from ekrforge.cli import run
 from ekrforge.constructions import build_G, full_star, g_size_formula
-from ekrforge.families import UniformFamily
+from ekrforge.families import UniformFamily, ksets_colex
 from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
                                render_family, write_family)
 from ekrforge.properties import list_suites
@@ -84,6 +84,44 @@ def test_family_roundtrip_across_chunks():
     """G(24,7) has 82,141 member lines, many chunks of the bulk path."""
     g = build_G(24, 7)
     assert parse_family(render_family(g)) == g
+
+
+def test_family_roundtrip_every_small_family():
+    """Every family with n <= 5 reads back as itself through both readers,
+    k = 0 with m = 0 and m = 1 included: its one possible member, ∅, is
+    written as a blank line."""
+    checked = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            sets = list(ksets_colex(n, k))
+            for chosen in range(1 << len(sets)):
+                fam = UniformFamily(n, k, tuple(m for i, m in enumerate(sets)
+                                                if chosen >> i & 1))
+                text = render_family(fam)
+                assert parse_family(text) == fam == reference_parse_family(text), text
+                checked += 1
+    assert checked == 4 + 8 + 20 + 100 + 2116
+
+
+@pytest.mark.parametrize("text,outcome", [
+    ("3 0 0\n", UniformFamily(3, 0, ())),
+    ("3 0 1\n\n", UniformFamily(3, 0, (0,))),
+    ("3 0 1\n \n", UniformFamily(3, 0, (0,))),
+    ("3 0 2\n\n\n", (3, "line 3: duplicate member (first seen on line 2)")),
+    ("3 0 0\n\n", (2, "line 2: header promises 0 members, file has 1")),
+    ("3 0 1\n1\n", (2, "line 2: member has 1 elements, expected k=0")),
+])
+def test_k0_family_files(text, outcome):
+    """At k = 0 a blank line after the header is the member ∅."""
+    assert _outcome(parse_family, text) == outcome == _outcome(reference_parse_family, text)
+
+
+def test_k0_family_file_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "empty-set.fam"
+    assert run(["lex", "--n", "3", "--k", "0", "--m", "1", "--out", str(path)]) == 0
+    assert path.read_text() == "3 0 1\n\n"
+    assert run(["saturate", str(path)]) == 0
+    assert capsys.readouterr().out == "3 0 1\n\n"
 
 
 def _outcome(reader, text):

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import pairwise_is_intersecting
+from conftest import _reference_meets_all_mask, pairwise_is_intersecting
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
 from ekrforge.families import (KSet, UniformFamily, are_cross_intersecting,
                                elements_of, is_intersecting, ksets_colex, layer,
-                               mask_of, max_degree, trace)
+                               mask_of, max_degree, meeting, point_index, trace)
 
 
 def test_mask_roundtrip():
@@ -102,6 +102,35 @@ def test_is_intersecting_against_pairwise_scan():
         assert is_intersecting(fam) == expected, fam
         outcomes.append(expected)
     assert min(outcomes.count(True), outcomes.count(False)) > 500
+
+
+def _index_cases():
+    """(masks, queries, n): no masks, no queries, the 0-set, a point at
+    bit 63 with n = 64, random bitsets, and every k-set against every one."""
+    top = 1 << 63
+    yield [], [0b101, 0], 3
+    yield [0b011, 0b110], [], 3
+    yield [0], [0, 0b1], 1
+    yield [0, 0b10, 0b11], [0, 0b1, 0b10], 2
+    yield [top, top | 1, 0b10, 0], [top, 1, top | 0b10, 0, (1 << 64) - 1], 64
+    rng = random.Random(17)
+    for n in (5, 9, 13, 64):
+        yield ([rng.getrandbits(n) for _ in range(40)],
+               [rng.getrandbits(n) for _ in range(25)], n)
+    for n, k in ((7, 3), (9, 4)):
+        sets = list(ksets_colex(n, k))
+        yield sets, sets, n
+
+
+@pytest.mark.parametrize("masks,queries,n", list(_index_cases()))
+def test_point_index_and_meeting_against_pairwise_scan(masks, queries, n):
+    """inc[x] holds exactly the positions of the masks through the point
+    x + 1, and each query's bitset exactly the positions of the masks it
+    meets."""
+    assert point_index(masks, n) == [_reference_meets_all_mask(masks, 1 << x)
+                                     for x in range(n)]
+    assert list(meeting(queries, masks, n)) == [_reference_meets_all_mask(masks, q)
+                                                for q in queries]
 
 
 def test_is_intersecting_edge_cases():

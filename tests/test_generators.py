@@ -8,7 +8,8 @@ from conftest import pairwise_added
 from ekrforge.binomial import binom
 from ekrforge.covers import is_saturated, tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of
-from ekrforge.generators import (TABLE_LIMIT, _shuffle, blocked_lift_seed, lift_seed,
+from ekrforge.generators import (TABLE_LIMIT, _disjoint_table, _shuffle,
+                                 blocked_lift_seed, lift_seed,
                                  random_intersecting_seed,
                                  random_saturated_family, sample_saturated_tau3,
                                  saturate_random)
@@ -93,6 +94,17 @@ def test_saturate_random_against_pairwise_scan(n, k):
             n, k, [*seed_family.masks, *pairwise_added(seed_family, order)])
         assert fam == expected
         assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 4), (11, 5), (13, 6)])
+def test_disjoint_table_against_pairwise_scan(n, k):
+    """Position i of the table holds exactly the colex positions of the
+    k-sets disjoint from the i-th."""
+    sets = list(ksets_colex(n, k))
+    table = _disjoint_table(n, k)
+    assert len(table) == len(sets)
+    for a, row in zip(sets, table):
+        assert row == sum(1 << j for j, b in enumerate(sets) if not a & b)
 
 
 @pytest.mark.parametrize("seed", (0, 1, 7, 13, 2024))

@@ -12,7 +12,8 @@ import pytest
 import ekrforge.search
 from conftest import (_apply_perm, _reference_cover_bound, brute_canonical_form,
                       brute_max_by_cliques, intersect_compat, maximal_cliques,
-                      prop34_equality_family, reference_degcap, unforced_branch_a)
+                      prop34_equality_family, reference_candidate_graph,
+                      reference_degcap, unforced_branch_a)
 from ekrforge.binomial import binom
 from ekrforge.cli import run
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
@@ -321,6 +322,27 @@ def test_budget_read_at_every_multiple_of_4096(monkeypatch):
     assert len(reads) == 2 + res.nodes // 4096
 
 
+def _graph_inputs():
+    """(label, n, universe, forced) of every candidate graph the tests
+    compare: a plain branch, every structural branch at (9,4) and (10,4),
+    the degcap universe at (9,3), and the lone 0-set with nothing forced."""
+    branch = _plain_branch(9, 4, 3)
+    yield "plain 9 4 3", 9, branch.universe, branch.forced
+    for n in (9, 10):
+        for i, branch in enumerate(_structural_branches(n, 4)):
+            yield f"split {n} 4 #{i}", n, branch.universe, branch.forced
+    yield "degcap 9 3", 9, tuple(ksets_colex(9, 3)), (mask_of((1, 2, 3), 9),)
+    yield "k = 0", 3, (0,), ()
+
+
+@pytest.mark.parametrize("n,universe,forced", [pytest.param(*args, id=label)
+                                               for label, *args in _graph_inputs()])
+def test_candidate_graph_against_pairwise_builder(n, universe, forced):
+    """The candidates, ``compat`` and ``disj`` read off the point index
+    equal those of the pairwise builder."""
+    assert _candidate_graph(n, universe, forced) == reference_candidate_graph(universe, forced)
+
+
 def test_colour_classes_partition():
     """The listed groups partition the candidates into pairwise-disjoint
     sets, each opening at the lowest candidate left, as many as the greedy
@@ -329,7 +351,7 @@ def test_colour_classes_partition():
     rng = random.Random(3)
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
-        cand_masks, _, disj = _candidate_graph(ksets_colex(n, k), (first,))
+        cand_masks, _, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
         for _ in range(40):
             cand = rng.getrandbits(len(cand_masks))
             classes = _colour_classes(cand, disj)
@@ -358,7 +380,7 @@ def test_forced_candidates_open_singleton_groups():
     seen_forced = 0
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
-        cand_masks, _, disj = _candidate_graph(ksets_colex(n, k), (first,))
+        cand_masks, _, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
         for density in range(1, 7):
             for _ in range(40):
                 cand = -1
