@@ -188,7 +188,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_tau(args) -> int:
     fam = _load_family(args.family)
-    value = _on_input(lambda: not fam.masks, tau, fam)
+    value = _on_input(lambda: not fam.masks or fam.k == 0, tau, fam)
     if args.format == "text":
         _emit(f"{value}\n", args.out)
     else:
@@ -251,7 +251,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_classify(args) -> int:
     fam = _load_family(args.family)
-    result = _on_input(lambda: not fam.masks or not is_intersecting(fam),
+    result = _on_input(lambda: not fam.masks or fam.k == 0 or not is_intersecting(fam),
                        classify_T3, fam)
     payload = {"tag": result.tag.value, "witness": _jsonable(result.witness)}
     if args.format == "text":

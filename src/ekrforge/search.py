@@ -97,6 +97,12 @@ class _Budget(Exception):
     pass
 
 
+# the search cores read the clock once every _CLOCK_STRIDE nodes: at large
+# n a node can take a quarter of a millisecond, so a longer stride lets a
+# timeboxed search overrun its budget by a second
+_CLOCK_STRIDE = 64
+
+
 def canonical_form(family: UniformFamily) -> CanonicalForm:
     """Canonical labelling by individualisation-refinement on the points
     of [n] (McKay & Piperno, Practical graph isomorphism II, 2014).
@@ -665,7 +671,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                 cells: tuple[int, ...] | None) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes % 4096 == 0 and time.perf_counter() > deadline:
+        if nodes % _CLOCK_STRIDE == 0 and time.perf_counter() > deadline:
             raise _Budget
         # leaf: even one member per candidate cannot lift the family past
         # the incumbent, and a family below it is not noted
@@ -710,7 +716,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
         if forced_bits:
             nf = forced_bits.bit_count()
             nodes += nf
-            if nodes % 4096 < nf and time.perf_counter() > deadline:
+            if nodes % _CLOCK_STRIDE < nf and time.perf_counter() > deadline:
                 raise _Budget
             cand ^= forced_bits
             f = forced_bits
@@ -794,7 +800,7 @@ def _split_search(n: int, k: int, budget: float,
 
     The branches run in order, A_1 .. A_{k-1} then B_i; the first gets the
     whole budget, each later one what is left of it, or 0 once it is spent
-    (a branch given 0 stops at its first clock check, after 4096 nodes,
+    (a branch given 0 stops at its first clock check, after 64 nodes,
     with a lower bound).  When collecting, the floor starts at the size of
     the verified ``incumbent`` (0 without one), a lower bound on the
     optimum, so with the non-strict prune no optimum is lost; after each
@@ -932,7 +938,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     def expand(chosen: list[int], cand: int, cells: tuple[int, ...] | None) -> None:
         nonlocal nodes, best, best_masks
         nodes += 1
-        if nodes % 4096 == 0 and time.perf_counter() > deadline:
+        if nodes % _CLOCK_STRIDE == 0 and time.perf_counter() > deadline:
             raise _Budget
         size = len(chosen)
         if size >= best:

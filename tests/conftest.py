@@ -33,6 +33,85 @@ def pairwise_is_intersecting(family: UniformFamily) -> bool:
     return True
 
 
+def reference_point_index(masks, n: int) -> list[int]:
+    """``inc[x]`` is the bitset of the positions i with the point x + 1 in
+    ``masks[i]``, one bit added at a time.
+
+    Independent oracle for the transposing ``families.point_index``.
+    """
+    inc = [0] * n
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            b = m & -m
+            inc[b.bit_length() - 1] |= bit
+            m ^= b
+    return inc
+
+
+def reference_covers(family: UniformFamily, ell: int) -> UniformFamily:
+    """The ℓ-subsets of [n] meeting every member, by a scan that breaks at
+    the first member a candidate misses.
+
+    Independent oracle for the point-indexed ``covers.covers``.
+    """
+    masks = family.masks
+    found = []
+    for t in ksets_colex(family.n, ell):
+        for m in masks:
+            if not t & m:
+                break
+        else:
+            found.append(t)
+    return UniformFamily(family.n, ell, tuple(found))
+
+
+def _reference_exists_cover(masks: list[int], budget: int) -> bool:
+    """Branch-and-bound: is there a ≤budget-element set meeting every mask?"""
+    if not masks:
+        return True
+    if budget == 0:
+        return False
+    if budget == 1:
+        acc = -1
+        for m in masks:
+            acc &= m
+            if not acc:
+                return False
+        return True
+    pivot = masks[0]
+    # branch on the pivot's elements, least frequent first: cheap propagation
+    elems = elements_of(pivot)
+    degs = []
+    for x in elems:
+        b = 1 << (x - 1)
+        degs.append((sum(1 for m in masks if m & b), x))
+    degs.sort()
+    for _, x in degs:
+        b = 1 << (x - 1)
+        rest = [m for m in masks if not m & b]
+        if _reference_exists_cover(rest, budget - 1):
+            return True
+    return False
+
+
+def reference_has_cover(family: UniformFamily, ell: int) -> bool:
+    """True iff some set of at most ℓ points meets every member, by
+    branch-and-bound on lists of the members left.
+
+    Independent oracle for the point-indexed ``covers.has_cover``.
+    """
+    return _reference_exists_cover(list(family.masks), ell)
+
+
+def reference_tau(family: UniformFamily) -> int:
+    """Covering number: the smallest ℓ with ``reference_has_cover``."""
+    for ell in range(1, family.n + 1):
+        if reference_has_cover(family, ell):
+            return ell
+    raise AssertionError("no cover of at most n points")
+
+
 def pairwise_added(family: UniformFamily, order):
     """The saturation scan tested pairwise: each candidate of ``order`` that
     is not a member is kept iff it meets every member and every candidate

@@ -427,6 +427,9 @@ BAD_INPUT = [
     (["classify", "EMPTY"], "tau of an empty family is undefined"),
     (["saturate", "DISJOINT"], "saturate requires an intersecting family"),
     (["tau", "EMPTY"], "tau of an empty family is undefined"),
+    (["tau", "ZERO"], "tau of a family holding the empty set is undefined: no set meets it"),
+    (["classify", "ZERO"],
+     "tau of a family holding the empty set is undefined: no set meets it"),
     (["construct", "g", "--n", "5", "--k", "3"],
      "build_G requires n >= 2k >= 6, got n=5, k=3"),
     (["construct", "g", "--n", "70", "--k", "3"], "ground size 70 outside [1, 64]"),
@@ -512,7 +515,8 @@ BAD_INPUT = [
      "meet the window hypothesis, so it would always fail"),
 ]
 FAMILIES = {"G73": build_G(7, 3), "STAR": full_star(7, 3), "EMPTY": UniformFamily(6, 3, ()),
-            "DISJOINT": UniformFamily.from_sets(7, 3, [(2, 3, 4), (2, 5, 6), (5, 6, 7)])}
+            "DISJOINT": UniformFamily.from_sets(7, 3, [(2, 3, 4), (2, 5, 6), (5, 6, 7)]),
+            "ZERO": UniformFamily(3, 0, (0,))}  # {∅}, written as "3 0 1\n\n"
 
 
 @pytest.mark.parametrize("argv,message", BAD_INPUT, ids=[" ".join(a) for a, _ in BAD_INPUT])

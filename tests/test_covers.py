@@ -6,7 +6,7 @@ import pytest
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
-from conftest import pairwise_added
+from conftest import pairwise_added, reference_covers, reference_has_cover, reference_tau
 from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
                              is_saturated, saturate, tau)
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
@@ -71,6 +71,49 @@ def test_has_cover_of_empty_family():
     assert all(has_cover(empty, ell) for ell in range(4))
     with pytest.raises(ValueError):
         has_cover(empty, -1)
+
+
+def _cover_cases():
+    """(label, family): seeded random families, intersecting or not, with
+    every size from 1 to 12 members, and the empty family."""
+    rng = random.Random(23)
+    for i in range(40):
+        n, k = rng.choice(((6, 3), (7, 3), (8, 4), (9, 4), (10, 2)))
+        pool = list(ksets_colex(n, k))
+        yield f"random {i}", UniformFamily.from_masks(n, k, rng.sample(pool, rng.randint(1, 12)))
+    yield "empty", UniformFamily(6, 3)
+
+
+@pytest.mark.parametrize("family", [pytest.param(fam, id=label)
+                                    for label, fam in _cover_cases()])
+def test_point_indexed_covers_against_member_scans(family):
+    """``covers``, ``has_cover`` and ``tau`` on the point index agree with
+    the scans over member lists that they replace."""
+    for ell in range(1, family.n + 1):
+        assert covers(family, ell) == reference_covers(family, ell)
+    for ell in range(family.k + 1):
+        assert has_cover(family, ell) == reference_has_cover(family, ell)
+    if family.masks:
+        assert tau(family) == reference_tau(family)
+
+
+def test_point_indexed_covers_of_G_24_7():
+    """G(24,7), the family of the paper's bound at 82,141 members, has τ = 3
+    and 43 3-covers, by the point index and by the member scans alike."""
+    g = build_G(24, 7)
+    assert tau(g) == reference_tau(g) == 3
+    assert not has_cover(g, 2) and has_cover(g, 3)
+    three = covers(g, 3)
+    assert len(three) == 43 and three == reference_covers(g, 3)
+
+
+def test_tau_of_the_family_of_the_empty_set():
+    """No set meets ∅, so {∅} has no covering number, and no cover."""
+    fam = UniformFamily(3, 0, (0,))
+    with pytest.raises(ValueError, match="holding the empty set"):
+        tau(fam)
+    assert not any(has_cover(fam, ell) for ell in range(4))
+    assert all(len(covers(fam, ell)) == 0 for ell in range(1, 4))
 
 
 def test_saturation_scan_matches_pairwise_scan():

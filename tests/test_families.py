@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import _reference_meets_all_mask, pairwise_is_intersecting
+from conftest import _reference_meets_all_mask, pairwise_is_intersecting, reference_point_index
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
@@ -131,6 +131,45 @@ def test_point_index_and_meeting_against_pairwise_scan(masks, queries, n):
                                      for x in range(n)]
     assert list(meeting(queries, masks, n)) == [_reference_meets_all_mask(masks, q)
                                                 for q in queries]
+
+
+@pytest.mark.parametrize("size", [0, 4095, 4096, 4097, 8193])
+def test_point_index_against_one_bit_at_a_time(size):
+    """The transposing kernel gives the same rows as adding one bit per
+    member and point, on both sides of its 4,096-mask chunks."""
+    rng = random.Random(size)
+    masks = [rng.getrandbits(13) for _ in range(size)]
+    assert point_index(masks, 13) == reference_point_index(masks, 13)
+
+
+def test_point_index_at_64_points():
+    """At n = 64 the top point sits in the sign position of a 64-bit word."""
+    rng = random.Random(64)
+    top = 1 << 63
+    masks = [rng.getrandbits(64) | top * (i % 3 == 0) for i in range(4100)]
+    inc = point_index(masks, 64)
+    assert inc == reference_point_index(masks, 64)
+    assert inc[63].bit_count() > 1366
+
+
+def _pivot_cases():
+    """(label, family) for the max-degree pivot of ``is_intersecting``."""
+    yield "star", full_star(7, 3)  # every member holds the pivot 1
+    # every point has degree 2, so the pivot is 1 by the tie rule
+    yield "tied degrees", UniformFamily.from_sets(
+        6, 3, [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)])
+    # 1, 2 and 4 have degree 2, so the pivot is 1 again; {4,5,6} avoids it
+    yield "tied degrees, disjoint", UniformFamily.from_sets(
+        6, 3, [(1, 2, 3), (1, 2, 4), (4, 5, 6)])
+    # 1 has degree 4; {2,3,4} and {5,6,7} both avoid it and miss each other
+    yield "disjoint avoiders", UniformFamily.from_sets(
+        7, 3, [(1, 2, 5), (1, 2, 6), (1, 3, 6), (1, 4, 7), (2, 3, 4), (5, 6, 7)])
+
+
+@pytest.mark.parametrize("family", [pytest.param(fam, id=label)
+                                    for label, fam in _pivot_cases()])
+def test_is_intersecting_pivot_against_pairwise_scan(family):
+    assert is_intersecting(family) == pairwise_is_intersecting(family)
 
 
 def test_is_intersecting_edge_cases():

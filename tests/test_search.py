@@ -304,9 +304,9 @@ def test_split_budget_never_exceeds_overall(monkeypatch):
         assert res.status == "timeboxed-lower-bound"
 
 
-def test_budget_read_at_every_multiple_of_4096(monkeypatch):
+def test_budget_read_at_every_multiple_of_64(monkeypatch):
     """The search reads the clock at its start and end, and once each time
-    the node counter passes a multiple of 4096, also when a forced
+    the node counter passes a multiple of 64, also when a forced
     inclusion moves it past one without landing on it.  The unpruned plain
     tree at (15,3,3) crosses many of them."""
     reads = []
@@ -318,8 +318,19 @@ def test_budget_read_at_every_multiple_of_4096(monkeypatch):
     monkeypatch.setattr(ekrforge.search, "time", SimpleNamespace(perf_counter=perf_counter))
     branch = dataclasses.replace(_plain_branch(15, 3, 3), cells=None)
     res, _ = _search(15, 3, branch, 600, _default_incumbent(15, 3, 3))
-    assert res.nodes > 10 * 4096
-    assert len(reads) == 2 + res.nodes // 4096
+    assert res.nodes > 10 * 64
+    assert len(reads) == 2 + res.nodes // 64
+
+
+def test_timebox_overruns_little_at_large_n():
+    """At (24,4,3) a node takes a fraction of a millisecond, so a search
+    that read the clock every 4,096 nodes ran for 1.7 s on a 0.5 s budget;
+    read every 64 nodes, it stops within 1 s."""
+    start = time.perf_counter()
+    res = max_intersecting(24, 4, 3, budget=0.5)
+    assert time.perf_counter() - start < 1.0
+    assert res.status == "timeboxed-lower-bound"
+    assert is_intersecting(res.witness) and tau(res.witness) >= 3
 
 
 def _graph_inputs():
