@@ -162,13 +162,15 @@ def classify_T3(family: UniformFamily) -> Classification:
 
     Preconditions: F intersecting (error otherwise); τ(F) = 3 is
     recommended and only warned about, so near-miss inputs can still be
-    inspected.
+    inspected.  Below n = 3 there is no 3-set at all, so T^(3)(F) is empty.
     """
     if not is_intersecting(family):
         raise ValueError("classify_T3 requires an intersecting family")
     t = tau(family)
     if t != 3:
         warnings.warn(f"classify_T3: covering number is {t}, not 3", stacklevel=2)
+    if family.n < 3:
+        return Classification(ClassificationTag.EMPTY)
     return classify_triples(covers(family, 3))
 
 

@@ -233,7 +233,7 @@ def _cmd_trace(args) -> int:
     cert = None
     if args.check_bounds:
         start = time.perf_counter()
-        cert = _on_input(lambda: not fam.masks or not is_intersecting(fam)
+        cert = _on_input(lambda: not fam.masks or fam.k == 0 or not is_intersecting(fam)
                          or has_cover(fam, 2), trace_bound_check, fam, window)
         cert = replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))
     if args.format == "text":

@@ -19,7 +19,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .families import UniformFamily, is_intersecting, ksets_colex, mask_of, point_index
+from .families import (UniformFamily, _met, is_intersecting, ksets_colex, mask_of,
+                       point_index)
 
 
 def covers(family: UniformFamily, ell: int) -> UniformFamily:
@@ -134,7 +135,8 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
 
     The test goes through a point index, as in ``is_intersecting``: inc[x]
     is the bitset of the sets so far that hold the point x + 1, and a
-    candidate meets them all iff the OR of its points' bitsets is full.
+    candidate meets them all iff the OR of its points' bitsets (``_met``)
+    is full.
     The index starts as ``point_index`` of the members and grows by one
     position per candidate yielded.
     """
@@ -154,13 +156,7 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
     for cand in order:
         if cand in present:
             continue
-        met = 0
-        m = cand
-        while m:
-            b = m & -m
-            met |= inc[b.bit_length() - 1]
-            m ^= b
-        if met == full:
+        if _met(inc, cand) == full:
             present.add(cand)
             index(cand)
             yield cand

@@ -207,9 +207,13 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     C(n-5,k-2)+C(n-5,k-3) four-trace variant.  Every statement but the
     α-inequality needs the window hypothesis (each member meets U in at
     least 2 points); when it fails, only the single-pair bound is
-    recorded as skipped.  When it holds, a statement over disjoint pairs
-    whose shape (k and |U|) fits but whose n-threshold fails is recorded
-    as skipped, with the threshold it needs.
+    recorded as skipped.  When it holds, a statement whose shape (k and
+    |U|) fits but whose n-threshold fails is recorded as skipped, with the
+    threshold it needs: for the single-pair bound n >= k+|U|-2, below
+    which its binomial C(n-k-|U|+2, k-2) has a negative top.
+
+    {∅}, the one nonempty family at k = 0, is refused: no set covers it,
+    so the τ >= 3 gate would let it through.
     """
     n, k = family.n, family.k
     u_mask = window if isinstance(window, int) else mask_of(window, n)
@@ -219,6 +223,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     if has_cover(family, 2):
         raise ValueError(
             f"trace_bound_check requires covering number >= 3, got {tau(family)}")
+    if k == 0:
+        raise ValueError("tau of a family holding the empty set is undefined: "
+                         "no set meets it")
     stats = trace(family, u_mask)
     window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
 
@@ -230,20 +237,26 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     skipped: list[dict] = []
     evaluated = dict.fromkeys(_STATEMENTS, 0)
 
-    single_bound = binom(n - u_size, k - 2) - binom(n - k - u_size + 2, k - 2)
-    if window_ok:
+    single_floor = k + u_size - 2
+    if not window_ok:
+        skipped.append({"statement": "single-pair",
+                        "reason": "some member meets the window in fewer than 2 points"})
+    elif n < single_floor:
+        skipped.append({"statement": "single-pair",
+                        "reason": f"needs n >= k+|U|-2 = {single_floor}"})
+    else:
+        single_bound = binom(n - u_size, k - 2) - binom(n - single_floor, k - 2)
         evaluated["single-pair"] = len(pair_masks)
         witnesses += [{"statement": "single-pair", "P": elements_of(p), "f": stats.f(p),
                        "bound": single_bound}
                       for p in pair_masks if stats.f(p) > single_bound]
-    else:
-        skipped.append({"statement": "single-pair",
-                        "reason": "some member meets the window in fewer than 2 points"})
 
     # the statements over disjoint pairs P, Q of U: name, whether k and |U|
     # fit its shape, its n-threshold, the reason recorded when only the
     # threshold fails, its bound (computed only where it applies), and
-    # whether it sums f_P + f_Q alone or adds f over U \ P and U \ Q
+    # whether it sums f_P + f_Q alone or adds f over U \ P and U \ Q; τ >= 3
+    # makes k >= 3, so n >= 2k+|U|-4 implies the single-pair threshold and
+    # ``single_bound`` is set wherever a bound that reads it runs
     gap = 2 * k + u_size - 4
     pair_statements = (
         ("disjoint-pair", True, n >= gap, f"needs n >= 2k+|U|-4 = {gap}",

@@ -15,7 +15,7 @@ k-sets in colex order:
     an avoider in the orbit of an earlier sibling under the symmetric
     groups on the cells of the node, ({1..k}, [k+1..n]) at the root;
   * the upper bound is a greedy clique cover of the remaining candidates
-    by groups of pairwise-disjoint sets;
+    by groups of pairwise-disjoint sets, listed by ``_colour_classes``;
   * a candidate compatible with every other remaining candidate and all
     chosen members is forced in: adding it never hurts intersecting-ness
     and never lowers τ, so some optimum (indeed every optimum) contains it.
@@ -25,8 +25,10 @@ k-sets in colex order:
     candidate left, so it is a group of the bound on its own and the
     bound stays the same; v avoids no constraint left open after it; an
     excluded candidate still there meets v, so domination is unchanged;
-    and a candidate disjoint from another stays unforced.  Every forced
-    candidate opens a bound group alone, so only those openers are tested.
+    and a candidate disjoint from another stays unforced.  So only the
+    one-member groups are tested.
+  * a chosen candidate satisfies the constraints it avoids, a row of one
+    table read off ``meeting`` at set-up.
 
 The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 (r = 3) follow the proof's case split instead (``_structural_branches``):
@@ -46,9 +48,12 @@ the cap leave the candidate set.  It prunes by symmetry instead of by
 domination: a node carries a partition of [n] into cells that its
 members and its removed candidates are unions of, and skips a candidate
 in the orbit of a sibling already tried under the symmetric groups on the
-cells (``_refine_cells``).  The τ-searches keep the count-only
-bound: at k = 3, r = 3 they never reach a plain clique phase, where
-colour order could cut nodes, and listing the groups costs time.
+cells (``_refine_cells``).  The τ-searches list the same groups but
+read only their number and their one-member groups; listing them takes
+the same time as counting them.  They do not branch in colour order: at
+k = 3, r = 3 they never reach a plain clique phase, where colour order
+could cut nodes, and there it cut no node and made each node 10-30%
+slower.
 
 Every returned witness is re-verified post hoc through the covers module
 before the result is released.  Searches are single-threaded and fully
@@ -443,38 +448,19 @@ def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _greedy_cover_bound(cand: int, disj: list[int]) -> tuple[int, int]:
-    """Greedy partition of the candidate bitset into pairwise-disjoint groups;
-    an intersecting family picks at most one per group.  Returns the number
-    of groups and the bitset of the candidates that open a group on their
-    own: a candidate disjoint from no other candidate is one of them.
+def _colour_classes(cand: int, disj: list[int]) -> list[int]:
+    """Greedy partition of the candidate bitset into pairwise-disjoint
+    groups (the colour classes of MCQ), listed as bitsets in the order they
+    open.  An intersecting family picks at most one candidate per group, so
+    the candidates of the first c groups hold an intersecting family of at
+    most c members, and the number of groups bounds the whole; a candidate
+    disjoint from no other candidate is a group on its own.
 
     A group opens at the lowest candidate left and takes, lowest first,
     every candidate left that is disjoint from all of the group so far.
     ``cur`` only ever holds bits above the last one taken, and ``disj[u]``
     has no bit ``u``, so no mask is needed to keep the scan moving up.
     """
-    groups = 0
-    singles = 0
-    rest = cand
-    while rest:
-        vb = rest & -rest
-        rest ^= vb
-        groups += 1
-        cur = rest & disj[vb.bit_length() - 1]
-        if not cur:
-            singles |= vb
-        while cur:
-            ub = cur & -cur
-            rest ^= ub
-            cur &= disj[ub.bit_length() - 1]
-    return groups, singles
-
-
-def _colour_classes(cand: int, disj: list[int]) -> list[int]:
-    """The groups that ``_greedy_cover_bound`` counts, listed as bitsets in
-    the order they open.  The candidates of the first c groups hold an
-    intersecting family of at most c members."""
     classes: list[int] = []
     rest = cand
     while rest:
@@ -570,10 +556,9 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     Leaf test: a node whose ``size`` chosen members are fewer than ``best``
     and whose candidates number at most ``best - size`` (fewer, when
     collecting) returns at once.  Each bound group holds a candidate, so
-    the bound would prune it, the strict prune ``size + groups <= best``
-    and the collect prune ``size + groups < best`` alike; and a family
-    below ``best`` is never noted, so the node leaves no trace but its
-    count.
+    the bound prune ``size + groups + collect <= best`` (strict, or
+    non-strict when collecting) would prune it too; and a family below
+    ``best`` is never noted, so the node leaves no trace but its count.
 
     Orbit skips, when the branch has ``cells``: ({1..k}, [k+1..n]) for the
     plain branch, and the cells of ``_structural_branches`` for the split.
@@ -626,13 +611,13 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     cand_masks, compat, disj = _candidate_graph(n, branch.universe, forced)
     full = (1 << len(cand_masks)) - 1
     avoiders = [full & ~met for met in meeting(constraints, cand_masks, n)]
-    # constraints already satisfied by the forced members; there are at
-    # most two of them, so a scan rather than ``meeting``
-    sat0 = 0
-    for ci, cm in enumerate(constraints):
-        if any(not pm & cm for pm in forced):
-            sat0 |= 1 << ci
+    # avoids[v]: the constraints that candidate v avoids, so satisfies once
+    # chosen; sat0: those that a forced member avoids
     all_sat = (1 << len(constraints)) - 1
+    avoids = [all_sat & ~met for met in meeting(cand_masks, constraints, n)]
+    sat0 = 0
+    for met in meeting(forced, constraints, n):
+        sat0 |= all_sat & ~met
 
     collect = collect_floor is not None
     best = 0
@@ -656,16 +641,6 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
             optima.add(key)
         if _beats(size, key, best, best_masks):
             best, best_masks = size, key
-
-    def drop_satisfied(mask_new: int, unsat: int) -> int:
-        uu = unsat
-        out = unsat
-        while uu:
-            ub2 = uu & -uu
-            uu ^= ub2
-            if not mask_new & constraints[ub2.bit_length() - 1]:
-                out &= ~ub2
-        return out
 
     def recurse(chosen: list[int], cand: int, unsat: int, excluded: int,
                 cells: tuple[int, ...] | None) -> None:
@@ -696,36 +671,24 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                 return
         if unsat == 0:
             note_solution(chosen)
-        # bound
-        groups, singles = _greedy_cover_bound(cand, disj)
-        if collect:
-            if size + groups < best:
-                return
-        elif size + groups <= best:
-            return
-        if not cand:
+        # bound: strict, or non-strict when collecting
+        classes = _colour_classes(cand, disj)
+        if size + len(classes) + collect <= best:
             return
         # forced inclusions, all at once: candidates disjoint from no
-        # candidate left, each of which opens a group on its own
-        forced_bits = 0
-        while singles:
-            vb = singles & -singles
-            singles ^= vb
-            if not cand & disj[vb.bit_length() - 1]:
-                forced_bits |= vb
-        if forced_bits:
-            nf = forced_bits.bit_count()
+        # candidate left, each of which is a group on its own
+        forced_now = [g for g in classes
+                      if not g & (g - 1) and not cand & disj[g.bit_length() - 1]]
+        if forced_now:
+            nf = len(forced_now)
             nodes += nf
             if nodes % _CLOCK_STRIDE < nf and time.perf_counter() > deadline:
                 raise _Budget
-            cand ^= forced_bits
-            f = forced_bits
-            while f:
-                vb = f & -f
-                f ^= vb
+            for vb in forced_now:
                 v = vb.bit_length() - 1
+                cand ^= vb
                 chosen.append(cand_masks[v])
-                unsat = drop_satisfied(cand_masks[v], unsat)
+                unsat &= ~avoids[v]
                 excluded &= compat[v]
             if unsat == 0:
                 note_solution(chosen)
@@ -767,7 +730,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                         continue
                     tried.add(orbit)
                 chosen.append(m)
-                recurse(chosen, cand & compat[v] & ~prefix, drop_satisfied(m, unsat),
+                recurse(chosen, cand & compat[v] & ~prefix, unsat & ~avoids[v],
                         (excluded | prefix) & compat[v], rest)
                 chosen.pop()
                 prefix |= vb
@@ -780,7 +743,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
             recurse(chosen, cand & compat[v], 0, excluded & compat[v], None)
             chosen.pop()
             recurse(chosen, cand & ~vb, 0, excluded | vb, None)
-        if forced_bits:
+        if forced_now:
             del chosen[size:]
 
     status = _timebox(recurse, list(forced), full, all_sat & ~sat0, 0, branch.cells)

@@ -239,6 +239,9 @@ def reference_trace_bound_check(family: UniformFamily, window):
     if oracles.has_cover(family, 2):
         raise ValueError(
             f"trace_bound_check requires covering number >= 3, got {oracles.tau(family)}")
+    if k == 0:
+        raise ValueError("tau of a family holding the empty set is undefined: "
+                         "no set meets it")
     counts: dict[int, int] = {}
     for m in family.masks:
         counts[m & u_mask] = counts.get(m & u_mask, 0) + 1
@@ -268,12 +271,13 @@ def reference_trace_bound_check(family: UniformFamily, window):
     def skip(name: str, reason: str):
         skipped.append({"statement": name, "reason": reason})
 
-    single_bound = binom(n - u_size, k - 2) - binom(n - k - u_size + 2, k - 2)
-
-    if window_ok:
+    if window_ok and n >= k + u_size - 2:
+        single_bound = binom(n - u_size, k - 2) - binom(n - k - u_size + 2, k - 2)
         for p in pair_masks:
             record("single-pair", f(p) <= single_bound,
                    P=elements_of(p), f=f(p), bound=single_bound)
+    elif window_ok:
+        skip("single-pair", f"needs n >= k+|U|-2 = {k + u_size - 2}")
     else:
         skip("single-pair", "some member meets the window in fewer than 2 points")
 
@@ -509,6 +513,13 @@ def prop34_equality_family() -> UniformFamily:
                (1, 2, 5, 6), (1, 2, 5, 7), (1, 2, 5, 8), (1, 2, 5, 9),
                (1, 4, 5, 8), (3, 5, 6, 7), (2, 4, 6, 8), (2, 3, 4, 8), (1, 3, 4, 6)]
     return UniformFamily.from_sets(9, 4, members)
+
+
+def fano_plane() -> UniformFamily:
+    """The lines of the Fano plane on [7]: intersecting, saturated, τ = 3."""
+    return UniformFamily.from_sets(
+        7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
+               (3, 4, 7), (3, 5, 6)])
 
 
 def maximal_cliques(compat: list[int], n_vertices: int) -> list[int]:

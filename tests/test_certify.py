@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 import conftest
-from conftest import (prop34_equality_family, reference_hilton_corollary,
+from conftest import (fano_plane, prop34_equality_family, reference_hilton_corollary,
                       reference_suite_hilton_lex, reference_trace_bound_check)
 from ekrforge import certify, families, oracles, properties
 from ekrforge.binomial import binom
@@ -277,6 +277,23 @@ def test_trace_bounds_preconditions():
     disjoint = UniformFamily.from_sets(7, 3, [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(ValueError):
         trace_bound_check(disjoint, [1, 2, 3, 4, 5])
+    # {∅} is intersecting and no set covers it, so both gates pass it
+    with pytest.raises(ValueError, match="^tau of a family holding the empty set "
+                                         "is undefined: no set meets it$"):
+        trace_bound_check(UniformFamily(3, 0, (0,)), [1])
+
+
+def test_trace_bounds_skip_the_single_pair_bound_below_its_threshold():
+    """The Fano plane on the window [7]: the single-pair bound's
+    C(n-k-|U|+2, k-2) has a negative top below n = k+|U|-2 = 8, so the
+    bound is skipped with that threshold, and the certificate passes."""
+    cert = trace_bound_check(fano_plane(), list(range(1, 8)))
+    assert cert.passed
+    assert cert.params["window_hypothesis"]
+    assert cert.details["skipped"] == [
+        {"statement": "single-pair", "reason": "needs n >= k+|U|-2 = 8"},
+        {"statement": "disjoint-pair", "reason": "needs n >= 2k+|U|-4 = 9"}]
+    assert list(cert.details["evaluated"]) == ["sperner-alpha"]
 
 
 def test_trace_bounds_random_small():
@@ -291,7 +308,8 @@ def _trace_bound_cases():
     and a random s-set for s = 3..6; then, with the windows [s], the 3(n-6)
     equality family and the 4-sets of [8] meeting [5] in 3 points or more
     (τ = 3, and n = 2k fails the n-thresholds of the k = 4 bound and of
-    the C(n-5,k-2)+C(n-5,k-3) variant)."""
+    the C(n-5,k-2)+C(n-5,k-3) variant); then the Fano plane with the
+    windows [s] for s = 3..7, where [7] fails the single-pair threshold."""
     rng = random.Random(3)
     cases = []
     for n, k in ((9, 4), (11, 5)):
@@ -303,6 +321,7 @@ def _trace_bound_cases():
         8, 4, [m for m in ksets_colex(8, 4) if (m & 0b11111).bit_count() >= 3])
     for fam in (prop34_equality_family(), heavy):
         cases += [(fam, list(range(1, size + 1))) for size in range(3, 7)]
+    cases += [(fano_plane(), list(range(1, size + 1))) for size in range(3, 8)]
     return cases
 
 

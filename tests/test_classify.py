@@ -63,6 +63,14 @@ def test_classify_triples_synthetic_inputs():
     assert classify_triples(both).tag == ClassificationTag.CONTAINS_R
 
 
+def test_classify_t3_below_three_points():
+    """Over [2] there is no 3-set, so T^(3)(F) is empty, with the τ ≠ 3
+    warning; ``covers(F, 3)`` would refuse a cover size past n."""
+    with pytest.warns(UserWarning, match="covering number is 1, not 3"):
+        result = classify_T3(UniformFamily.from_sets(2, 1, [(1,)]))
+    assert result.tag == ClassificationTag.EMPTY and result.witness is None
+
+
 def test_classify_rejects_unclassifiable():
     disjoint_t = UniformFamily.from_sets(6, 3, [(1, 2, 3), (4, 5, 6)])
     with pytest.raises(ValueError):

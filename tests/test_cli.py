@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import ekrforge.cli
-from conftest import reference_parse_family
+from conftest import fano_plane, reference_parse_family
 from ekrforge import certify, properties
 from ekrforge.cli import run
 from ekrforge.constructions import build_G, full_star, g_size_formula
@@ -268,6 +268,25 @@ def test_trace_subcommand(tmp_path, capsys):
     assert payload["total"] == 48
 
 
+def test_trace_check_bounds_on_a_window_past_the_single_pair_threshold(tmp_path, capsys):
+    """The Fano plane with the window [7] is valid input: the single-pair
+    bound, which needs n >= k+|U|-2 = 8, is skipped, not an internal error."""
+    path = tmp_path / "fano.fam"
+    write_family(fano_plane(), path)
+    assert run(["trace", str(path), "--window", "1,2,3,4,5,6,7", "--check-bounds"]) == 0
+    assert capsys.readouterr().out.endswith("TRACE-BOUNDS: PASS\n")
+
+
+def test_classify_below_three_points(tmp_path, capsys):
+    """Over n < 3 there is no 3-set, so T^(3)(F) is empty; the τ ≠ 3
+    warning still comes."""
+    path = tmp_path / "n2.fam"
+    path.write_text("2 1 1\n1\n")
+    with pytest.warns(UserWarning, match="covering number is 1, not 3"):
+        assert run(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == "empty witness=None\n"
+
+
 def test_verify_exit_codes(capsys):
     assert run(["verify", "--suite", "ID-F-REC", "--format", "json-lines"]) == 0
     cert = json.loads(capsys.readouterr().out)
@@ -423,6 +442,8 @@ BAD_INPUT = [
      "trace_bound_check requires covering number >= 3, got 1"),
     (["trace", "EMPTY", "--window", "1", "--check-bounds"],
      "tau of an empty family is undefined"),
+    (["trace", "ZERO", "--window", "1", "--check-bounds"],
+     "tau of a family holding the empty set is undefined: no set meets it"),
     (["classify", "DISJOINT"], "classify_T3 requires an intersecting family"),
     (["classify", "EMPTY"], "tau of an empty family is undefined"),
     (["saturate", "DISJOINT"], "saturate requires an intersecting family"),

@@ -6,7 +6,8 @@ import pytest
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
-from conftest import pairwise_added, reference_covers, reference_has_cover, reference_tau
+from conftest import (fano_plane, pairwise_added, reference_covers, reference_has_cover,
+                      reference_tau)
 from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
                              is_saturated, saturate, tau)
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
@@ -183,9 +184,7 @@ def test_prop14_cover_family_intersecting_small_run():
 
 
 def test_fano_plane_is_maximal_with_tau3():
-    fano = UniformFamily.from_sets(
-        7, 3, [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
-               (3, 4, 7), (3, 5, 6)])
+    fano = fano_plane()
     assert is_intersecting(fano)
     assert tau(fano) == 3
     assert is_saturated(fano)

@@ -22,8 +22,7 @@ from ekrforge.covers import is_intersecting, tau
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
 from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
                              _dedup_to_forms, _default_incumbent,
-                             _greedy_cover_bound, _plain_branch, _refine_cells,
-                             _search,
+                             _plain_branch, _refine_cells, _search,
                              _split_search, _structural_branches, are_isomorphic,
                              canonical_form, enumerate_optima, max_intersecting,
                              max_intersecting_degcap, max_intersecting_seeded)
@@ -356,9 +355,8 @@ def test_candidate_graph_against_pairwise_builder(n, universe, forced):
 
 def test_colour_classes_partition():
     """The listed groups partition the candidates into pairwise-disjoint
-    sets, each opening at the lowest candidate left, as many as the greedy
-    bound counts (and as the masked form of that bound in the reference
-    search); the bound's singleton openers are the one-member groups."""
+    sets, each opening at the lowest candidate left, as many as the masked
+    form of the greedy bound in the reference search counts."""
     rng = random.Random(3)
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
@@ -366,15 +364,13 @@ def test_colour_classes_partition():
         for _ in range(40):
             cand = rng.getrandbits(len(cand_masks))
             classes = _colour_classes(cand, disj)
-            groups, singles = _greedy_cover_bound(cand, disj)
-            assert len(classes) == groups == _reference_cover_bound(cand, disj)
+            assert len(classes) == _reference_cover_bound(cand, disj)
             left = cand
             for group in classes:
                 assert group and group & ~left == 0
                 assert group & -group == left & -left
                 left ^= group
             assert left == 0
-            assert singles == sum(g for g in classes if g.bit_count() == 1)
             for group in classes:
                 members = [v for v in range(len(cand_masks)) if group >> v & 1]
                 for i, u in enumerate(members):
@@ -383,8 +379,8 @@ def test_colour_classes_partition():
 
 
 def test_forced_candidates_open_singleton_groups():
-    """Every candidate disjoint from no other candidate opens a group on its
-    own, so the forced scan over the singleton openers misses none; and
+    """Every candidate disjoint from no other candidate is a one-member
+    group, so the forced scan over the one-member groups misses none; and
     the group count never exceeds the candidate count, which makes the
     popcount leaf test a weaker form of the bound."""
     rng = random.Random(11)
@@ -397,13 +393,12 @@ def test_forced_candidates_open_singleton_groups():
                 cand = -1
                 for _ in range(density):
                     cand &= rng.getrandbits(len(cand_masks))
-                groups, singles = _greedy_cover_bound(cand, disj)
-                assert groups <= cand.bit_count()
-                assert singles & ~cand == 0
+                classes = _colour_classes(cand, disj)
+                assert len(classes) <= cand.bit_count()
                 for v in range(len(cand_masks)):
                     if cand >> v & 1 and not cand & disj[v]:
                         seen_forced += 1
-                        assert singles >> v & 1
+                        assert 1 << v in classes
     assert seen_forced > 100
 
 
