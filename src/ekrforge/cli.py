@@ -15,16 +15,18 @@ verify, around trace_bound_check for trace, and by the search for oracle.
 
 Input outside the domain of the library call it feeds is a usage error
 with the library's message (``_on_input``); any other ``ValueError`` is
-an internal error.  A flag that the chosen work does not read is a usage
-error.  verify runs the selected suites of the one registry in
-``properties`` one after another, emits them sorted by id, and passes
-each suite only the range flags its signature names; a range flag that
-no selected suite reads is refused, and so are a repeated suite id,
-``all`` next to another id, and, before any suite runs, a range that a
-selected suite refuses (``properties.range_refusal``: an empty one, an
-ID-G-SIZE range past 64 points or its member limit, a --samples below
-1, or one too small for TRACE-BOUNDS-RANDOM ever to pass).  construct
-takes --k, --apex and --input only for the kinds that read them.
+an internal error.  A warning from the library (classify's τ ≠ 3) is
+printed on stderr as an ``ekrforge: warning:`` line.  A flag that the
+chosen work does not read is a usage error.  verify runs the selected
+suites of the one registry in ``properties`` one after another, emits
+them sorted by id, and passes each suite only the range flags its
+signature names; a range flag that no selected suite reads is refused,
+and so are a repeated suite id, ``all`` next to another id, and, before
+any suite runs, a range that a selected suite refuses
+(``properties.range_refusal``: an empty one, an ID-G-SIZE range past 64
+points or its member limit, a --samples below 1, or one too small for
+TRACE-BOUNDS-RANDOM ever to pass).  construct takes --k, --apex and
+--input only for the kinds that read them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import inspect
 import json
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -251,8 +254,15 @@ def _cmd_trace(args) -> int:
 
 def _cmd_classify(args) -> int:
     fam = _load_family(args.family)
-    result = _on_input(lambda: not fam.masks or fam.k == 0 or not is_intersecting(fam),
-                       classify_T3, fam)
+    # the library warns when τ ≠ 3; the CLI reports it as its own message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _on_input(lambda: not fam.masks or fam.k == 0
+                               or not is_intersecting(fam), classify_T3, fam)
+        finally:
+            for w in caught:
+                print(f"ekrforge: warning: {w.message}", file=sys.stderr)
     payload = {"tag": result.tag.value, "witness": _jsonable(result.witness)}
     if args.format == "text":
         _emit(f"{payload['tag']} witness={payload['witness']}\n", args.out)

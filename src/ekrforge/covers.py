@@ -11,7 +11,11 @@ member with the bitset of the members still unmet (never by full
 enumeration), so a gate such as τ ≥ 3 is one call,
 ``not has_cover(F, 2)``; ``tau`` is the least ℓ for which it holds, on
 one index for every ℓ.  ``saturate`` / ``is_saturated`` handle maximal
-intersecting completions through one scan, ``_added``.
+intersecting completions through one scan, ``_added``.  A k-set can join
+an intersecting family only if it meets every member, that is, only if
+it is a k-cover, so both scan the ``covers`` walk instead of all k-sets:
+the walk shares the OR of each prefix of points, about one OR per k-set
+instead of k, and for a maximal family it lists only the members.
 """
 
 from __future__ import annotations
@@ -118,20 +122,31 @@ def tau(family: UniformFamily) -> int:
 def saturate(family: UniformFamily) -> UniformFamily:
     """Deterministic maximal intersecting completion.
 
-    Scans all k-sets in colex order and adds each one meeting every
-    member accumulated so far.  The result is saturated and contains the
-    input; determinism is a choice, any maximal completion would do.
+    Scans the k-sets in colex order and adds each one meeting every
+    member accumulated so far.  Only k-covers of the input can pass, so
+    the scan runs over ``covers(F, k)``, which lists them in colex order.
+    The result is saturated and contains the input; determinism is a
+    choice, any maximal completion would do.
     """
     if not is_intersecting(family):
         raise ValueError("saturate requires an intersecting family")
-    added = _added(family, ksets_colex(family.n, family.k))
+    added = _added(family, _candidates(family))
     return UniformFamily.from_masks(family.n, family.k, [*family.masks, *added])
+
+
+def _candidates(family: UniformFamily) -> Iterable[int]:
+    """The k-sets that can join ``family``, in colex order: its k-covers
+    (``covers`` refuses ℓ = 0; at k = 0 the one 0-set, ∅, is the candidate)."""
+    if family.k == 0:
+        return ksets_colex(family.n, 0)
+    return covers(family, family.k).masks
 
 
 def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
     """Yield each candidate of ``order`` in turn that is not a member and
     meets every member and every candidate yielded before it; with every
-    k-set in ``order`` the family plus what it yields is maximal.
+    k-cover of the family in ``order`` the family plus what it yields is
+    maximal.
 
     The test goes through a point index, as in ``is_intersecting``: inc[x]
     is the bitset of the sets so far that hold the point x + 1, and a
@@ -163,11 +178,11 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
 
 
 def is_saturated(family: UniformFamily) -> bool:
-    """True iff no k-set outside the family meets all of its members: the
-    saturation scan stops at the first k-set it would add."""
+    """True iff no k-set outside the family meets all of its members: no
+    k-cover is a non-member."""
     if not is_intersecting(family):
         raise ValueError("is_saturated requires an intersecting family")
-    return next(_added(family, ksets_colex(family.n, family.k)), None) is None
+    return next(_added(family, _candidates(family)), None) is None
 
 
 def brute_force_tau(family: UniformFamily, max_size: int | None = None) -> int:

@@ -13,21 +13,31 @@ cardinality, an out-of-range element and an order error.
 
 After the header, the member lines go through a bulk path in chunks of
 ``CHUNK_LINES`` lines, so that the per-member work runs in C and only one
-chunk's tokens are alive at a time.  A chunk is accepted only if every
-line is canonical: exactly k-1 single spaces, every token the decimal
-text of a point of [n] without sign or leading zero, and the points
-strictly increasing.  One duplicate test and one sort follow.  When
-anything fails (a blank or non-canonical line, as every member line at
-k = 0 is, a count that disagrees with the header, a duplicate), the
-per-line reader runs from line 2 instead.  It is the only path that
-reports errors, so the diagnostics, their line numbers and their
-precedence do not depend on the bulk path.
+chunk's tokens are alive at a time.  A chunk's lines are joined with a
+newline token, the sentinel, between them and split on single spaces; the
+chunk is aligned when it has exactly k tokens per line plus one sentinel
+between lines, and the sentinels sit in every (k+1)-th slot.  It is
+accepted only if every line is canonical: every token the decimal text of
+a point of [n] without sign or leading zero (so no blank, doubled,
+leading or trailing space and no tab), and the points strictly
+increasing.  One duplicate test and one sort follow, and the family is
+built with ``UniformFamily._trusted``, since the bulk path has already
+proved each member.  When anything fails (a blank or non-canonical line,
+as every member line at k = 0 is, a count that disagrees with the header,
+a duplicate), the per-line reader runs from line 2 instead.  It is the
+only path that reports errors, so the diagnostics, their line numbers and
+their precedence do not depend on the bulk path.
+
+The writer reads byte j of every mask as one C slice of the masks packed
+as little-endian 64-bit words, maps it through a 256-entry table of element texts for
+the points 8j + 1 .. 8j + 8, and adds the columns up line by line.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lt
+import struct
+from itertools import chain, repeat
+from operator import add, itemgetter, lt
 from pathlib import Path
 from typing import TextIO
 
@@ -62,9 +72,10 @@ def parse_family(text: str) -> UniformFamily:
     if m < 0:
         raise FamilyFormatError(1, f"negative member count {m}")
     masks = _canonical_masks(lines, n, k, m)
-    if masks is None:
-        masks = _checked_masks(lines, n, k, m)
-    return UniformFamily(n, k, tuple(sorted(masks)))
+    if masks is not None:
+        # the bulk path has shown each member a k-subset of [n], and all distinct
+        return UniformFamily._trusted(n, k, tuple(sorted(masks)))
+    return UniformFamily(n, k, tuple(sorted(_checked_masks(lines, n, k, m))))
 
 
 def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | None:
@@ -76,18 +87,34 @@ def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | No
     masks: list[int] = []
     for start in range(1, len(lines), CHUNK_LINES):
         chunk = lines[start:start + CHUNK_LINES]
-        # no line has k-1 = -1 spaces: a file with members at k = 0 falls back
-        if not all(map((k - 1).__eq__, map(str.count, chunk, repeat(" ")))):
+        # a canonical chunk splits into k tokens per line with a "\n" sentinel
+        # between lines; at k = 0 a line is one token "", so a file with
+        # members falls back
+        toks = " \n ".join(chunk).split(" ")
+        if len(toks) != len(chunk) * (k + 1) - 1:
             return None
+        # with the count right, a sentinel outside the slots k::k+1 would
+        # be left behind below and fail the lookup: every line has k tokens
+        del toks[k::k + 1]
         try:
-            bits = list(map(table.__getitem__, " ".join(chunk).split(" ")))
+            bits = list(map(table.__getitem__, toks))
         except KeyError:
             return None
+        del toks
         # bits[i*k + j] is the j-th point of the chunk's i-th line
-        if not all(all(map(lt, bits[j::k], bits[j + 1::k])) for j in range(k - 1)):
+        if not _rising(bits, k):
             return None
         masks += map(sum, zip(*[iter(bits)] * k))
     return masks if len(set(masks)) == m else None
+
+
+def _rising(bits: list[int], k: int) -> bool:
+    """True iff every run ``bits[i*k:(i+1)*k]`` strictly increases: one
+    comparison of each entry but a run's last with the next one.  The two
+    copies die on return, before the next chunk's tokens are made."""
+    firsts, lasts = bits[:], bits[:]
+    del firsts[k - 1::k], lasts[::k]
+    return all(map(lt, firsts, lasts))
 
 
 def _checked_masks(lines: list[str], n: int, k: int, m: int) -> list[int]:
@@ -147,15 +174,22 @@ def read_family(path: str | Path) -> UniformFamily:
 
 
 def render_family(family: UniformFamily) -> str:
+    masks = family.masks
     # one 256-entry table per 8 points of the ground set: the text of the
-    # elements that each value of that byte of a mask stands for
-    tables = [(lo, [" ".join(str(lo + b + 1) for b in range(8) if v >> b & 1)
-                    for v in range(256)])
-              for lo in range(0, family.n, 8)]
-    lines = [f"{family.n} {family.k} {len(family)}\n"]
-    lines += [" ".join([t[m >> lo & 255] for lo, t in tables if m >> lo & 255]) + "\n"
-              for m in family.masks]
-    return "".join(lines)
+    # elements that each value of that byte of a mask stands for, each one
+    # followed by a space
+    tables = [["".join(f"{8 * j + b + 1} " for b in range(8) if v >> b & 1)
+               for v in range(256)]
+              for j in range((family.n + 7) // 8)]
+    # the masks as little-endian 64-bit words: byte j of every mask is one
+    # C slice
+    packed = struct.pack(f"<{len(masks)}Q", *masks)
+    texts = map(tables[0].__getitem__, packed[0::8])
+    for j in range(1, len(tables)):
+        texts = map(add, texts, map(tables[j].__getitem__, packed[j::8]))
+    # a line is the sum of its columns less the last space
+    return "\n".join(chain([f"{family.n} {family.k} {len(masks)}"],
+                           map(itemgetter(slice(-1)), texts), [""]))
 
 
 def write_family(family: UniformFamily, path: str | Path | TextIO) -> None:

@@ -133,6 +133,16 @@ def pairwise_added(family: UniformFamily, order):
             yield cand
 
 
+def reference_saturate(family: UniformFamily) -> UniformFamily:
+    """The pairwise colex greedy: every k-set in colex order that meets each
+    member so far, the ones it added included, joins the family.
+
+    Independent oracle for ``covers.saturate``.
+    """
+    added = pairwise_added(family, ksets_colex(family.n, family.k))
+    return UniformFamily.from_masks(family.n, family.k, [*family.masks, *added])
+
+
 def reference_build_G(n: int, k: int) -> UniformFamily:
     """G(n,k) by a Gosper scan of the (k-1)-subsets of [2..n], each shifted
     up one bit and kept when it meets the three blockers.
@@ -220,6 +230,16 @@ def _reference_first_duplicate(body: list[tuple[int, str]],
                 line_no, f"duplicate member (first seen on line {seen[mask]})")
         seen[mask] = line_no
     raise AssertionError("a repeated member was not found again")
+
+
+def reference_render_family(family: UniformFamily) -> str:
+    """The family file text, one member line at a time.
+
+    Independent oracle for the table-driven ``familyio.render_family``.
+    """
+    lines = [f"{family.n} {family.k} {len(family)}"]
+    lines += [" ".join(map(str, elements_of(m))) for m in family.masks]
+    return "\n".join(lines) + "\n"
 
 
 def reference_trace_bound_check(family: UniformFamily, window):

@@ -7,7 +7,7 @@ import pytest
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
 from conftest import (fano_plane, pairwise_added, reference_covers, reference_has_cover,
-                      reference_tau)
+                      reference_saturate, reference_tau)
 from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
                              is_saturated, saturate, tau)
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
@@ -129,6 +129,24 @@ def test_saturation_scan_matches_pairwise_scan():
     for fam in (build_S(7), full_star(7, 3), UniformFamily(6, 3), build_G(9, 4)):
         order = list(ksets_colex(fam.n, fam.k))
         assert list(_added(fam, order)) == list(pairwise_added(fam, order))
+
+
+def _saturation_cases():
+    rng = random.Random(23)
+    seeds = [random_intersecting_seed(n, k, rng, size=rng.randint(3, 6))
+             for n, k in ((7, 3), (9, 4), (11, 5)) for _ in range(10)]
+    return seeds + [build_G(9, 4), full_star(7, 3), build_S(7), UniformFamily(7, 3),
+                    UniformFamily(5, 0), UniformFamily(5, 0, (0,))]
+
+
+def test_saturate_against_pairwise_colex_greedy():
+    """``saturate`` scans only the k-covers and ``is_saturated`` looks for a
+    non-member k-cover; both agree with the greedy over every k-set."""
+    for fam in _saturation_cases():
+        expected = reference_saturate(fam)
+        assert saturate(fam) == expected, fam
+        assert is_saturated(fam) == (expected == fam), fam
+        assert is_saturated(expected), fam
 
 
 def test_tau_monotone_under_supersets():
