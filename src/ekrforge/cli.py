@@ -11,7 +11,10 @@ text output alike, are emitted as 0 unless --timings (verify, oracle,
 trace) is given.  Each is measured in one place: by the suite runner for
 verify, around trace_bound_check for trace, and by the search for oracle.
 --timings is refused where no time is printed: by trace without
---check-bounds, and by the text output of trace and oracle.
+--check-bounds, and by the text output of trace and oracle.  --format
+json-array, the certificates as one JSON array, is offered by verify and
+oracle alone: the other commands print one JSON object, which json-lines
+already spells.
 
 Input outside the domain of the library call it feeds is a usage error
 with the library's message (``_on_input``); any other ``ValueError`` is
@@ -124,10 +127,11 @@ def _on_input(outside, call, *args):
         raise
 
 
-def _refuse_text_timings(command: str, args) -> None:
-    """The text output of trace and oracle prints no wall time."""
+def _refuse_text_timings(command: str, args, formats: str) -> None:
+    """The text output of trace and oracle prints no wall time; ``formats``
+    names the JSON formats the command offers."""
     if args.timings and args.format == "text":
-        raise UsageError(f"{command} --timings needs --format json-lines or json-array: "
+        raise UsageError(f"{command} --timings needs --format {formats}: "
                          "the text output prints no time")
 
 
@@ -222,7 +226,7 @@ def _cmd_saturate(args) -> int:
 def _cmd_trace(args) -> int:
     if args.timings and not args.check_bounds:
         raise UsageError("trace --timings needs --check-bounds: nothing else is timed")
-    _refuse_text_timings("trace", args)
+    _refuse_text_timings("trace", args, "json-lines")
     fam = _load_family(args.family)
     window = _parse_elements(args.window)
     stats = _on_input(lambda: len(set(window)) < len(window)
@@ -237,7 +241,8 @@ def _cmd_trace(args) -> int:
     if args.check_bounds:
         start = time.perf_counter()
         cert = _on_input(lambda: not fam.masks or fam.k == 0 or not is_intersecting(fam)
-                         or has_cover(fam, 2), trace_bound_check, fam, window)
+                         or has_cover(fam, 2) or len(window) < 2,
+                         trace_bound_check, fam, window)
         cert = replace(cert, wall_time_ms=int((time.perf_counter() - start) * 1000))
     if args.format == "text":
         lines = [f"S={tuple(r['S'])} f={r['f']} alpha={r['alpha']}" for r in rows]
@@ -317,7 +322,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _refuse_text_timings("oracle", args)
+    _refuse_text_timings("oracle", args, "json-lines or json-array")
     if not 1 <= args.n <= MAX_GROUND:
         raise UsageError(f"oracle --n must lie in [1, {MAX_GROUND}], got {args.n}")
     if args.k < 0:
@@ -392,17 +397,24 @@ def _jsonable(obj):
 # ── parser ───────────────────────────────────────────────────────────────────
 
 _OUTPUT_FLAGS = {
-    "--format": dict(choices=("text", "json-lines", "json-array"), default="text"),
+    "--format": dict(choices=("text", "json-lines"), default="text"),
     "--timings": dict(action="store_true",
                       help="emit measured wall times (breaks byte-stability)"),
 }
 
 
-def _add_output(p: argparse.ArgumentParser, *flags: str) -> None:
-    """--out, plus those of --format and --timings that the handler reads."""
+def _add_output(p: argparse.ArgumentParser, *flags: str, array: bool = False) -> None:
+    """--out, plus those of --format and --timings that the handler reads.
+    ``array`` offers --format json-array too, for the commands that emit
+    certificates (verify and oracle): the list of them as one JSON array.
+    The other commands print one JSON object, the same in either spelling,
+    so they offer json-lines alone."""
     p.add_argument("--out", default=None, help="output path (default stdout)")
     for flag in flags:
-        p.add_argument(flag, **_OUTPUT_FLAGS[flag])
+        options = _OUTPUT_FLAGS[flag]
+        if flag == "--format" and array:
+            options = {**options, "choices": (*options["choices"], "json-array")}
+        p.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_output(p, "--format", "--timings")
+    _add_output(p, "--format", "--timings", array=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exact m(n,k,r) search")
@@ -468,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cap-ell", type=int, default=None)
     p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--witness-out", default=None)
-    _add_output(p, "--format", "--timings")
+    _add_output(p, "--format", "--timings", array=True)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("lex", help="lexicographic initial segment L(n,k,m)")

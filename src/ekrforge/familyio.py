@@ -1,4 +1,4 @@
-"""The family text format.
+r"""The family text format.
 
 First line ``n k m``; then m lines, each the sorted 1-based elements of
 one member separated by single spaces; member lines in colex order;
@@ -12,21 +12,28 @@ within one line, a non-integer element comes first, then a wrong
 cardinality, an out-of-range element and an order error.
 
 After the header, the member lines go through a bulk path in chunks of
-``CHUNK_LINES`` lines, so that the per-member work runs in C and only one
-chunk's tokens are alive at a time.  A chunk's lines are joined with a
-newline token, the sentinel, between them and split on single spaces; the
-chunk is aligned when it has exactly k tokens per line plus one sentinel
-between lines, and the sentinels sit in every (k+1)-th slot.  It is
-accepted only if every line is canonical: every token the decimal text of
-a point of [n] without sign or leading zero (so no blank, doubled,
-leading or trailing space and no tab), and the points strictly
-increasing.  One duplicate test and one sort follow, and the family is
-built with ``UniformFamily._trusted``, since the bulk path has already
-proved each member.  When anything fails (a blank or non-canonical line,
-as every member line at k = 0 is, a count that disagrees with the header,
-a duplicate), the per-line reader runs from line 2 instead.  It is the
-only path that reports errors, so the diagnostics, their line numbers and
-their precedence do not depend on the bulk path.
+whole lines, each cut at the first "\n" past ``CHUNK_CHARS`` characters
+by one ``str.find``, so that the per-member work runs in C and only one
+chunk's tokens are alive at a time; no list of all the lines is made.
+Each "\n" of a chunk becomes a newline token, the sentinel, and the
+chunk is split on single spaces; it is aligned when it has exactly k
+tokens per line plus one sentinel between lines, and the sentinels sit
+in every (k+1)-th slot.  It is accepted only if every line is canonical:
+every token the decimal text of a point of [n] without sign or leading
+zero (so no blank, doubled, leading or trailing space and no tab), and
+the points strictly increasing.  One duplicate test and one sort follow,
+and the family is built with ``UniformFamily._trusted``, since the bulk
+path has already proved each member.  When anything fails (a blank or
+non-canonical line, as every member line at k = 0 is, a count that
+disagrees with the header, a duplicate), the per-line reader runs from
+line 2 instead, over ``str.splitlines``.  It is the only path that
+reports errors, so the diagnostics, their line numbers and their
+precedence do not depend on the bulk path.  A text that does not end in
+"\n", or whose header line holds another line boundary ("\r\n", "\r",
+"\v", "\u2028", ...), goes to the per-line reader at once, since cutting
+at "\n" alone would see other lines than ``splitlines`` does; another
+boundary inside a member line is not a canonical token, so the bulk path
+declines it.
 
 The writer reads byte j of every mask as one C slice of the masks packed
 as little-endian 64-bit words, maps it through a 256-entry table of element texts for
@@ -43,7 +50,7 @@ from typing import TextIO
 
 from .families import UniformFamily
 
-CHUNK_LINES = 4096
+CHUNK_CHARS = 1 << 16
 
 
 class FamilyFormatError(ValueError):
@@ -55,43 +62,56 @@ class FamilyFormatError(ValueError):
 
 
 def parse_family(text: str) -> UniformFamily:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    cut = text.find("\n")
+    # the header line ends at the first line boundary of any kind, which
+    # lies at or before the first "\n"
+    first = text[:cut] if cut >= 0 else text
+    header = (first.splitlines() or [""])[0]
+    if not header.strip():
         raise FamilyFormatError(1, "missing 'n k m' header")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 3:
-        raise FamilyFormatError(1, f"header must be 'n k m', got {lines[0]!r}")
+        raise FamilyFormatError(1, f"header must be 'n k m', got {header!r}")
     try:
         n, k, m = (int(x) for x in head)
     except ValueError:
-        raise FamilyFormatError(1, f"non-integer header field in {lines[0]!r}") from None
+        raise FamilyFormatError(1, f"non-integer header field in {header!r}") from None
     if n < 1 or n > 64:
         raise FamilyFormatError(1, f"ground size {n} outside [1, 64]")
     if not 0 <= k <= n:
         raise FamilyFormatError(1, f"uniformity {k} outside [0, {n}]")
     if m < 0:
         raise FamilyFormatError(1, f"negative member count {m}")
-    masks = _canonical_masks(lines, n, k, m)
-    if masks is not None:
-        # the bulk path has shown each member a k-subset of [n], and all distinct
-        return UniformFamily._trusted(n, k, tuple(sorted(masks)))
-    return UniformFamily(n, k, tuple(sorted(_checked_masks(lines, n, k, m))))
+    # the bulk path cuts the member lines at "\n" alone, so it reads only a
+    # text that ends in "\n" and whose header line runs up to the first "\n"
+    if text.endswith("\n") and header == first:
+        masks = _canonical_masks(text, cut + 1, n, k, m)
+        if masks is not None:
+            # the bulk path has shown each member a k-subset of [n], and all distinct
+            return UniformFamily._trusted(n, k, tuple(sorted(masks)))
+    return UniformFamily(n, k, tuple(sorted(_checked_masks(text.splitlines(), n, k, m))))
 
 
-def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | None:
-    """The members of ``lines[1:]`` in file order if every member line is
-    canonical and the m members are distinct, else None."""
-    if len(lines) - 1 != m:
+def _canonical_masks(text: str, start: int, n: int, k: int, m: int) -> list[int] | None:
+    r"""The members of the member lines ``text[start:]``, each ended by
+    "\n", in file order if every member line is canonical and the m
+    members are distinct, else None."""
+    if text.count("\n", start) != m:
         return None
     table = {str(x): 1 << (x - 1) for x in range(1, n + 1)}
     masks: list[int] = []
-    for start in range(1, len(lines), CHUNK_LINES):
-        chunk = lines[start:start + CHUNK_LINES]
+    while start < len(text):
+        # a chunk of whole lines: up to the first "\n" past CHUNK_CHARS
+        # characters, or to the end
+        end = text.find("\n", start + CHUNK_CHARS)
+        if end < 0:
+            end = len(text) - 1
+        lines = text.count("\n", start, end) + 1
         # a canonical chunk splits into k tokens per line with a "\n" sentinel
         # between lines; at k = 0 a line is one token "", so a file with
         # members falls back
-        toks = " \n ".join(chunk).split(" ")
-        if len(toks) != len(chunk) * (k + 1) - 1:
+        toks = text[start:end].replace("\n", " \n ").split(" ")
+        if len(toks) != lines * (k + 1) - 1:
             return None
         # with the count right, a sentinel outside the slots k::k+1 would
         # be left behind below and fail the lookup: every line has k tokens
@@ -105,6 +125,7 @@ def _canonical_masks(lines: list[str], n: int, k: int, m: int) -> list[int] | No
         if not _rising(bits, k):
             return None
         masks += map(sum, zip(*[iter(bits)] * k))
+        start = end + 1
     return masks if len(set(masks)) == m else None
 
 

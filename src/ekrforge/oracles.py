@@ -213,7 +213,10 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     which its binomial C(n-k-|U|+2, k-2) has a negative top.
 
     {∅}, the one nonempty family at k = 0, is refused: no set covers it,
-    so the τ >= 3 gate would let it through.
+    so the τ >= 3 gate would let it through.  So is a window of fewer than
+    two points: every statement reads a 2-subset of U, or two disjoint
+    nonempty subsets of U, so such a window would pass with nothing
+    evaluated.
     """
     n, k = family.n, family.k
     u_mask = window if isinstance(window, int) else mask_of(window, n)
@@ -226,6 +229,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     if k == 0:
         raise ValueError("tau of a family holding the empty set is undefined: "
                          "no set meets it")
+    if u_size < 2:
+        raise ValueError(f"trace_bound_check needs a window of at least 2 points, "
+                         f"got {u_size}: every statement reads a pair of its points")
     stats = trace(family, u_mask)
     window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
 

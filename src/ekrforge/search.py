@@ -36,7 +36,8 @@ branches A_j, where {1,2,3} is a cover and two members are forced, one per
 size j of their intersection, and branches B_i, covering number at least 4,
 each with a forced second member.  Each branch carries the cells of the
 symmetry its forced members leave, and its first-avoider splits skip
-orbits in the same way.
+orbits in the same way.  ``_search`` runs a list of branches, one for the
+plain search, as one search.
 
 The degree-capped search (``max_intersecting_degcap``) cannot force or
 dominate, since a cap can make a compatible candidate unusable.  It
@@ -55,6 +56,11 @@ k = 3, r = 3 they never reach a plain clique phase, where colour order
 could cut nodes, and there it cut no node and made each node 10-30%
 slower.
 
+Both search cores keep their bookkeeping in one run record, ``_Run``:
+the clock, read once every ``_CLOCK_STRIDE`` nodes, the node count, the
+incumbent with its witness tie-break, the optima when collecting, the
+timebox status and the ``SearchResult``.  Only the recursions differ.
+
 Every returned witness is re-verified post hoc through the covers module
 before the result is released.  Searches are single-threaded and fully
 deterministic; an exhausted budget downgrades the status to a lower
@@ -64,6 +70,7 @@ bound but never invalidates the value.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -106,6 +113,78 @@ class _Budget(Exception):
 # n a node can take a quarter of a millisecond, so a longer stride lets a
 # timeboxed search overrun its budget by a second
 _CLOCK_STRIDE = 64
+
+
+class _Run:
+    """The bookkeeping of one search run, shared by both search cores: one
+    clock, one node count and one incumbent, and, when collecting, one set
+    of optima.
+
+    ``best`` is the size a family must beat, or reach when collecting, and
+    ``best_masks`` the sorted masks of the witness so far.  A run started
+    from an ``incumbent`` starts ``best`` at its size; a collecting run
+    keeps no incumbent masks, so its witness is the colex-least optimum it
+    notes.
+    """
+
+    __slots__ = ("budget", "t_start", "deadline", "nodes", "best", "best_masks",
+                 "optima", "status")
+
+    def __init__(self, budget: float, incumbent: UniformFamily | None = None,
+                 collect: bool = False):
+        self.budget = budget
+        self.t_start = time.perf_counter()
+        self.deadline = self.t_start + budget
+        self.nodes = 0
+        self.best = len(incumbent) if incumbent is not None else 0
+        self.best_masks = incumbent.masks if incumbent is not None and not collect else ()
+        self.optima: set[tuple[int, ...]] | None = set() if collect else None
+        self.status = PROVED
+
+    def tick(self, count: int = 1) -> None:
+        """Count one node, or a forced batch of ``count``, and read the
+        clock whenever the count reaches or passes a multiple of
+        ``_CLOCK_STRIDE``."""
+        nodes = self.nodes = self.nodes + count
+        if nodes % _CLOCK_STRIDE < count and time.perf_counter() > self.deadline:
+            raise _Budget
+
+    def note(self, chosen: list[int]) -> None:
+        """Note a feasible family: below ``best`` it leaves no trace; when
+        collecting, one of at least ``best`` members is collected (a larger
+        one first clears the collection).  Witness tie-break: the larger
+        family wins, then the colex-smaller tuple of sorted masks."""
+        size = len(chosen)
+        if size < self.best:
+            return
+        key = tuple(sorted(chosen))
+        if self.optima is not None:
+            if size > self.best:
+                self.optima.clear()
+            self.optima.add(key)
+        if size > self.best or not self.best_masks or key < self.best_masks:
+            self.best, self.best_masks = size, key
+
+    def timebox(self, recurse, *start) -> bool:
+        """Run a recursion to its end, or until the budget is spent; an
+        exhausted budget leaves a lower bound, not a proof, and ends the
+        run: False tells the caller to start nothing more."""
+        try:
+            recurse(*start)
+        except _Budget:
+            self.status = TIMEBOXED
+            return False
+        return True
+
+    def result(self, n: int, k: int) -> SearchResult:
+        """The run's result.  A collecting run that collected nothing never
+        reached its floor, and claims the value 0 with the empty witness."""
+        value = self.best if self.optima is None or self.optima else 0
+        witness = UniformFamily.from_masks(n, k, self.best_masks)
+        if len(witness) != value:
+            raise AssertionError("witness size disagrees with the proven value")
+        return SearchResult(value, witness, self.status, self.nodes,
+                            time.perf_counter() - self.t_start, self.budget)
 
 
 def canonical_form(family: UniformFamily) -> CanonicalForm:
@@ -492,23 +571,6 @@ def _candidate_graph(n: int, universe, forced) -> tuple[list[int], list[int], li
     return cand_masks, compat, disj
 
 
-def _beats(size: int, key: tuple[int, ...], best: int,
-           best_masks: tuple[int, ...]) -> bool:
-    """Witness tie-break, for a family of ``size`` >= ``best`` with sorted
-    masks ``key``: the larger family wins, then the colex-smaller tuple."""
-    return size > best or not best_masks or key < best_masks
-
-
-def _timebox(recurse, *start) -> str:
-    """Run a recursion to the end or until it raises ``_Budget``; an
-    exhausted budget leaves a lower bound, not a proof."""
-    try:
-        recurse(*start)
-    except _Budget:
-        return TIMEBOXED
-    return PROVED
-
-
 def _default_incumbent(n: int, k: int, r_min: int) -> UniformFamily | None:
     """A verified feasible family to warm-start the incumbent."""
     try:
@@ -539,19 +601,54 @@ def _verify(witness: UniformFamily, r_min: int) -> None:
         raise AssertionError(f"search witness has covering number < {r_min}")
 
 
-def _search(n: int, k: int, branch: _Branch, budget: float,
-            incumbent: UniformFamily | None = None,
-            collect_floor: int | None = None
+def _search(n: int, k: int, branches: Iterable[_Branch], budget: float,
+            incumbent: UniformFamily | None = None, collect: bool = False
             ) -> tuple[SearchResult, list[tuple[int, ...]]]:
-    """Largest intersecting family of universe members that contains the
-    forced members and leaves every constraint set avoided by some member.
+    """Largest intersecting family that, in some branch of ``branches``,
+    holds only universe members, contains the forced members and leaves
+    every constraint set avoided by some member.
 
-    Returns ``(result, optima)``.  Without a ``collect_floor`` a feasible
-    ``incumbent`` warm-starts the bound and ``optima`` is empty.  With one,
-    every maximum-size family of at least that size is collected (the
-    incumbent prune becomes non-strict); an empty collection reports that
-    the floor was never reached, and the value and witness carry no claim.
-    The caller verifies the witness it releases.
+    The branches run in order as one search (``_walk_branch`` for each):
+    one deadline, one node count and one incumbent carried from branch to
+    branch in a ``_Run``, and, when collecting, one set of optima.  Once
+    the budget is spent no further branch starts, and the result is a
+    lower bound.
+
+    Returns ``(result, optima)``.  Without ``collect`` a feasible
+    ``incumbent`` warm-starts the bound and ``optima`` is empty.  With it,
+    every family of maximum size, and of at least the incumbent's size (0
+    without one), is collected (the incumbent prune becomes non-strict); an
+    empty collection reports that this floor was never reached, and the
+    result claims the value 0.  The caller verifies the witness it
+    releases.
+
+    Why carrying the incumbent from branch to branch is exact.  Pruning
+    reads only the incumbent's size, never its members, and a later branch
+    starts from the best size of the earlier ones, a lower bound on the
+    optimum, so it drops only families that cannot be optimal overall.
+    The released witness is the colex-least among the families of maximum
+    size noted in any branch (and the incumbent), as if each branch had
+    run alone and the best of them had been taken.  When collecting, the
+    floor of a later branch is likewise the best size found so far, and a
+    larger family clears what smaller ones left.  Every public route at
+    k >= 3 starts from |G(n,k)|, which no branch beats (the paper's theorem,
+    which these searches prove), so each branch walks exactly the tree it
+    walks when it runs alone.  A cold run over several branches can prune
+    more than its branches run one by one, and may then release another
+    witness of the same size.
+    """
+    if n < 2 * k:
+        raise ValueError("max_intersecting requires n >= 2k")
+    run = _Run(budget, incumbent, collect)
+    for branch in branches:
+        if not _walk_branch(n, branch, run):
+            break
+    return run.result(n, k), sorted(run.optima or ())
+
+
+def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
+    """Walk one branch of ``_search`` within ``run``; False once the run's
+    budget is spent.
 
     Leaf test: a node whose ``size`` chosen members are fewer than ``best``
     and whose candidates number at most ``best - size`` (fewer, when
@@ -603,10 +700,6 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     that is a union of cells is only a branching choice, kept because it
     prunes: without it the (9,4) split walks about a fifth more nodes.
     """
-    if n < 2 * k:
-        raise ValueError("max_intersecting requires n >= 2k")
-    t_start = time.perf_counter()
-    deadline = t_start + budget
     forced, constraints = branch.forced, branch.constraints
     cand_masks, compat, disj = _candidate_graph(n, branch.universe, forced)
     full = (1 << len(cand_masks)) - 1
@@ -618,40 +711,16 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
     sat0 = 0
     for met in meeting(forced, constraints, n):
         sat0 |= all_sat & ~met
-
-    collect = collect_floor is not None
-    best = 0
-    best_masks: tuple[int, ...] = ()
-    optima: set[tuple[int, ...]] = set()
-    if collect:
-        best = collect_floor
-    elif incumbent is not None:
-        best, best_masks = len(incumbent), incumbent.masks
-    nodes = 0
-
-    def note_solution(chosen: list[int]) -> None:
-        nonlocal best, best_masks
-        size = len(chosen)
-        if size < best:
-            return
-        key = tuple(sorted(chosen))
-        if collect:
-            if size > best:
-                optima.clear()
-            optima.add(key)
-        if _beats(size, key, best, best_masks):
-            best, best_masks = size, key
+    collect = run.optima is not None
+    tick, note = run.tick, run.note
 
     def recurse(chosen: list[int], cand: int, unsat: int, excluded: int,
                 cells: tuple[int, ...] | None) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes % _CLOCK_STRIDE == 0 and time.perf_counter() > deadline:
-            raise _Budget
+        tick()
         # leaf: even one member per candidate cannot lift the family past
         # the incumbent, and a family below it is not noted
         size = len(chosen)
-        if size < best and size + cand.bit_count() + collect <= best:
+        if size < run.best and size + cand.bit_count() + collect <= run.best:
             return
         # constraint feasibility
         u = unsat
@@ -670,20 +739,17 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
             if cand & ~compat[xb.bit_length() - 1] == 0:
                 return
         if unsat == 0:
-            note_solution(chosen)
+            note(chosen)
         # bound: strict, or non-strict when collecting
         classes = _colour_classes(cand, disj)
-        if size + len(classes) + collect <= best:
+        if size + len(classes) + collect <= run.best:
             return
         # forced inclusions, all at once: candidates disjoint from no
         # candidate left, each of which is a group on its own
         forced_now = [g for g in classes
                       if not g & (g - 1) and not cand & disj[g.bit_length() - 1]]
         if forced_now:
-            nf = len(forced_now)
-            nodes += nf
-            if nodes % _CLOCK_STRIDE < nf and time.perf_counter() > deadline:
-                raise _Budget
+            tick(len(forced_now))
             for vb in forced_now:
                 v = vb.bit_length() - 1
                 cand ^= vb
@@ -691,7 +757,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
                 unsat &= ~avoids[v]
                 excluded &= compat[v]
             if unsat == 0:
-                note_solution(chosen)
+                note(chosen)
         if unsat:
             # first-avoider split on the tightest open constraint, unions of cells first
             pick_av, pick_key = 0, 1 << 63
@@ -746,53 +812,7 @@ def _search(n: int, k: int, branch: _Branch, budget: float,
         if forced_now:
             del chosen[size:]
 
-    status = _timebox(recurse, list(forced), full, all_sat & ~sat0, 0, branch.cells)
-    witness = UniformFamily.from_masks(n, k, best_masks)
-    if (optima or not collect) and len(witness) != best:
-        raise AssertionError("witness size disagrees with the proven value")
-    result = SearchResult(best, witness, status, nodes,
-                          time.perf_counter() - t_start, budget)
-    return result, sorted(optima)
-
-
-def _split_search(n: int, k: int, budget: float,
-                  incumbent: UniformFamily | None = None, collect: bool = False
-                  ) -> tuple[SearchResult, list[tuple[int, ...]]]:
-    """Run every branch of ``_structural_branches`` and combine them as if
-    they were one search, with the same return shape as ``_search``.
-
-    The branches run in order, A_1 .. A_{k-1} then B_i; the first gets the
-    whole budget, each later one what is left of it, or 0 once it is spent
-    (a branch given 0 stops at its first clock check, after 64 nodes,
-    with a lower bound).  When collecting, the floor starts at the size of
-    the verified ``incumbent`` (0 without one), a lower bound on the
-    optimum, so with the non-strict prune no optimum is lost; after each
-    branch it rises to the largest size found so far, since smaller
-    families cannot be optimal overall.  The optima are the branches' lists
-    joined, not merged: a family that two branches both reach is listed
-    twice, and ``_dedup_to_forms`` folds the copy into its class like any
-    relabelling.
-    """
-    t0 = time.perf_counter()
-    runs = []
-    left, floor = budget, None
-    if collect:
-        floor = len(incumbent) if incumbent is not None else 0
-    for branch in _structural_branches(n, k):
-        runs.append(_search(n, k, branch, left, incumbent, floor))
-        left = max(0.0, budget - (time.perf_counter() - t0))
-        if collect:
-            floor = runs[-1][0].value
-    found = [res for res, raw in runs if raw or not collect]
-    best = min(found, key=lambda res: (-res.value, res.witness.masks), default=None)
-    # nothing found, or no branch at all (k = 1)
-    value, witness = ((best.value, best.witness) if best
-                      else (0, UniformFamily(n, k, ())))
-    optima = [masks for res, raw in runs if res.value == value for masks in raw]
-    status = PROVED if all(res.status == PROVED for res, _ in runs) else TIMEBOXED
-    result = SearchResult(value, witness, status, sum(res.nodes for res, _ in runs),
-                          time.perf_counter() - t0, budget)
-    return result, optima
+    return run.timebox(recurse, list(forced), full, all_sat & ~sat0, 0, branch.cells)
 
 
 def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
@@ -804,7 +824,7 @@ def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
     """
     branch = _plain_branch(n, k, r_min)
     incumbent = _default_incumbent(n, k, r_min) if seed_incumbent else None
-    result, _ = _search(n, k, branch, budget, incumbent)
+    result, _ = _search(n, k, [branch], budget, incumbent)
     _verify(result.witness, r_min)
     return result
 
@@ -880,8 +900,10 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         raise ValueError("degree-capped search requires n > 2k")
     cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
     bound = cap + binom(n - ell - 1, k - ell)
-    t_start = time.perf_counter()
-    deadline = t_start + budget
+    # warm start: the degree-capped extremal candidate - the 1-star through
+    # [2,ell+1] together with every k-set containing [2,ell+1]
+    run = _Run(budget, _degcap_seed(n, k, ell, cap))
+    tick, note = run.tick, run.note
 
     first = mask_of(range(1, k + 1), n)
     cand_masks, compat, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
@@ -889,26 +911,14 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     through = point_index(cand_masks, n)
     degs = [1 if x < k else 0 for x in range(n)]
 
-    best = 0
-    best_masks: tuple[int, ...] = ()
-    # warm start: the degree-capped extremal candidate - the 1-star through
-    # [2,ell+1] together with every k-set containing [2,ell+1]
-    seed = _degcap_seed(n, k, ell, cap)
-    if seed is not None:
-        best, best_masks = len(seed), seed.masks
-    nodes = 0
-
     def expand(chosen: list[int], cand: int, cells: tuple[int, ...] | None) -> None:
-        nonlocal nodes, best, best_masks
-        nodes += 1
-        if nodes % _CLOCK_STRIDE == 0 and time.perf_counter() > deadline:
-            raise _Budget
+        tick()
         size = len(chosen)
-        if size >= best:
-            key = tuple(sorted(chosen))
-            if _beats(size, key, best, best_masks):
-                best, best_masks = size, key
-        if size + cand.bit_count() <= best:
+        # note's own first test, made here to spare the call at the many
+        # nodes below the incumbent
+        if size >= run.best:
+            note(chosen)
+        if size + cand.bit_count() <= run.best:
             return
         classes = _colour_classes(cand, disj)
         # orbits of the siblings tried so far, and the cells refined by
@@ -918,7 +928,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         for colour in range(len(classes), 0, -1):
             group = classes[colour - 1]
             while group:
-                if size + colour <= best:
+                if size + colour <= run.best:
                     return
                 u = group.bit_length() - 1
                 group ^= 1 << u
@@ -944,17 +954,16 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
 
     # cap >= C(n-2,k-2) + C(n-3,k-2) >= 2, so after the forced member
     # (degrees at most 1) every candidate still fits
-    status = _timebox(expand, [first], (1 << len(cand_masks)) - 1,
-                      _refine_cells(((1 << n) - 1,), first))
-    witness = UniformFamily.from_masks(n, k, best_masks)
-    _verify(witness, 1)
-    if max_degree(witness)[1] > cap:
+    run.timebox(expand, [first], (1 << len(cand_masks)) - 1,
+                _refine_cells(((1 << n) - 1,), first))
+    result = run.result(n, k)
+    _verify(result.witness, 1)
+    if max_degree(result.witness)[1] > cap:
         raise AssertionError("degree cap violated by the witness")
-    if status == PROVED and best > bound:
+    if result.status == PROVED and result.value > bound:
         raise AssertionError(
-            f"degree-capped optimum {best} exceeds the theorem bound {bound}")
-    return SearchResult(best, witness, status, nodes,
-                        time.perf_counter() - t_start, budget)
+            f"degree-capped optimum {result.value} exceeds the theorem bound {bound}")
+    return result
 
 
 def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
@@ -978,10 +987,13 @@ def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
 def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchResult:
     """m(n,k,3) via the structural case split of ``_structural_branches``,
     mirroring the proof architecture: the branches A_1 .. A_{k-1} (τ = 3,
-    {1,2,3} a cover, two members forced) and B_i (τ ≥ 4), each
-    warm-started with G(n,k).  At k = 3 there is no B_i.  The node count
-    is the sum over the branches."""
-    result, _ = _split_search(n, k, budget, _default_incumbent(n, k, 3))
+    {1,2,3} a cover, two members forced) and B_i (τ ≥ 4), run in that
+    order as one search warm-started with G(n,k).  At k = 3 there is no
+    B_i.  No branch beats |G(n,k)|, so each walks the tree it walks alone
+    and the node count is the sum over the branches; the budget covers
+    them all, and once it is spent no further branch starts."""
+    result, _ = _search(n, k, _structural_branches(n, k), budget,
+                        _default_incumbent(n, k, 3))
     _verify(result.witness, 3)
     return result
 
@@ -1017,8 +1029,10 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     through the forced-first-member search and deduplicating by canonical
     form covers every isomorphism class.  At r_min = 3 the
     collection runs over the structural case split of
-    ``_structural_branches`` instead, whose branches likewise reach every
-    isomorphism class, from the floor |G(n,k)| of the warm start.  Every
+    ``_structural_branches`` instead, as one search whose branches
+    likewise reach every isomorphism class, from the floor |G(n,k)| of the
+    warm start; a family that two branches both reach is collected once.
+    At r_min = 1 and 2 the floor is 0.  Every
     class representative is re-verified before it is returned: it must be
     intersecting, have covering number at least r_min and as many members
     as the value; a failure raises ``AssertionError``.
@@ -1031,11 +1045,10 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     n = 2k to k ≤ 3.
     """
     if r_min == 3:
-        result, raw = _split_search(n, k, budget, _default_incumbent(n, k, 3),
-                                    collect=True)
+        result, raw = _search(n, k, _structural_branches(n, k), budget,
+                              _default_incumbent(n, k, 3), collect=True)
     else:
-        result, raw = _search(n, k, _plain_branch(n, k, r_min), budget,
-                              collect_floor=0)
+        result, raw = _search(n, k, [_plain_branch(n, k, r_min)], budget, collect=True)
     if raw:
         _verify(result.witness, r_min)
     forms = _dedup_to_forms(n, k, raw)

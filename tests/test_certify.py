@@ -281,6 +281,11 @@ def test_trace_bounds_preconditions():
     with pytest.raises(ValueError, match="^tau of a family holding the empty set "
                                          "is undefined: no set meets it$"):
         trace_bound_check(UniformFamily(3, 0, (0,)), [1])
+    # every statement reads a 2-subset of U or two disjoint nonempty subsets,
+    # so a window of fewer than two points would pass with nothing evaluated
+    for window in ([], [9], 1 << 8):
+        with pytest.raises(ValueError, match="needs a window of at least 2 points"):
+            trace_bound_check(build_G(9, 4), window)
 
 
 def test_trace_bounds_skip_the_single_pair_bound_below_its_threshold():

@@ -13,7 +13,7 @@ from ekrforge.classify import classify_T3
 from ekrforge.cli import run
 from ekrforge.constructions import build_G, full_star, g_size_formula
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
-from ekrforge.familyio import (FamilyFormatError, parse_family, read_family,
+from ekrforge.familyio import (CHUNK_CHARS, FamilyFormatError, parse_family, read_family,
                                render_family, write_family)
 from ekrforge.properties import list_suites
 
@@ -136,6 +136,30 @@ def test_k0_family_files(text, outcome):
     assert _outcome(parse_family, text) == outcome == _outcome(reference_parse_family, text)
 
 
+@pytest.mark.parametrize("text", [
+    "9 4 2\r\n1 2 3 4\r\n1 2 3 5\r\n",
+    "9 4 2\r1 2 3 4\r1 2 3 5\r",
+    "9 4 1\v1 2 3 4\n",
+    "9 4 1\u20281 2 3 4\n",
+    "9 4 1\x1c1 2 3 4\n",
+    "9 4 1\n1 2 3 4",
+    "9 4 1\n1 2 3 4\n\n",
+    "9 4 2\n1 2 3 4\u20281 2 3 5\n",
+    "9 4 2\n1 2 3 4\r1 2 3 5\n",
+    "9 4 2\n1 2 3 4\x851 2 3 5",
+    # a member hidden in the header line, and one past the last "\n"
+    "9 4 1\v1 2 3 5\n1 2 3 4\n",
+    "9 4 1\n1 2 3 4\n1 2 3 5",
+], ids=["CRLF", "CR", "VT in the header line", "LS in the header line",
+        "FS in the header line", "no final newline", "blank last line",
+        "LS in a member line", "CR in a member line", "NEL and no final newline",
+        "two members, one in the header line", "two members, one unterminated"])
+def test_line_boundaries_other_than_newline(text):
+    """The bulk path cuts at "\n" alone; a text with any other line
+    boundary, or without a final newline, reads as ``splitlines`` sees it."""
+    assert _outcome(parse_family, text) == _outcome(reference_parse_family, text)
+
+
 def test_k0_family_file_through_the_cli(tmp_path, capsys):
     path = tmp_path / "empty-set.fam"
     assert run(["lex", "--n", "3", "--k", "0", "--m", "1", "--out", str(path)]) == 0
@@ -255,17 +279,33 @@ _G_LINE_EDITS = {
 }
 
 
+def _chunk_ends(text):
+    """The 1-based numbers of the lines that end a chunk of the bulk path,
+    the last chunk's excepted: each chunk runs up to the first "\n" past
+    ``CHUNK_CHARS`` characters."""
+    ends, start = [], text.find("\n") + 1
+    while 0 <= (end := text.find("\n", start + CHUNK_CHARS)) < len(text) - 1:
+        ends.append(text.count("\n", 0, end) + 1)
+        start = end + 1
+    return ends
+
+
 @pytest.mark.parametrize("edit", list(_G_LINE_EDITS))
 def test_parse_family_matches_reference_on_mutated_g_20_6(g_20_6_lines, edit):
-    """Edits at the first line, around the 4,096-line chunk boundaries and
-    at the last line of G(20,6)'s 8,619-line file.  Moving an element to
-    the next line keeps a chunk's token count, so only the alignment of
-    the line sentinels tells it from a canonical chunk."""
+    """Edits at the first line, around the chunk boundaries and at the last
+    line of G(20,6)'s 8,619-line file, with "\n" endings, "\r\n" endings
+    and no final newline.  Moving an element to the next line keeps a
+    chunk's token count, so only the alignment of the line sentinels tells
+    it from a canonical chunk."""
     lines = g_20_6_lines
-    for line_no in (2, 4097, 4098, 4099, 8193, 8194, len(lines)):
-        text = "\n".join(_G_LINE_EDITS[edit](lines, line_no - 1)) + "\n"
-        outcome = _outcome(parse_family, text)
-        assert outcome == _outcome(reference_parse_family, text), (edit, line_no)
+    ends = _chunk_ends("\n".join(lines) + "\n")
+    assert ends
+    for line_no in (2, *(e + d for e in ends for d in (-1, 0, 1, 2)), len(lines)):
+        edited = _G_LINE_EDITS[edit](lines, line_no - 1)
+        for sep, last in (("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")):
+            text = sep.join(edited) + last
+            outcome = _outcome(parse_family, text)
+            assert outcome == _outcome(reference_parse_family, text), (edit, line_no, sep, last)
 
 
 def test_construct_then_tau(tmp_path, capsys):
@@ -485,6 +525,13 @@ BAD_INPUT = [
      "trace_bound_check requires covering number >= 3, got 1"),
     (["trace", "EMPTY", "--window", "1", "--check-bounds"],
      "tau of an empty family is undefined"),
+    # every trace statement reads a pair of window points
+    (["trace", "G73", "--window", "7", "--check-bounds"],
+     "trace_bound_check needs a window of at least 2 points, got 1: "
+     "every statement reads a pair of its points"),
+    (["trace", "G73", "--window", "", "--check-bounds"],
+     "trace_bound_check needs a window of at least 2 points, got 0: "
+     "every statement reads a pair of its points"),
     (["trace", "ZERO", "--window", "1", "--check-bounds"],
      "tau of a family holding the empty set is undefined: no set meets it"),
     (["classify", "DISJOINT"], "classify_T3 requires an intersecting family"),
@@ -768,13 +815,29 @@ def test_unread_flags_are_usage_errors(argv, flag, tmp_path, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+# the commands that print one JSON object offer json-lines alone: a
+# json-array value would print the same bytes
+@pytest.mark.parametrize("argv", [
+    ["tau", "FAMILY"], ["covers", "FAMILY", "--ell", "2"],
+    ["trace", "FAMILY", "--window", "1,2,3,4,5"], ["classify", "FAMILY"]],
+    ids=lambda argv: argv[0])
+def test_json_array_only_where_certificates_are_listed(argv, tmp_path, capsys):
+    family = tmp_path / "g.fam"
+    write_family(build_G(9, 4), family)
+    argv = [str(family) if a == "FAMILY" else a for a in argv]
+    assert run(argv + ["--format", "json-array"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'json-array'" in captured.err
+
+
 # the output that --timings would time, and what each command needs for it
 UNTIMED = [
     (["oracle", "--n", "7", "--k", "3"], "--format json-lines or json-array"),
     (["trace", "FAMILY", "--window", "1,2,3,4,5"], "--check-bounds"),
     (["trace", "FAMILY", "--window", "1,2,3,4,5", "--format", "json-lines"], "--check-bounds"),
     (["trace", "FAMILY", "--window", "1,2,3,4,5", "--check-bounds", "--format", "text"],
-     "--format json-lines or json-array"),
+     "--format json-lines:"),
 ]
 
 

@@ -23,7 +23,7 @@ from ekrforge.families import UniformFamily, ksets_colex, mask_of
 from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
                              _dedup_to_forms, _default_incumbent,
                              _plain_branch, _refine_cells, _search,
-                             _split_search, _structural_branches, are_isomorphic,
+                             _structural_branches, are_isomorphic,
                              canonical_form, enumerate_optima, max_intersecting,
                              max_intersecting_degcap, max_intersecting_seeded)
 
@@ -76,8 +76,14 @@ PINNED_TREES = [
     (("seeded", 8, 3), 10, 156, "f64d28a646e075aa"),
     (("seeded", 9, 3), 10, 188, "f64d28a646e075aa"),
     (("seeded", 10, 3), 10, 204, "f64d28a646e075aa"),
+    (("seeded", 11, 3), 10, 212, "f64d28a646e075aa"),
+    # the only cheap point with a covering-number-4 branch B_i
+    (("seeded", 8, 4), 35, 4, "07a2d32be7225d5a"),
     (("optima", 7, 3, 3), 10, 484, "92b94b2f9e14842c"),
     (("optima", 8, 3, 3), 10, 485, "a4faba33be548ef5"),
+    # r != 3 collects over the plain branch from floor 0
+    (("optima", 6, 3, 1), 10, 1534, "2494be960751ea29"),
+    (("optima", 7, 3, 2), 13, 400, "c76226c510f8b6b6"),
 ]
 
 
@@ -283,24 +289,35 @@ def test_tau_search_timeboxed(search, params, budget):
     assert len(res.witness) == res.value >= len(_default_incumbent(*params[:2], 3))
 
 
-def test_split_budget_never_exceeds_overall(monkeypatch):
-    """Each branch of the split gets what is left of the overall budget,
-    never more: the first gets all of it, a later one no more than the
-    rest, and 0 once it is spent."""
-    seen = []
+@pytest.mark.parametrize("budget", [0.0, 0.5])
+def test_split_stops_within_overall_budget(budget):
+    """The four branches of the (9,4) split run under one deadline: the
+    search returns a lower bound within the budget plus a little slack.
+    At budget 0 it stops at the first clock read, node 64, and starts no
+    further branch."""
+    start = time.perf_counter()
+    res = max_intersecting_seeded(9, 4, budget=budget)
+    assert time.perf_counter() - start < budget + 0.25
+    assert res.status == "timeboxed-lower-bound"
+    assert len(res.witness) == res.value >= len(_default_incumbent(9, 4, 3))
+    if budget == 0.0:
+        assert res.nodes < 2 * 64
 
-    def record(n, k, branch, budget, incumbent=None, collect_floor=None):
-        seen.append(budget)
-        return ekrforge.search.SearchResult(
-            0, UniformFamily(n, k, ()), "timeboxed-lower-bound", 0, 0.0, budget), []
 
-    monkeypatch.setattr(ekrforge.search, "_search", record)
-    for budget in (0.5, 0.0):
-        seen.clear()
-        res = max_intersecting_seeded(9, 4, budget=budget)
-        assert len(seen) == 4 and seen[0] == budget
-        assert all(0 <= b <= budget for b in seen)
-        assert res.status == "timeboxed-lower-bound"
+@pytest.mark.parametrize("n,k", [(8, 4), (9, 3)])
+def test_split_run_walks_each_branch_tree(n, k):
+    """Warm-started from G(n,k), which no branch beats, the split run walks
+    each branch's own tree: its node count is the sum of the branches run
+    one at a time, and its witness the colex-least of theirs."""
+    incumbent = _default_incumbent(n, k, 3)
+    split, _ = _search(n, k, _structural_branches(n, k), 300, incumbent)
+    alone = [_search(n, k, [b], 300, incumbent)[0] for b in _structural_branches(n, k)]
+    assert len(alone) == {(8, 4): 4, (9, 3): 2}[n, k]
+    assert split.status == "proved-optimal"
+    assert split.nodes == sum(res.nodes for res in alone)
+    assert split.value == max(res.value for res in alone)
+    assert split.witness.masks == min(res.witness.masks for res in alone
+                                      if res.value == split.value)
 
 
 def test_budget_read_at_every_multiple_of_64(monkeypatch):
@@ -316,7 +333,7 @@ def test_budget_read_at_every_multiple_of_64(monkeypatch):
 
     monkeypatch.setattr(ekrforge.search, "time", SimpleNamespace(perf_counter=perf_counter))
     branch = dataclasses.replace(_plain_branch(15, 3, 3), cells=None)
-    res, _ = _search(15, 3, branch, 600, _default_incumbent(15, 3, 3))
+    res, _ = _search(15, 3, [branch], 600, _default_incumbent(15, 3, 3))
     assert res.nodes > 10 * 64
     assert len(reads) == 2 + res.nodes // 64
 
@@ -505,7 +522,7 @@ def test_enumerate_optima_r3_split_matches_plain():
     from 0."""
     for n in (7, 8):
         branch = dataclasses.replace(_plain_branch(n, 3, 3), cells=None)
-        plain, raw = _search(n, 3, branch, 300, collect_floor=0)
+        plain, raw = _search(n, 3, [branch], 300, collect=True)
         routes = [(_dedup_to_forms(n, 3, raw), plain),
                   enumerate_optima(n, 3, 3, budget=300)]
         for forms, result in routes:
@@ -524,8 +541,8 @@ def test_forced_split_against_unforced_branch_a():
     for n in (7, 8, 9):
         value = brute_max_by_cliques(n, 3, 3)
         for incumbent in (_default_incumbent(n, 3, 3), None):
-            forced, _ = _split_search(n, 3, 300, incumbent)
-            unforced, _ = _search(n, 3, unforced_branch_a(n, 3), 300, incumbent)
+            forced, _ = _search(n, 3, _structural_branches(n, 3), 300, incumbent)
+            unforced, _ = _search(n, 3, [unforced_branch_a(n, 3)], 300, incumbent)
             assert forced.status == unforced.status == "proved-optimal"
             assert forced.witness.masks == unforced.witness.masks
             assert forced.value == unforced.value == value
@@ -628,13 +645,13 @@ def test_orbit_skips_against_cells_none(n, k):
     for branch, r in _orbit_branches(n, k):
         routes = (branch, dataclasses.replace(branch, cells=None))
         for start in (_default_incumbent(n, k, r), None):
-            runs = [_search(n, k, b, 300, start)[0] for b in routes]
+            runs = [_search(n, k, [b], 300, start)[0] for b in routes]
             assert all(res.status == "proved-optimal" for res in runs)
             assert runs[0].value == runs[1].value
             for i, res in enumerate(runs):
                 nodes[i] += res.nodes
         if k == 3:
-            forms = [_dedup_to_forms(n, k, _search(n, k, b, 300, collect_floor=0)[1])
+            forms = [_dedup_to_forms(n, k, _search(n, k, [b], 300, collect=True)[1])
                      for b in routes]
             assert forms[0] and forms[0] == forms[1]
     # the skips took effect
@@ -671,7 +688,7 @@ def test_orbit_skips_on_orbit_closed_subuniverses(n):
             universe = tuple(sorted({m for key in kept for m in orbits[key]}
                                     | set(branch.forced)))
             cut = dataclasses.replace(branch, universe=universe)
-            runs = [_search(n, 3, b, 300, collect_floor=0)
+            runs = [_search(n, 3, [b], 300, collect=True)
                     for b in (cut, dataclasses.replace(cut, cells=None))]
             (with_cells, raw), (without, plain_raw) = runs
             assert with_cells.status == without.status == "proved-optimal"
@@ -693,7 +710,7 @@ def test_enumerate_optima_reverifies_classes(monkeypatch, members, problem):
     witness = build_G(7, 3)
     bad = UniformFamily.from_sets(7, 3, members)
     result = ekrforge.search.SearchResult(10, witness, "proved-optimal", 1, 0.0, 1.0)
-    monkeypatch.setattr(ekrforge.search, "_split_search",
+    monkeypatch.setattr(ekrforge.search, "_search",
                         lambda *args, **kwargs: (result, [witness.masks, bad.masks]))
     with pytest.raises(AssertionError, match=problem):
         enumerate_optima(7, 3, 3)
@@ -734,7 +751,7 @@ def test_seeded_search_structure():
     branches = [b for b in _structural_branches(9, 4)
                 if b.constraints == _avoidance(9, 3)]
     assert len(branches) == 3
-    results = [_search(9, 4, b, 600, incumbent)[0] for b in branches]
+    results = [_search(9, 4, [b], 600, incumbent)[0] for b in branches]
     assert all(res.status == "proved-optimal" for res in results)
     assert max(res.value for res in results) == 48
     assert [res.nodes for res in results] == [239994, 364946, 261243]
