@@ -45,7 +45,9 @@ branches in colour order instead (MCQ, Tomita et al. 2010): each node
 lists its candidates by the same greedy disjoint groups the bound counts
 and tries them from the last group down, stopping once the groups left
 cannot lift the family past the incumbent; candidates through a point at
-the cap leave the candidate set.  It prunes by symmetry instead of by
+the cap leave the candidate set, and a node stops at once when the room
+left under the cap at the points of {1..k}, which every candidate meets,
+cannot lift it past the incumbent.  It prunes by symmetry instead of by
 domination: a node carries a partition of [n] into cells that its
 members and its removed candidates are unions of, and skips a candidate
 in the orbit of a sibling already tried under the symmetric groups on the
@@ -862,6 +864,19 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     there are no more groups than candidates and the first stop check
     would end the loop.
 
+    Capacity stop: every candidate meets the forced member {1..k}, so its
+    least point x lies in {1..k}, and the sets L_x of candidates with least
+    point x partition the candidates.  Every member of L_x holds x, so at
+    most ``cap - deg(x)`` of them can still be added.  A node whose
+    ``size + room <= best``, where room sums min(cap - deg(x), |cand ∩
+    L_x|) over x in {1..k}, returns right after the leaf test: a member
+    added below the node is one of its candidates and lies in exactly one
+    L_x, so no family in its subtree beats the incumbent.  Like the colour
+    stop, it cuts only subtrees that hold no family beating ``best``, and
+    it changes the family and candidates of no node it keeps, so the
+    orbit-skip induction and the argument that the witness stays the seed
+    (both below) hold with it unchanged.
+
     Orbit skips.  A node carries a partition of [n] into cells, {1..k} and
     the rest at the root; its group is the product of the symmetric groups
     on the cells.  Every chosen member and every candidate removed above
@@ -888,11 +903,11 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     first ``colour`` groups and are ruled out by the colour bound as
     before.
 
-    Why the witness stays the seed: skipping only drops children, and every
-    node that is kept has the same family and candidates as without skips.
-    At every point proved so far the value is |``_degcap_seed``|, the
-    theorem bound, and the search without skips never replaced the seed,
-    so neither does the search with them.
+    Why the witness stays the seed: skipping and the capacity stop only
+    drop nodes, and every node that is kept has the same family and
+    candidates as without them.  At every point proved so far the value is
+    |``_degcap_seed``|, the theorem bound, and the search without skips
+    never replaced the seed, so neither does the search with them.
     """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
@@ -910,6 +925,11 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     points = [[x - 1 for x in elements_of(m)] for m in cand_masks]
     through = point_index(cand_masks, n)
     degs = [1 if x < k else 0 for x in range(n)]
+    # the candidates by least point, which lies in {1..k}: every candidate
+    # meets the forced member
+    least = [0] * k
+    for i, pts in enumerate(points):
+        least[pts[0]] |= 1 << i
 
     def expand(chosen: list[int], cand: int, cells: tuple[int, ...] | None) -> None:
         tick()
@@ -918,7 +938,14 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         # nodes below the incumbent
         if size >= run.best:
             note(chosen)
-        if size + cand.bit_count() <= run.best:
+        best = run.best
+        if size + cand.bit_count() <= best:
+            return
+        room = 0
+        for x in range(k):
+            free, left = (cand & least[x]).bit_count(), cap - degs[x]
+            room += free if free < left else left
+        if size + room <= best:
             return
         classes = _colour_classes(cand, disj)
         # orbits of the siblings tried so far, and the cells refined by

@@ -150,10 +150,24 @@ def test_k0_family_files(text, outcome):
     # a member hidden in the header line, and one past the last "\n"
     "9 4 1\v1 2 3 5\n1 2 3 4\n",
     "9 4 1\n1 2 3 4\n1 2 3 5",
+    # "\r\n" after the header line, mixed with "\n" and lone "\r"
+    "9 4 2\r\n1 2 3 4\n1 2 3 5\r\n",
+    "9 4 3\r\n1 2 3 4\r1 2 3 5\r\n1 2 3 6\r\n",
+    "9 4 2\r\n1 2 3 4\r1 2 3 4\r\n",
+    "9 4 2\r\n1 2 3 4\r\r\n1 2 3 4\r\n",
+    "9 4 1\r\r\n1 2 3 4\r\n",
+    "9 4 1\r\n1 2 3 4\r",
+    "9 4 2\r\n1 2 3 4\r\n1 2 3 4\r\n",
+    "9 4 3\r\n1 2 3 4\r\n1 2 3 5\r\n",
+    "3 0 1\r\n\r\n",
 ], ids=["CRLF", "CR", "VT in the header line", "LS in the header line",
         "FS in the header line", "no final newline", "blank last line",
         "LS in a member line", "CR in a member line", "NEL and no final newline",
-        "two members, one in the header line", "two members, one unterminated"])
+        "two members, one in the header line", "two members, one unterminated",
+        "CRLF then LF", "CRLF, CR in a member line", "CRLF, duplicate after a CR",
+        "CRLF, duplicate after CR CR LF", "CR CR LF after the header",
+        "CRLF, final lone CR", "CRLF, duplicate", "CRLF, short by one member",
+        "CRLF at k = 0"])
 def test_line_boundaries_other_than_newline(text):
     """The bulk path cuts at "\n" alone; a text with any other line
     boundary, or without a final newline, reads as ``splitlines`` sees it."""

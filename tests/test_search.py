@@ -66,7 +66,15 @@ PINNED_TREES = [
     (("degcap", 7, 3, 3), 13, 68, "74c45d4c2748e6dc"),
     (("degcap", 8, 3, 2), 16, 983, "70331c4cca1fab12"),
     (("degcap", 8, 3, 3), 16, 4853, "a3f84757c42a60b9"),
-    (("degcap", 9, 3, 3), 19, 762697, "29435be259ceab3b"),
+    # degcap (9,3,3) fell from 762697 nodes, and (9,3,2) from 60403 and
+    # (10,3,2) from 2628483, when a node began to stop once the room left
+    # under the cap at the points of {1..k}, which every candidate meets,
+    # could not lift it past the incumbent; the values and witnesses did
+    # not move.  (10,3,2) proves 22 = C(9,2) - C(7,2) + C(7,1), the theorem
+    # bound
+    (("degcap", 9, 3, 2), 19, 33375, "de0cc02610fb0428"),
+    (("degcap", 9, 3, 3), 19, 688290, "29435be259ceab3b"),
+    (("degcap", 10, 3, 2), 22, 60467, "073847309d419e64"),
     # seeded and r = 3 optima node counts fell (192, 318, 470, 648, 721
     # and 985 before) when every first-avoider split of the structural
     # branches began to skip an avoider in the orbit of an earlier sibling,
@@ -250,28 +258,36 @@ def test_refine_cells_orbits():
 
 def test_degcap_cold_start_against_reference(monkeypatch):
     """Without the warm start (both searches read ``_degcap_seed`` at call
-    time) the orbit-pruned search still proves the reference's value, with
-    a witness of that size which is intersecting and within the cap."""
+    time) the search still proves the optimum, with a witness of that size
+    which is intersecting and within the cap.  The warm start already meets
+    the optimum at every point, so a capacity stop that cut one family too
+    many would still pass every warm value test; cold, at (9,3,2) and
+    (10,3,2), where the stop prunes, the expected value is the theorem
+    bound, since the reference takes seconds there."""
     monkeypatch.setattr(ekrforge.search, "_degcap_seed", lambda *args: None)
-    for n, k, ell in ((7, 3, 2), (7, 3, 3), (8, 3, 2), (8, 3, 3)):
+    for n, k, ell, value in ((7, 3, 2, None), (7, 3, 3, None), (8, 3, 2, None),
+                             (8, 3, 3, None), (9, 3, 2, 19), (10, 3, 2, 22)):
+        cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
+        if value is None:
+            value, _, _ = reference_degcap(n, k, ell)
+        else:
+            assert value == cap + binom(n - ell - 1, k - ell)
         res = max_intersecting_degcap(n, k, ell, budget=300)
-        value, _, _ = reference_degcap(n, k, ell)
         assert res.status == "proved-optimal"
         assert res.value == value == len(res.witness)
         assert is_intersecting(res.witness)
-        cap = binom(n - 1, k - 1) - binom(n - ell - 1, k - 1)
         degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, n + 1)]
         assert max(degs) <= cap
 
 
 def test_degcap_timeboxed():
     """An exhausted budget stops the search with a lower bound that still
-    respects the cap."""
-    res = max_intersecting_degcap(10, 3, 2, budget=0.01)
+    respects the cap.  (11,3,2) ran for more than 120 s without a proof."""
+    res = max_intersecting_degcap(11, 3, 2, budget=0.01)
     assert res.status == "timeboxed-lower-bound"
-    cap = binom(9, 2) - binom(7, 2)
+    cap = binom(10, 2) - binom(8, 2)
     assert is_intersecting(res.witness) and len(res.witness) == res.value > 0
-    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 11)]
+    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 12)]
     assert max(degs) <= cap
 
 
