@@ -29,7 +29,9 @@ any suite runs, a range that a selected suite refuses
 (``properties.range_refusal``: an empty one, an ID-G-SIZE range past 64
 points or its member limit, a --samples below 1, or one too small for
 TRACE-BOUNDS-RANDOM ever to pass).  construct takes --k, --apex and
---input only for the kinds that read them.
+--input only for the kinds that read them.  The text output of trace
+--check-bounds prints, under its verdict, each skipped statement with its
+reason and the number of cases each statement evaluated.
 """
 
 from __future__ import annotations
@@ -232,11 +234,12 @@ def _cmd_trace(args) -> int:
     stats = _on_input(lambda: len(set(window)) < len(window)
                       or not all(1 <= x <= fam.n for x in window), trace, fam, window)
     rows = []
-    for s_mask, (f_s, residual) in sorted(stats.table.items()):
+    for s_mask, f_s in stats.counts.items():
         alpha = stats.alpha_of(s_mask)
+        # the residual family of S has one member per member tracing S
         rows.append({"S": list(elements_of(s_mask)), "f": f_s,
                      "alpha": None if alpha is None else str(alpha),
-                     "residual_size": len(residual)})
+                     "residual_size": f_s})
     cert = None
     if args.check_bounds:
         start = time.perf_counter()
@@ -248,6 +251,11 @@ def _cmd_trace(args) -> int:
         lines = [f"S={tuple(r['S'])} f={r['f']} alpha={r['alpha']}" for r in rows]
         if cert is not None:
             lines.append(f"TRACE-BOUNDS: {cert.verdict.upper()}")
+            lines += [f"  skipped {s['statement']}: {s['reason']}"
+                      for s in cert.details["skipped"]]
+            evaluated = ", ".join(f"{name} {count}"
+                                  for name, count in cert.details["evaluated"].items())
+            lines.append(f"  evaluated: {evaluated or 'none'}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {"window": sorted(window), "total": stats.total(), "rows": rows}

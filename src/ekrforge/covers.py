@@ -2,8 +2,9 @@
 
 A cover of a family is a set T meeting every member; τ is the least
 cover size.  Each routine works on the family's point index
-(``families.point_index``: one bitset of member positions per point), so
-"which members does T meet" is an OR of T's rows.  ``covers`` returns
+(``UniformFamily.index``: one bitset of member positions per point, built
+once per family and shared with ``is_intersecting`` and ``max_degree``),
+so "which members does T meet" is an OR of T's rows.  ``covers`` returns
 the ℓ-uniform family of all size-ℓ covers, walking the ℓ-sets in colex
 order and ORing rows on the way; ``has_cover`` asks whether a cover of at
 most ℓ points exists, by branch-and-bound on the points of an uncovered
@@ -11,7 +12,8 @@ member with the bitset of the members still unmet (never by full
 enumeration), so a gate such as τ ≥ 3 is one call,
 ``not has_cover(F, 2)``; ``tau`` is the least ℓ for which it holds, on
 one index for every ℓ.  ``saturate`` / ``is_saturated`` handle maximal
-intersecting completions through one scan, ``_added``.  A k-set can join
+intersecting completions through one scan, ``_added``, which grows a
+copy of the index and leaves the family's own untouched.  A k-set can join
 an intersecting family only if it meets every member, that is, only if
 it is a k-cover, so both scan the ``covers`` walk instead of all k-sets:
 the walk shares the OR of each prefix of points, about one OR per k-set
@@ -23,8 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .families import (UniformFamily, _met, is_intersecting, ksets_colex, mask_of,
-                       point_index)
+from .families import UniformFamily, _met, is_intersecting, ksets_colex, mask_of
 
 
 def covers(family: UniformFamily, ell: int) -> UniformFamily:
@@ -41,7 +42,7 @@ def covers(family: UniformFamily, ell: int) -> UniformFamily:
     """
     if not 1 <= ell <= family.n:
         raise ValueError(f"cover size {ell} outside [1, n={family.n}]")
-    inc = point_index(family.masks, family.n)
+    inc = family.index
     full = (1 << len(family.masks)) - 1
     found = []
 
@@ -66,7 +67,7 @@ def all_covers(family: UniformFamily) -> list[int]:
     return out
 
 
-def _exists_cover(masks: Sequence[int], inc: list[int], rest: int, budget: int) -> bool:
+def _exists_cover(masks: Sequence[int], inc: Sequence[int], rest: int, budget: int) -> bool:
     """Branch-and-bound: is there a ≤budget-element set meeting every member
     of ``masks`` in the bitset ``rest``?  ``inc`` is ``point_index(masks, n)``.
     """
@@ -96,7 +97,7 @@ def has_cover(family: UniformFamily, ell: int) -> bool:
     if ell < 0:
         raise ValueError(f"cover size {ell} is negative")
     masks = family.masks
-    return _exists_cover(masks, point_index(masks, family.n), (1 << len(masks)) - 1, ell)
+    return _exists_cover(masks, family.index, (1 << len(masks)) - 1, ell)
 
 
 def tau(family: UniformFamily) -> int:
@@ -111,7 +112,7 @@ def tau(family: UniformFamily) -> int:
         raise ValueError("tau of a family holding the empty set is undefined: "
                          "no set meets it")
     masks = family.masks
-    inc = point_index(masks, family.n)
+    inc = family.index
     full = (1 << len(masks)) - 1
     for ell in range(1, family.n + 1):
         if _exists_cover(masks, inc, full, ell):
@@ -152,11 +153,11 @@ def _added(family: UniformFamily, order: Iterable[int]) -> Iterator[int]:
     is the bitset of the sets so far that hold the point x + 1, and a
     candidate meets them all iff the OR of its points' bitsets (``_met``)
     is full.
-    The index starts as ``point_index`` of the members and grows by one
+    The index starts as a copy of the family's ``index`` and grows by one
     position per candidate yielded.
     """
     present = set(family.masks)
-    inc = point_index(family.masks, family.n)
+    inc = list(family.index)
     full = (1 << len(family.masks)) - 1  # one bit per set indexed so far
 
     def index(m: int) -> None:

@@ -10,13 +10,17 @@ the covering-number machinery live here:
     index ``point_index`` (one bitset of positions per point, built by a
     bit-matrix transposition in C) and ``meeting``, the OR of that index
     over a query's points; the search, covers, saturation, generators and
-    oracles build their bitsets through them,
+    oracles build their bitsets through them.  A family builds its own
+    index once, on first use, as ``UniformFamily.index``; the family
+    predicates here and in ``covers`` all read that one index,
   * is_intersecting, which queries the index only for the members that
     avoid a point of maximum degree, and the pairwise
     are_cross_intersecting,
-  * the trace F(S, U) = {F \\ U : F in F, F ∩ U = S} with its counts f_S,
-    and the exact-rational density α(S) = f_S / C(n-|U|, k-|S|), computed
-    in one place, ``TraceStats.alpha_of``,
+  * the trace F(S, U) = {F \\ U : F in F, F ∩ U = S}: ``trace`` counts
+    f_S for every S in one pass and builds a residual family only when
+    ``TraceStats.residual`` asks for it; the exact-rational density
+    α(S) = f_S / C(n-|U|, k-|S|) is computed in one place,
+    ``TraceStats.alpha_of``,
   * layers F_i = {F : |F ∩ U| = i} and the maximum degree Δ(F).
 
 The ground set is capped at 64 elements so every mask fits one machine
@@ -26,8 +30,10 @@ word; all desk-scale parameters of interest fit comfortably.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .binomial import binom
@@ -119,7 +125,8 @@ class UniformFamily:
     """A duplicate-free k-uniform family over [n], colex-sorted.
 
     Iteration order, tie-breaking and file output all follow the mask
-    order, so every run is deterministic.
+    order, so every run is deterministic.  A family never changes, so its
+    point index is built once, on first use (``index``).
     """
 
     n: int
@@ -176,31 +183,53 @@ class UniformFamily:
     def sets(self) -> list[tuple[int, ...]]:
         return [elements_of(m) for m in self.masks]
 
+    @cached_property
+    def index(self) -> tuple[int, ...]:
+        """``point_index(masks, n)`` of the members, built once per family:
+        ``index[x]`` is the bitset of the positions of the members that
+        hold the point x + 1."""
+        return tuple(point_index(self.masks, self.n))
+
 
 @dataclass(frozen=True)
 class TraceStats:
-    """Trace of a family through a window U: S ↦ (f_S, residual family).
+    """Trace of a family through a window U: S ↦ f_S, the number of members
+    F with F ∩ U = S.
 
-    `table` is keyed by the masks S that actually occur as F ∩ U; `f`
-    returns 0 for the rest.  Residual families keep the original labels
-    (their members are supported on [n] \\ U).
+    `counts` is keyed by the masks S that actually occur as F ∩ U, in
+    increasing order; `f` returns 0 for the rest.  `residual` builds the
+    residual family of one S on demand; it keeps the original labels (its
+    members are supported on [n] \\ U).
     """
 
-    n: int
-    k: int
+    family: UniformFamily = field(repr=False)
     window: int
-    table: dict[int, tuple[int, UniformFamily]] = field(repr=False)
+    counts: dict[int, int] = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.family.n
+
+    @property
+    def k(self) -> int:
+        return self.family.k
 
     def _as_mask(self, s) -> int:
         return s if isinstance(s, int) else mask_of(s, self.n)
 
     def f(self, s) -> int:
-        entry = self.table.get(self._as_mask(s))
-        return entry[0] if entry else 0
+        return self.counts.get(self._as_mask(s), 0)
 
     def residual(self, s) -> Optional[UniformFamily]:
-        entry = self.table.get(self._as_mask(s))
-        return entry[1] if entry else None
+        """{F \\ U : F ∩ U = S}, or None when no member traces S."""
+        m = self._as_mask(s)
+        if m not in self.counts:
+            return None
+        u = self.window
+        # x & u = S for every member x of the group, so the residuals x & ~u
+        # are (k - |S|)-sets of [n] that keep the members' increasing order
+        return UniformFamily._trusted(self.n, self.k - m.bit_count(),
+                                      tuple(x & ~u for x in self.family.masks if x & u == m))
 
     def alpha_of(self, s) -> Optional[Fraction]:
         """α(S) = f_S / C(n-|U|, k-|S|) as an exact Fraction, or None for
@@ -208,14 +237,14 @@ class TraceStats:
         denominator vanishes."""
         m = self._as_mask(s)
         d = self.denominator(m.bit_count())
-        return Fraction(self.f(m), d) if m and d else None
+        return Fraction(self.counts.get(m, 0), d) if m and d else None
 
     def denominator(self, size: int) -> int:
         """C(n-|U|, k-size), the denominator of α(S) for every |S| = size."""
         return binom(self.n - self.window.bit_count(), self.k - size)
 
     def total(self) -> int:
-        return sum(fs for fs, _ in self.table.values())
+        return sum(self.counts.values())
 
 
 # ── predicates and statistics ────────────────────────────────────────────────
@@ -261,7 +290,7 @@ def meeting(queries: Iterable[int], masks: Sequence[int], n: int) -> Iterator[in
         yield _met(inc, q)
 
 
-def _met(inc: list[int], q: int) -> int:
+def _met(inc: Sequence[int], q: int) -> int:
     """The OR of the rows of ``inc`` over the points of the mask q."""
     met = 0
     while q:
@@ -286,7 +315,7 @@ def is_intersecting(family: UniformFamily) -> bool:
     if family.k == 0:
         return True  # the only 0-set is ∅, so the family has at most one member
     masks = family.masks
-    inc = point_index(masks, family.n)
+    inc = family.index
     pivot = 1 << (_top_point(inc)[0] - 1)
     full = (1 << len(masks)) - 1
     return all(_met(inc, q) == full for q in masks if not q & pivot)
@@ -311,20 +340,12 @@ def are_cross_intersecting(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
 
 
 def trace(family: UniformFamily, window: Iterable[int] | int) -> TraceStats:
-    """Group members by their intersection with the window U."""
+    """Count the members by their intersection with the window U."""
     u = window if isinstance(window, int) else mask_of(window, family.n)
     if u >> family.n:
         raise ValueError("window has elements outside the ground set")
-    groups: dict[int, list[int]] = {}
-    for m in family.masks:
-        groups.setdefault(m & u, []).append(m & ~u)
-    # within a group m & u is fixed, so the residuals m & ~u are
-    # (k - |S|)-sets of [n] that keep the members' strictly increasing order
-    table = {s: (len(residual_masks),
-                 UniformFamily._trusted(family.n, family.k - s.bit_count(),
-                                        tuple(residual_masks)))
-             for s, residual_masks in sorted(groups.items())}
-    return TraceStats(family.n, family.k, u, table)
+    counts = Counter(map(u.__and__, family.masks))
+    return TraceStats(family, u, dict(sorted(counts.items())))
 
 
 def layer(family: UniformFamily, window: Iterable[int] | int, i: int) -> UniformFamily:
@@ -337,16 +358,16 @@ def layer(family: UniformFamily, window: Iterable[int] | int, i: int) -> Uniform
 def max_degree(family: UniformFamily) -> tuple[int, int]:
     """(element, degree) with the maximum degree; ties go to the smallest element.
 
-    The degrees are the popcounts of ``point_index``: 1.8 ms on G(20,6),
+    The degrees are the popcounts of the family's ``index``: 1.8 ms on G(20,6),
     against 7.4 ms for a scan of the members per point (same host as
     ``point_index``).
     """
     if not family.masks:
         raise ValueError("max_degree of an empty family is undefined")
-    return _top_point(point_index(family.masks, family.n))
+    return _top_point(family.index)
 
 
-def _top_point(inc: list[int]) -> tuple[int, int]:
+def _top_point(inc: Sequence[int]) -> tuple[int, int]:
     """(element, degree) of a point with the most positions in ``inc``,
     the smallest such element on ties."""
     degrees = [row.bit_count() for row in inc]

@@ -16,6 +16,10 @@ grow them from structured seeds:
 
 Seeds are completed to maximal families by a saturation scan in a
 seeded-random candidate order, and rejection sampling enforces τ ≥ 3.
+The scan builds its result from k-sets it listed itself and members of
+the checked seed, so the result skips the per-member checks
+(``UniformFamily._trusted``); its point index, built once by the τ ≥ 3
+test, is the one that the trace-bound checker's gates read again.
 Everything is driven by an explicit ``random.Random`` so runs are
 deterministic given the seed.
 """
@@ -50,9 +54,12 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     candidate is kept iff its bit is clear; the same test on the input's
     members checks that it is intersecting.  Above that size the table
     would not fit, and the point-indexed scan ``covers._added`` decides.
-    Both branches shuffle through ``_shuffle``, which makes the draws of
+    The table scan stops as soon as every position is blocked.  Both
+    branches shuffle through ``_shuffle``, which makes the draws of
     ``rng.shuffle`` with one Python call less per draw, so ``rng`` must be
-    a ``random.Random``.
+    a ``random.Random``.  The result's members are the seed's and colex
+    k-sets, distinct since a member's position is blocked (or, above the
+    table, present), so it is built without the per-member checks.
     """
     n, k = family.n, family.k
     sets = _colex_order(n, k)
@@ -62,7 +69,7 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
             raise ValueError("saturate_random requires an intersecting family")
         _shuffle(order, rng)
         added = _added(family, [sets[i] for i in order])
-        return UniformFamily.from_masks(n, k, [*family.masks, *added])
+        return UniformFamily._trusted(n, k, tuple(sorted([*family.masks, *added])))
     disjoint = _disjoint_table(n, k)
     blocked = 0
     for m in family.masks:
@@ -71,12 +78,15 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
             raise ValueError("saturate_random requires an intersecting family")
         blocked |= disjoint[i] | 1 << i
     _shuffle(order, rng)
+    full = (1 << len(sets)) - 1
     added = []
     for i in order:
         if not blocked >> i & 1:
             added.append(sets[i])
             blocked |= disjoint[i] | 1 << i
-    return UniformFamily.from_masks(n, k, [*family.masks, *added])
+            if blocked == full:
+                break
+    return UniformFamily._trusted(n, k, tuple(sorted([*family.masks, *added])))
 
 
 def _shuffle(order: list, rng: random.Random) -> None:
@@ -91,15 +101,23 @@ def _shuffle(order: list, rng: random.Random) -> None:
     (i + 1).bit_length() bits again while j > i, then swaps positions i
     and j.  That is ``_randbelow(i + 1)`` of a ``random.Random``, whose
     ``getrandbits`` is not overridden; ``tests/test_generators.py``
-    compares the two, so a CPython that draws otherwise fails there.
+    compares the two, so a CPython that draws otherwise fails there.  The
+    (i, bit width) pairs come from ``_draw_widths``.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(order) - 1, 0, -1):
-        bits = (i + 1).bit_length()
+    for i, bits in _draw_widths(len(order)):
         j = getrandbits(bits)
         while j > i:
             j = getrandbits(bits)
         order[i], order[j] = order[j], order[i]
+
+
+@lru_cache(maxsize=16)
+def _draw_widths(length: int) -> tuple[tuple[int, int], ...]:
+    """(i, (i + 1).bit_length()) for i from length - 1 down to 1: the
+    positions and draw widths of a shuffle of ``length`` items, listed
+    once per length."""
+    return tuple((i, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
 
 
 def random_kset_mask(n: int, k: int, rng: random.Random) -> int:

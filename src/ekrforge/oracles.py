@@ -188,10 +188,10 @@ def _sperner_violations(stats: TraceStats) -> tuple[int, list[tuple[int, int, Fr
     sum as a Fraction for its witness."""
     denominators = tuple(map(stats.denominator, range(stats.window.bit_count() + 1)))
     plan = _sperner_plan(stats.window, stats.n, stats.k, denominators)
-    counts = {s: fs for s, (fs, _) in stats.table.items()}
+    f = stats.counts.get
     found = []
     for s_a, d_a, s_b, d_b in plan:
-        f_a, f_b = counts.get(s_a, 0), counts.get(s_b, 0)
+        f_a, f_b = f(s_a, 0), f(s_b, 0)
         if f_a * d_b + f_b * d_a > d_a * d_b:
             found.append((s_a, s_b, Fraction(f_a, d_a) + Fraction(f_b, d_b)))
     return len(plan), found
@@ -212,7 +212,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     threshold it needs: for the single-pair bound n >= k+|U|-2, below
     which its binomial C(n-k-|U|+2, k-2) has a negative top.
 
-    {∅}, the one nonempty family at k = 0, is refused: no set covers it,
+    The intersecting and τ >= 3 gates read the family's one cached point
+    index, so on a family that a τ >= 3 sampler has tested they build
+    nothing.  {∅}, the one nonempty family at k = 0, is refused: no set covers it,
     so the τ >= 3 gate would let it through.  So is a window of fewer than
     two points: every statement reads a 2-subset of U, or two disjoint
     nonempty subsets of U, so such a window would pass with nothing
@@ -233,7 +235,8 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
         raise ValueError(f"trace_bound_check needs a window of at least 2 points, "
                          f"got {u_size}: every statement reads a pair of its points")
     stats = trace(family, u_mask)
-    window_ok = all((m & u_mask).bit_count() >= 2 for m in family.masks)
+    f = stats.counts.get
+    window_ok = all(s.bit_count() >= 2 for s in stats.counts)
 
     u_elems = elements_of(u_mask)
     pair_masks = [mask_of(p, n) for p in combinations(u_elems, 2)]
@@ -253,9 +256,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     else:
         single_bound = binom(n - u_size, k - 2) - binom(n - single_floor, k - 2)
         evaluated["single-pair"] = len(pair_masks)
-        witnesses += [{"statement": "single-pair", "P": elements_of(p), "f": stats.f(p),
+        witnesses += [{"statement": "single-pair", "P": elements_of(p), "f": f(p, 0),
                        "bound": single_bound}
-                      for p in pair_masks if stats.f(p) > single_bound]
+                      for p in pair_masks if f(p, 0) > single_bound]
 
     # the statements over disjoint pairs P, Q of U: name, whether k and |U|
     # fit its shape, its n-threshold, the reason recorded when only the
@@ -287,9 +290,9 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
             skipped.append({"statement": name, "reason": reason})
 
     for p, q in disjoint:
-        fp, fq = stats.f(p), stats.f(q)
+        fp, fq = f(p, 0), f(q, 0)
         two = fp + fq
-        four_sum = two + stats.f(u_mask & ~p) + stats.f(u_mask & ~q)
+        four_sum = two + f(u_mask & ~p, 0) + f(u_mask & ~q, 0)
         for name, bound, four, found in active:
             total = four_sum if four else two
             if total > bound:

@@ -49,6 +49,22 @@ def reference_point_index(masks, n: int) -> list[int]:
     return inc
 
 
+def reference_trace(family: UniformFamily, window) -> dict[int, tuple[int, UniformFamily]]:
+    """S ↦ (f_S, residual family {F \\ U : F ∩ U = S}) for every S that
+    occurs as F ∩ U, in increasing order of S: the members grouped one at
+    a time, each residual family built through the checked constructor.
+
+    Independent oracle for the counting ``families.trace``.
+    """
+    u = window if isinstance(window, int) else mask_of(window, family.n)
+    groups: dict[int, list[int]] = {}
+    for m in family.masks:
+        groups.setdefault(m & u, []).append(m & ~u)
+    return {s: (len(residuals), UniformFamily(family.n, family.k - s.bit_count(),
+                                              tuple(residuals)))
+            for s, residuals in sorted(groups.items())}
+
+
 def reference_covers(family: UniformFamily, ell: int) -> UniformFamily:
     """The ℓ-subsets of [n] meeting every member, by a scan that breaks at
     the first member a candidate misses.

@@ -362,11 +362,17 @@ def test_trace_subcommand(tmp_path, capsys):
 
 def test_trace_check_bounds_on_a_window_past_the_single_pair_threshold(tmp_path, capsys):
     """The Fano plane with the window [7] is valid input: the single-pair
-    bound, which needs n >= k+|U|-2 = 8, is skipped, not an internal error."""
+    bound, which needs n >= k+|U|-2 = 8, is skipped, not an internal error.
+    The text output names what was skipped and why under the verdict, so
+    this pass, where only the α-inequality ran, reads apart from a full one."""
     path = tmp_path / "fano.fam"
     write_family(fano_plane(), path)
     assert run(["trace", str(path), "--window", "1,2,3,4,5,6,7", "--check-bounds"]) == 0
-    assert capsys.readouterr().out.endswith("TRACE-BOUNDS: PASS\n")
+    assert capsys.readouterr().out.endswith(
+        "TRACE-BOUNDS: PASS\n"
+        "  skipped single-pair: needs n >= k+|U|-2 = 8\n"
+        "  skipped disjoint-pair: needs n >= 2k+|U|-4 = 9\n"
+        "  evaluated: sperner-alpha 70\n")
 
 
 def test_classify_below_three_points(tmp_path, capsys):

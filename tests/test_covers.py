@@ -7,11 +7,11 @@ import pytest
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
 from conftest import (fano_plane, pairwise_added, reference_covers, reference_has_cover,
-                      reference_saturate, reference_tau)
+                      reference_point_index, reference_saturate, reference_tau)
 from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
                              is_saturated, saturate, tau)
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
-from ekrforge.generators import random_intersecting_seed, saturate_random
+from ekrforge.generators import TABLE_LIMIT, random_intersecting_seed, saturate_random
 
 
 def test_covers_of_R_matches_listed_pairs():
@@ -147,6 +147,23 @@ def test_saturate_against_pairwise_colex_greedy():
         assert saturate(fam) == expected, fam
         assert is_saturated(fam) == (expected == fam), fam
         assert is_saturated(expected), fam
+
+
+def test_saturation_leaves_the_family_index_unchanged():
+    """``_added`` grows a copy of the family's cached point index: after
+    ``saturate``, ``is_saturated`` and ``saturate_random`` above the table
+    (at (14,6)) the family's own index is still that of its members."""
+    assert binom(14, 6) > TABLE_LIMIT
+    rng = random.Random(41)
+    above_table = [random_intersecting_seed(14, 6, rng, size=3), UniformFamily(14, 6)]
+    for fam in _saturation_cases() + above_table:
+        index = fam.index
+        saturate(fam)
+        is_saturated(fam)
+        if fam.n == 14:
+            saturate_random(fam, rng)
+        assert fam.index is index
+        assert index == tuple(reference_point_index(fam.masks, fam.n))
 
 
 def test_tau_monotone_under_supersets():

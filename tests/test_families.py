@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import _reference_meets_all_mask, pairwise_is_intersecting, reference_point_index
+from conftest import (_reference_meets_all_mask, pairwise_is_intersecting, reference_point_index,
+                      reference_trace)
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
@@ -68,10 +69,57 @@ def test_trace_residuals_pass_the_checked_constructor():
         windows = [list(range(1, 6))] + [rng.sample(range(1, fam.n + 1), 4)
                                           for _ in range(3)]
         for window in windows:
-            for s, (fs, residual) in trace(fam, window).table.items():
+            stats = trace(fam, window)
+            for s, fs in stats.counts.items():
+                residual = stats.residual(s)
                 assert UniformFamily(fam.n, fam.k - s.bit_count(),
                                      residual.masks) == residual
                 assert len(residual) == fs
+
+
+def _random_family(rng: random.Random) -> UniformFamily:
+    n = rng.randint(1, 12)
+    k = rng.randint(0, n)
+    sets = list(ksets_colex(n, k))
+    return UniformFamily.from_masks(n, k, rng.sample(sets, rng.randint(0, min(len(sets), 40))))
+
+
+def test_trace_against_eager_grouping():
+    """The counts, f, the total and every residual family of ``trace`` match
+    the member-by-member grouping, through an int window and an iterable
+    one; an S that no member traces has f = 0 and no residual family."""
+    rng = random.Random(31)
+    for _ in range(200):
+        fam = _random_family(rng)
+        window = rng.sample(range(1, fam.n + 1), rng.randint(0, fam.n))
+        u = mask_of(window, fam.n)
+        expected = reference_trace(fam, window)
+        for stats in (trace(fam, u), trace(fam, window)):
+            assert stats.window == u
+            assert list(stats.counts.items()) == [(s, fs) for s, (fs, _) in expected.items()]
+            assert stats.total() == len(fam)
+            s = u
+            while True:  # every subset S of U, u down to 0
+                fs, residual = expected.get(s, (0, None))
+                assert stats.f(s) == stats.f(elements_of(s)) == fs
+                assert stats.residual(s) == residual
+                assert stats.residual(elements_of(s)) == residual
+                if not s:
+                    break
+                s = (s - 1) & u
+
+
+def test_family_index_is_the_point_index():
+    """``UniformFamily.index`` is the point index of the members, built
+    once: every read returns the same tuple."""
+    rng = random.Random(37)
+    fams = [_random_family(rng) for _ in range(100)]
+    fams += [build_G(9, 4), build_G(20, 6), UniformFamily(7, 3), UniformFamily(5, 0, (0,))]
+    for fam in fams:
+        index = fam.index
+        assert index == tuple(point_index(fam.masks, fam.n)) \
+            == tuple(reference_point_index(fam.masks, fam.n))
+        assert fam.index is index
 
 
 def test_is_intersecting():
@@ -265,7 +313,7 @@ def test_trace_layer_consistency():
     u = [1, 2, 3, 4, 5]
     stats = trace(g, u)
     for i in range(0, 5):
-        expect = sum(f for s, (f, _) in stats.table.items() if s.bit_count() == i)
+        expect = sum(f for s, f in stats.counts.items() if s.bit_count() == i)
         assert len(layer(g, u, i)) == expect
 
 
