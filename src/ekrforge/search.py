@@ -331,78 +331,81 @@ def _refine(cells: list[list[int]], members: list[list[int]],
         cells = refined
 
 
-def _iso_signature(family: UniformFamily) -> tuple:
-    """Cheap relabeling invariant: degree sequence plus per-member
-    intersection profiles, both sorted."""
-    masks = family.masks
-    degs = sorted([sum([m >> x & 1 for m in masks]) for x in range(family.n)])
-    profiles = sorted([tuple(sorted([(m & other).bit_count()
-                                     for other in masks if other != m]))
-                       for m in masks])
-    return tuple(degs), tuple(profiles)
+def _class_reps(n: int, raw: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The first family of each isomorphism class among families on [n]
+    given as mask tuples, in raw order.
+
+    A family's signature, a cheap relabeling invariant (the sorted degrees
+    and the sorted intersection profiles of the members, self included),
+    its member points, cached per mask, and its degrees are computed once.
+    Classes are split by signature first, so a bucket's families share k
+    and size, and the bijection test decides membership against the
+    representatives in the bucket, whose member set and points by degree
+    are built once, when the class opens.
+    """
+    points: dict[int, tuple[int, ...]] = {}
+    buckets: dict[tuple, list] = {}
+    reps = []
+    for masks in raw:
+        members = [points.get(m) or points.setdefault(m, tuple(x - 1 for x in elements_of(m)))
+                   for m in masks]
+        deg = [0] * n
+        for pts in members:
+            for x in pts:
+                deg[x] += 1
+        profiles = sorted([tuple(sorted([(m & other).bit_count() for other in masks]))
+                           for m in masks])
+        bucket = buckets.setdefault((tuple(sorted(deg)), tuple(profiles)), [])
+        if not any(_bijection(members, deg, *target) for target in bucket):
+            by_deg: dict[int, list[int]] = {}
+            for y, d in enumerate(deg):
+                by_deg.setdefault(d, []).append(1 << y)
+            bucket.append((set(masks), by_deg))
+            reps.append(masks)
+    return reps
 
 
 def are_isomorphic(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
-    """Size and signature checks, then the bijection test ``_bijection``."""
-    if (fam_a.n, fam_a.k, len(fam_a)) != (fam_b.n, fam_b.k, len(fam_b)):
-        return False
-    if _iso_signature(fam_a) != _iso_signature(fam_b):
-        return False
-    return _bijection(fam_a, fam_b)
+    """Size checks, then whether ``_class_reps`` puts both in one class:
+    equal signatures, and a bijection test from B onto A."""
+    return ((fam_a.n, fam_a.k, len(fam_a)) == (fam_b.n, fam_b.k, len(fam_b))
+            and len(_class_reps(fam_a.n, (fam_a.masks, fam_b.masks))) == 1)
 
 
-def _bijection(fam_a: UniformFamily, fam_b: UniformFamily) -> bool:
-    """Backtracking ground-set bijection test with degree refinement, for
-    two families of equal n, k and size.
-
-    The points of A are mapped in order of decreasing degree, each onto
-    an unused point of B of the same degree.  A member of A is checked
-    once, at the depth that maps its last point in that order: its image
-    must be a member of B.
-    """
-    n = fam_a.n
-    set_b = set(fam_b.masks)
-    members = [[x - 1 for x in elements_of(m)] for m in fam_a.masks]
-    deg_a = [0] * n
+def _bijection(members: list[tuple[int, ...]], deg: list[int], set_b: set[int],
+               by_deg: dict[int, list[int]]) -> bool:
+    """Backtracking ground-set bijection test with degree refinement, from
+    a family A, given by its member points and degrees, onto a family B of
+    the same n, k, size and degree multiset, given by its member set and
+    the bits of its points grouped by degree.  The points of A are mapped
+    in order of decreasing degree, each onto an unused point of B of the
+    same degree.  A member of A is checked once, at the depth that maps
+    its last point in that order: its image must be a member of B."""
+    n = len(deg)
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)
+    rank = sorted(range(n), key=order.__getitem__)
+    closing: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for pts in members:
-        for x in pts:
-            deg_a[x] += 1
-    deg_b = [sum([m >> y & 1 for m in fam_b.masks]) for y in range(n)]
-    order = sorted(range(n), key=lambda x: (-deg_a[x], x))
-    rank = [0] * n
-    for depth, x in enumerate(order):
-        rank[x] = depth
-    closing: list[list[list[int]]] = [[] for _ in range(n)]
-    for pts in members:
-        closing[max((rank[x] for x in pts), default=0)].append(pts)
-    candidates = [[y for y in range(n) if deg_b[y] == deg_a[x]] for x in order]
-    mapping = [-1] * n
-    used = [False] * n
+        closing[max(map(rank.__getitem__, pts), default=0)].append(pts)
+    candidates = [by_deg.get(deg[x], ()) for x in order]
+    image = [0] * n
 
-    def feasible(depth: int) -> bool:
-        for pts in closing[depth]:
-            img = 0
-            for x in pts:
-                img |= 1 << mapping[x]
-            if img not in set_b:
-                return False
-        return True
-
-    def assign(depth: int) -> bool:
+    def assign(depth: int, used: int) -> bool:
         if depth == n:
             return True
         x = order[depth]
         for y in candidates[depth]:
-            if used[y]:
-                continue
-            mapping[x] = y
-            used[y] = True
-            if feasible(depth) and assign(depth + 1):
-                return True
-            used[y] = False
+            if not used & y:
+                image[x] = y
+                for pts in closing[depth]:
+                    if sum(map(image.__getitem__, pts)) not in set_b:
+                        break
+                else:
+                    if assign(depth + 1, used | y):
+                        return True
         return False
 
-    return assign(0)
+    return assign(0, 0)
 
 
 def _apply_perm(mask: int, table) -> int:
@@ -1027,23 +1030,11 @@ def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchRes
 
 def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
                     ) -> list[CanonicalForm]:
-    """Collapse labeled optima to isomorphism classes.
-
-    Classes are split by the cheap invariant signature first; inside a
-    bucket, membership is decided by the explicit bijection test against
-    the class representatives found so far, the only families kept, and
-    the canonical form is computed once per class.  A bucket's families
-    share n, k, size and signature, so the bijection test is called
-    directly, without the checks of ``are_isomorphic``.
-    """
-    buckets: dict[tuple, list[UniformFamily]] = {}
-    for masks in raw:
-        fam = UniformFamily.from_masks(n, k, masks)
-        reps = buckets.setdefault(_iso_signature(fam), [])
-        if not any(_bijection(fam, rep) for rep in reps):
-            reps.append(fam)
-    forms = [canonical_form(rep) for reps in buckets.values() for rep in reps]
-    return sorted(forms, key=lambda f: f.masks)
+    """Collapse labeled optima, given as mask tuples, to isomorphism
+    classes (``_class_reps``): only the class representatives become
+    families, and each gets one canonical form."""
+    return sorted((canonical_form(UniformFamily.from_masks(n, k, masks))
+                   for masks in _class_reps(n, raw)), key=lambda f: f.masks)
 
 
 def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0

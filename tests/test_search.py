@@ -480,6 +480,61 @@ def test_are_isomorphic():
     assert are_isomorphic(empty_set, empty_set)
 
 
+# the points of the optima-iso benchmark, with their numbers of classes
+OPTIMA_POINTS = {(6, 3, 1): 13, (7, 3, 2): 2, (7, 3, 3): 7, (8, 3, 3): 7, (9, 3, 3): 7}
+
+
+def _raw_optima(n, k, r):
+    """The labelled optima that ``enumerate_optima`` collects, in its order."""
+    if r == 3:
+        return _search(n, k, _structural_branches(n, k), 300,
+                       _default_incumbent(n, k, 3), collect=True)[1]
+    return _search(n, k, [_plain_branch(n, k, r)], 300, collect=True)[1]
+
+
+def _forms_alone(n, k, raw):
+    """The deduplication by canonical form alone."""
+    forms = {canonical_form(UniformFamily.from_masks(n, k, masks)) for masks in raw}
+    return sorted(forms, key=lambda f: f.masks)
+
+
+def test_dedup_against_canonical_forms_alone():
+    """The signature buckets and the bijection test give the classes that
+    canonical forms alone give: on the raw optima of the benchmark points,
+    with a relabelled copy of each behind them, and on a bucket of two
+    classes (an 8-cycle and two 4-cycles share the signature), where a
+    copy first fails against the other class's representative."""
+    cases = []
+    for (n, k, r), classes in OPTIMA_POINTS.items():
+        raw = _raw_optima(n, k, r)
+        copies = [_relabeled(UniformFamily.from_masks(n, k, masks), i).masks
+                  for i, masks in enumerate(raw)]
+        cases.append((n, k, raw + copies, classes))
+    cycle = UniformFamily.from_sets(8, 2, [(i, i % 8 + 1) for i in range(1, 9)])
+    squares = UniformFamily.from_sets(8, 2, [(1, 2), (2, 3), (3, 4), (1, 4),
+                                             (5, 6), (6, 7), (7, 8), (5, 8)])
+    cases.append((8, 2, [_relabeled(fam, seed).masks for seed in range(6)
+                         for fam in (cycle, squares)], 2))
+    cases.append((3, 0, [(0,), (0,)], 1))
+    for n, k, raw, classes in cases:
+        forms = _dedup_to_forms(n, k, raw)
+        assert len(forms) == classes
+        assert forms == _forms_alone(n, k, raw)
+
+
+def test_are_isomorphic_on_the_optimum_classes():
+    """Over the class representatives of every benchmark point and a
+    relabelled copy of each, isomorphic exactly within a class."""
+    reps = [(i, UniformFamily(f.n, f.k, f.masks))
+            for i, f in enumerate(f for point in OPTIMA_POINTS
+                                  for f in enumerate_optima(*point, budget=300)[0])]
+    assert len(reps) == sum(OPTIMA_POINTS.values()) == 36
+    fams = reps + [(i, _relabeled(fam, 100 + i)) for i, fam in reps]
+    for i, fam_a in fams:
+        for j, fam_b in fams:
+            assert are_isomorphic(fam_a, fam_b) == (i == j)
+
+
 def test_canonical_form_against_brute_force():
     """Refinement forms induce the same classes as the permutation sweep,
     and each form is a relabeling of its family."""
