@@ -28,15 +28,12 @@ non-canonical line, as every member line at k = 0 is, a count that
 disagrees with the header, a duplicate), the per-line reader runs from
 line 2 instead, over ``str.splitlines``.  It is the only path that
 reports errors, so the diagnostics, their line numbers and their
-precedence do not depend on the bulk path.  When the header line ends in
-"\r\n", the bulk path reads the text with every "\r\n" as "\n", which
-``splitlines`` cuts into the same lines; a "\r" left over is not a
-canonical token, so the bulk path declines it, and the per-line reader
-reads the text as it was.  A text that does not end in "\n" after that,
-or whose header line holds another line boundary ("\r", "\v", "\u2028",
-...), goes to the per-line reader at once, since cutting at "\n" alone
-would see other lines than ``splitlines`` does; another boundary inside a
-member line is not a canonical token, so the bulk path declines it.
+precedence do not depend on the bulk path.  A text that does not end in
+"\n", or whose header line holds another line boundary ("\r\n", "\r",
+"\v", "\u2028", ...), goes to the per-line reader at once, since cutting
+at "\n" alone would see other lines than ``splitlines`` does; another
+boundary inside a member line is not a canonical token, so the bulk path
+declines it.
 
 The writer reads byte j of every mask as one C slice of the masks packed
 as little-endian 64-bit words, maps it through a 256-entry table of element texts for
@@ -86,12 +83,9 @@ def parse_family(text: str) -> UniformFamily:
     if m < 0:
         raise FamilyFormatError(1, f"negative member count {m}")
     # the bulk path cuts the member lines at "\n" alone, so it reads only a
-    # text that ends in "\n" and whose header line runs up to the first "\n";
-    # a header line that ends in "\r\n" sends the text with every "\r\n"
-    # as "\n", which splitlines cuts into the same lines
-    bulk = text.replace("\r\n", "\n") if first == header + "\r" else text
-    if bulk.endswith("\n") and bulk.startswith(header + "\n"):
-        masks = _canonical_masks(bulk, len(header) + 1, n, k, m)
+    # text that ends in "\n" and whose header line runs up to the first "\n"
+    if text.endswith("\n") and header == first:
+        masks = _canonical_masks(text, cut + 1, n, k, m)
         if masks is not None:
             # the bulk path has shown each member a k-subset of [n], and all distinct
             return UniformFamily._trusted(n, k, tuple(sorted(masks)))

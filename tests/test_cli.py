@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 import ekrforge.cli
-import ekrforge.familyio
 from conftest import fano_plane, reference_parse_family, reference_render_family
 from ekrforge import certify, properties
 from ekrforge.classify import classify_T3
@@ -170,25 +169,9 @@ def test_k0_family_files(text, outcome):
         "CRLF, final lone CR", "CRLF, duplicate", "CRLF, short by one member",
         "CRLF at k = 0"])
 def test_line_boundaries_other_than_newline(text):
-    """The bulk path cuts at "\n" alone, after "\r\n" is read as "\n" when
-    the header line ends in it; a text with any other line boundary, or
-    without a final newline, reads as ``splitlines`` sees it, with the
-    same diagnostics."""
+    """The bulk path cuts at "\n" alone; a text with any other line
+    boundary, or without a final newline, reads as ``splitlines`` sees it."""
     assert _outcome(parse_family, text) == _outcome(reference_parse_family, text)
-
-
-def test_crlf_text_takes_the_bulk_path(monkeypatch):
-    """A text whose header line ends in "\r\n" is read by the bulk path,
-    with "\r\n" as "\n", into the family of its "\n" text; the per-line
-    reader does not run."""
-    fam = build_G(16, 5)
-    text = render_family(fam).replace("\n", "\r\n")
-
-    def per_line(*args):
-        raise AssertionError("the per-line reader ran")
-
-    monkeypatch.setattr(ekrforge.familyio, "_checked_masks", per_line)
-    assert parse_family(text) == fam
 
 
 def test_k0_family_file_through_the_cli(tmp_path, capsys):

@@ -498,7 +498,13 @@ def _forms_alone(n, k, raw):
     return sorted(forms, key=lambda f: f.masks)
 
 
-def test_dedup_against_canonical_forms_alone():
+@pytest.fixture(scope="module")
+def optima_raw():
+    """The raw optima of each benchmark point, collected once for the module."""
+    return {point: _raw_optima(*point) for point in OPTIMA_POINTS}
+
+
+def test_dedup_against_canonical_forms_alone(optima_raw):
     """The signature buckets and the bijection test give the classes that
     canonical forms alone give: on the raw optima of the benchmark points,
     with a relabelled copy of each behind them, and on a bucket of two
@@ -506,7 +512,7 @@ def test_dedup_against_canonical_forms_alone():
     copy first fails against the other class's representative."""
     cases = []
     for (n, k, r), classes in OPTIMA_POINTS.items():
-        raw = _raw_optima(n, k, r)
+        raw = optima_raw[n, k, r]
         copies = [_relabeled(UniformFamily.from_masks(n, k, masks), i).masks
                   for i, masks in enumerate(raw)]
         cases.append((n, k, raw + copies, classes))
@@ -522,12 +528,12 @@ def test_dedup_against_canonical_forms_alone():
         assert forms == _forms_alone(n, k, raw)
 
 
-def test_are_isomorphic_on_the_optimum_classes():
-    """Over the class representatives of every benchmark point and a
-    relabelled copy of each, isomorphic exactly within a class."""
-    reps = [(i, UniformFamily(f.n, f.k, f.masks))
-            for i, f in enumerate(f for point in OPTIMA_POINTS
-                                  for f in enumerate_optima(*point, budget=300)[0])]
+def test_are_isomorphic_on_the_optimum_classes(optima_raw):
+    """Over the class forms of every benchmark point and a relabelled copy
+    of each, isomorphic exactly within a class."""
+    reps = list(enumerate(UniformFamily(n, k, f.masks)
+                          for (n, k, _), raw in optima_raw.items()
+                          for f in _dedup_to_forms(n, k, raw)))
     assert len(reps) == sum(OPTIMA_POINTS.values()) == 36
     fams = reps + [(i, _relabeled(fam, 100 + i)) for i, fam in reps]
     for i, fam_a in fams:
