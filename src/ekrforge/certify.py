@@ -43,7 +43,7 @@ class Certificate:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
+    def to_json_dict(self, include_timing: bool) -> dict:
         return {
             "id": self.id,
             "statement": self.statement,

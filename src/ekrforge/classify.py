@@ -15,8 +15,9 @@ union size, which doubles as the brute-force vertex-injection test for
 these tiny patterns.
 
 Also here: the auxiliary disjointness graph on the 2-cover family P(R),
-its partition into three disjoint edges plus a leftover vertex, and the
-exhaustive maximum for intersecting R-free supersets of S inside [6].
+built by one constructor from masks or element tuples, its partition
+into three disjoint edges plus a leftover vertex, and the exhaustive
+maximum for intersecting R-free supersets of S inside [6].
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 from .constructions import build_R, build_S
 from .covers import covers, is_intersecting, tau
-from .families import UniformFamily, elements_of, mask_of
+from .families import MAX_GROUND, UniformFamily, elements_of, mask_of
 
 
 class ClassificationTag(Enum):
@@ -67,9 +68,8 @@ class DisjointnessGraph:
                 for i, j in self.edges]
 
     def without(self, vertex) -> "DisjointnessGraph":
-        vm = vertex if isinstance(vertex, int) else mask_of(vertex, 64)
-        keep = [v for v in self.vertices if v != vm]
-        return disjointness_graph_masks(keep)
+        vm = vertex if isinstance(vertex, int) else mask_of(vertex, MAX_GROUND)
+        return disjointness_graph([v for v in self.vertices if v != vm])
 
     def degrees(self) -> list[int]:
         deg = [0] * len(self.vertices)
@@ -79,19 +79,15 @@ class DisjointnessGraph:
         return deg
 
 
-def disjointness_graph_masks(masks: Sequence[int]) -> DisjointnessGraph:
-    vs = tuple(masks)
+def disjointness_graph(vertices: Sequence) -> DisjointnessGraph:
+    """Auxiliary graph on a list of 2-sets, given as masks or element
+    tuples; edges join disjoint pairs."""
+    vs = tuple(v if isinstance(v, int) else mask_of(v, MAX_GROUND) for v in vertices)
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate vertices")
     edges = tuple((i, j) for i, j in combinations(range(len(vs)), 2)
                   if not vs[i] & vs[j])
     return DisjointnessGraph(vs, edges)
-
-
-def disjointness_graph(pairs: Sequence, n: int = 6) -> DisjointnessGraph:
-    """Auxiliary graph on a list of 2-sets; edges join disjoint pairs."""
-    masks = [p if isinstance(p, int) else mask_of(p, n) for p in pairs]
-    return disjointness_graph_masks(masks)
 
 
 # ── pattern detection ────────────────────────────────────────────────────────
@@ -176,14 +172,16 @@ def classify_T3(family: UniformFamily) -> Classification:
 
 # ── the P(R) partition of the case analysis ─────────────────────────────────
 
-def p_of_r(n: int = 5) -> list[int]:
-    """P(R): the seven 2-covers of R, colex order."""
-    return list(covers(build_R(n), 2).masks)
+def p_of_r() -> list[int]:
+    """P(R): the seven 2-covers of R, colex order.  They lie in [5]: no
+    point outside meets all three edges."""
+    return list(covers(build_R(), 2).masks)
 
 
-def p_of_s(n: int = 6) -> list[int]:
-    """P(S): the six 2-covers of S, colex order."""
-    return list(covers(build_S(n), 2).masks)
+def p_of_s() -> list[int]:
+    """P(S): the six 2-covers of S, colex order.  They lie in [6]: no
+    point outside meets all three edges."""
+    return list(covers(build_S(), 2).masks)
 
 
 def _pm(elems) -> int:

@@ -3,7 +3,9 @@
 Houses the two 3-edge 3-graphs S and R, the complete 3-graph on four
 vertices, the conjectured-extremal covering-number-3 family G(n, k) with
 its closed-form size, the cover-completion F_H, full stars, the
-Hilton-Milner family, and lexicographic initial segments L(n, k, m).
+Hilton-Milner family, and lexicographic initial segments L(n, k, m) with
+their order on masks.  The Hilton-Milner family is the ℓ = k case of one
+star-with-base construction, which also seeds the degree-capped search.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from operator import ge
 
 from .binomial import binom
 from .covers import is_intersecting
-from .families import KSet, UniformFamily, ksets_colex, mask_of
+from .families import UniformFamily, ksets_colex, mask_of
 
 
 def build_S(n: int = 6) -> UniformFamily:
@@ -154,22 +156,31 @@ def full_star(n: int, k: int, apex: int = 1) -> UniformFamily:
 
 
 def build_HM(n: int, k: int) -> UniformFamily:
-    """The Hilton-Milner family: {F : 1 ∈ F, F ∩ [2,k+1] ≠ ∅} ∪ {[2,k+1]}."""
+    """The Hilton-Milner family: {F : 1 ∈ F, F ∩ [2,k+1] ≠ ∅} ∪ {[2,k+1]},
+    the ℓ = k case of ``_star_with_base``."""
     if not (n > 2 * k >= 4):
         raise ValueError(f"build_HM requires n > 2k >= 4, got n={n}, k={k}")
-    base = mask_of(range(2, k + 2), n)
-    members = [base]
-    for tail in ksets_colex(n - 1, k - 1):
-        m = (tail << 1) | 1
-        if m & base:
-            members.append(m)
+    return _star_with_base(n, k, k)
+
+
+def _star_with_base(n: int, k: int, ell: int) -> UniformFamily:
+    """{F : 1 ∈ F, F ∩ [2,ℓ+1] ≠ ∅} ∪ {[2,ℓ+1] ∪ T : T ⊆ [ℓ+2..n], |T| = k-ℓ}.
+
+    The members through 1 are the 1-star filtered by the base [2,ℓ+1];
+    the others hold the whole base, so they are built directly, one per
+    (k-ℓ)-subset T of [ℓ+2..n].  The caller checks the domain.
+    """
+    base = mask_of(range(2, ell + 2), n)
+    members = [m for m in ((tail << 1) | 1 for tail in ksets_colex(n - 1, k - 1)) if m & base]
+    members += [base | t << (ell + 1) for t in ksets_colex(n - ell - 1, k - ell)]
     return UniformFamily.from_masks(n, k, members)
 
 
-def lex_precedes(f: KSet, g: KSet) -> bool:
-    """F precedes G iff min(F \\ G) < min(G \\ F). Strict total order on distinct sets."""
-    only_f = f.mask & ~g.mask
-    only_g = g.mask & ~f.mask
+def lex_precedes(f: int, g: int) -> bool:
+    """F precedes G iff min(F \\ G) < min(G \\ F), for masks F and G.
+    Strict total order on distinct sets."""
+    only_f = f & ~g
+    only_g = g & ~f
     if not only_f and not only_g:
         return False
     if not only_f or not only_g:

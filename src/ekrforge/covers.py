@@ -186,15 +186,14 @@ def is_saturated(family: UniformFamily) -> bool:
     return next(_added(family, _candidates(family)), None) is None
 
 
-def brute_force_tau(family: UniformFamily, max_size: int | None = None) -> int:
+def brute_force_tau(family: UniformFamily) -> int:
     """Independent τ oracle: try every subset of each size in turn."""
     if not family.masks:
         raise ValueError("tau of an empty family is undefined")
-    limit = family.n if max_size is None else max_size
     universe = range(1, family.n + 1)
-    for ell in range(1, limit + 1):
+    for ell in range(1, family.n + 1):
         for cand in combinations(universe, ell):
             t = mask_of(cand, family.n)
             if all(t & m for m in family.masks):
                 return ell
-    raise AssertionError("no cover found within the requested size limit")
+    raise AssertionError("no subset of the ground set covers the family")

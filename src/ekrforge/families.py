@@ -1,10 +1,11 @@
 """Bitmask-backed k-uniform set families over the ground set [n] = {1..n}.
 
-A k-set is an n-bit membership mask: element i occupies bit i-1, so the
-usual integer order on masks coincides with the colexicographic order on
-sets.  A family is an immutable, duplicate-free, colex-sorted tuple of
-such masks together with its (n, k) signature.  All predicates used by
-the covering-number machinery live here:
+A k-set is an n-bit membership mask, with no type of its own: element
+i occupies bit i-1, so the usual integer order on masks coincides with
+the colexicographic order on sets.  A family is an immutable,
+duplicate-free, colex-sorted tuple of such masks together with its
+(n, k) signature.  All predicates used by the covering-number machinery
+live here:
 
   * the one answer to "which of these sets meet that one": the point
     index ``point_index`` (one bitset of positions per point, built by a
@@ -88,37 +89,6 @@ def ksets_colex(n: int, k: int) -> Iterator[int]:
 
 
 # ── domain types ─────────────────────────────────────────────────────────────
-
-@dataclass(frozen=True)
-class KSet:
-    """A k-element subset of [n], identified by its membership mask."""
-
-    mask: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_GROUND:
-            raise ValueError(f"ground size {self.n} outside [1, {MAX_GROUND}]")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError("mask has bits outside the ground set")
-        if self.mask.bit_count() != self.k:
-            raise ValueError(f"mask popcount {self.mask.bit_count()} != k={self.k}")
-
-    @classmethod
-    def from_elements(cls, elements: Iterable[int], n: int) -> "KSet":
-        m = mask_of(elements, n)
-        return cls(m, n, m.bit_count())
-
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.mask)
-
-    def intersects(self, other: "KSet") -> bool:
-        return bool(self.mask & other.mask)
-
-    def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.n and bool(self.mask >> (x - 1) & 1)
-
 
 @dataclass(frozen=True)
 class UniformFamily:

@@ -9,8 +9,7 @@ grow them from structured seeds:
   * ``free``    - a few random pairwise-intersecting k-sets with empty
                   common intersection,
   * ``r_lift``  - every k-set whose window trace is an edge of R placed
-                  on [5] (any addition then meets [5] twice); ``lift_seed``
-                  also lifts S placed on [6],
+                  on [5] (``lift_seed``; any addition then meets [5] twice),
   * ``r_lift_partial`` - a random nonempty slice of the lift, for variety,
   * ``r_lift_blocked`` - the full lift plus blockers (``blocked_lift_seed``).
 
@@ -32,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .constructions import build_R, build_S
+from .constructions import build_R
 from .covers import _added, has_cover, is_intersecting
 from .families import UniformFamily, ksets_colex, mask_of, meeting
 
@@ -165,28 +164,26 @@ def _disjoint_table(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _lift_masks(pattern: UniformFamily, n: int, k: int) -> tuple[int, ...]:
-    """All k-sets over [n] whose trace in the pattern's ground set is a pattern edge."""
-    window = mask_of(range(1, pattern.n + 1), n)
-    edges = set(pattern.masks)
+def _lift_masks(n: int, k: int) -> tuple[int, ...]:
+    """All k-sets over [n] whose trace in the window [5] is an edge of R."""
+    window = mask_of(range(1, 6), n)
+    edges = set(build_R(5).masks)
     return tuple(m for m in _colex_order(n, k) if m & window in edges)
 
 
-def lift_seed(n: int, k: int, rng: random.Random, pattern: str = "R",
-              partial: bool = False) -> UniformFamily:
-    """Seed whose window traces are edges of R (on [5]) or S (on [6]).
+def lift_seed(n: int, k: int, rng: random.Random, partial: bool = False) -> UniformFamily:
+    """Seed whose traces in the window [5] are edges of R.
 
     The full lift forces every later addition to meet the window in at
     least two points; a partial lift keeps a random nonempty slice of
     each edge's tails instead, for sample variety.
     """
-    base = build_R(5) if pattern == "R" else build_S(6)
-    lift = _lift_masks(base, n, k)
+    lift = _lift_masks(n, k)
     if not partial:
         return UniformFamily.from_masks(n, k, lift)
-    window = mask_of(range(1, base.n + 1), n)
+    window = mask_of(range(1, 6), n)
     chosen: list[int] = []
-    for edge in base.masks:
+    for edge in build_R(5).masks:
         tails = [m for m in lift if m & window == edge]
         take = rng.randint(1, len(tails))
         chosen.extend(rng.sample(tails, take))
@@ -205,7 +202,7 @@ def blocked_lift_seed(n: int, k: int) -> UniformFamily:
     """
     if k < 4 or n < 2 * k + 1:
         raise ValueError("blocked lift needs k >= 4 and n >= 2k+1")
-    masks = list(_lift_masks(build_R(5), n, k))
+    masks = list(_lift_masks(n, k))
     base = mask_of([1, 2, 3, 4], n)
     for tail in combinations(range(6, n + 1), k - 4):
         masks.append(base | mask_of(tail, n))
@@ -217,7 +214,7 @@ def random_saturated_family(n: int, k: int, rng: random.Random,
     if mode == "free":
         seed = random_intersecting_seed(n, k, rng)
     elif mode in ("r_lift", "r_lift_partial"):
-        seed = lift_seed(n, k, rng, "R", partial=mode == "r_lift_partial")
+        seed = lift_seed(n, k, rng, partial=mode == "r_lift_partial")
     elif mode == "r_lift_blocked":
         seed = blocked_lift_seed(n, k)
     else:
@@ -226,7 +223,7 @@ def random_saturated_family(n: int, k: int, rng: random.Random,
 
 
 def random_saturated_tau3(n: int, k: int, rng: random.Random,
-                          mode: str = "r_lift") -> Optional[UniformFamily]:
+                          mode: str) -> Optional[UniformFamily]:
     """Saturated intersecting family with τ ≥ 3, by rejection over four
     tries; None if unlucky."""
     for _ in range(4):

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .binomial import binom
-from .constructions import build_G, build_HM, full_star
+from .constructions import _star_with_base, build_G, build_HM, full_star
 from .covers import is_intersecting, tau
 from .families import (UniformFamily, elements_of, ksets_colex, mask_of, max_degree,
                        meeting, point_index)
@@ -94,17 +94,6 @@ class SearchResult:
     nodes: int
     elapsed: float
     budget: float
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Relabeling-invariant encoding: the colex-sorted mask tuple of one
-    relabeling of the family, chosen by ``canonical_form`` so that two
-    families get the same form exactly when they are isomorphic."""
-
-    n: int
-    k: int
-    masks: tuple[int, ...]
 
 
 class _Budget(Exception):
@@ -189,7 +178,7 @@ class _Run:
                             time.perf_counter() - self.t_start, self.budget)
 
 
-def canonical_form(family: UniformFamily) -> CanonicalForm:
+def canonical_form(family: UniformFamily) -> UniformFamily:
     """Canonical labelling by individualisation-refinement on the points
     of [n] (McKay & Piperno, Practical graph isomorphism II, 2014).
 
@@ -205,7 +194,9 @@ def canonical_form(family: UniformFamily) -> CanonicalForm:
     point's label, so a relabeling σ maps the tree of F onto the tree of
     σF and both trees have the same set of leaf images.  The form is the
     minimum of that set: equal for isomorphic families, and, being λ(F)
-    for a bijection λ, equal only for isomorphic families.
+    for a bijection λ, equal only for isomorphic families.  It is returned
+    as the family λ(F), built through the checked constructor, so every
+    caller gets members already checked as k-sets of [n] in order.
 
     Pruning skips only subtrees whose leaf images repeat those of an
     explored sibling.  If an automorphism γ of F maps a node's partition
@@ -221,7 +212,7 @@ def canonical_form(family: UniformFamily) -> CanonicalForm:
     """
     n, k, masks = family.n, family.k, family.masks
     if not masks:
-        return CanonicalForm(n, k, ())
+        return UniformFamily(n, k)
     members = [[x - 1 for x in elements_of(m)] for m in masks]
     incidence: list[list[int]] = [[] for _ in range(n)]
     for j, pts in enumerate(members):
@@ -296,7 +287,7 @@ def canonical_form(family: UniformFamily) -> CanonicalForm:
         return depth
 
     node(_refine([list(range(n))], members, incidence), [])
-    return CanonicalForm(n, k, refs[-1][0])
+    return UniformFamily(n, k, refs[-1][0])
 
 
 def _refine(cells: list[list[int]], members: list[list[int]],
@@ -997,16 +988,7 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
 
 
 def _degcap_seed(n: int, k: int, ell: int, cap: int) -> UniformFamily | None:
-    base = mask_of(range(2, ell + 2), n)
-    members = []
-    for tail in ksets_colex(n - 1, k - 1):
-        m = (tail << 1) | 1
-        if m & base:
-            members.append(m)
-    for m in ksets_colex(n, k):
-        if m & base == base and not m & 1:
-            members.append(m)
-    fam = UniformFamily.from_masks(n, k, members)
+    fam = _star_with_base(n, k, ell)
     if not is_intersecting(fam):
         return None
     if max_degree(fam)[1] > cap:
@@ -1029,7 +1011,7 @@ def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchRes
 
 
 def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
-                    ) -> list[CanonicalForm]:
+                    ) -> list[UniformFamily]:
     """Collapse labeled optima, given as mask tuples, to isomorphism
     classes (``_class_reps``): only the class representatives become
     families, and each gets one canonical form."""
@@ -1038,7 +1020,7 @@ def _dedup_to_forms(n: int, k: int, raw: list[tuple[int, ...]]
 
 
 def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
-                     ) -> tuple[list[CanonicalForm], SearchResult]:
+                     ) -> tuple[list[UniformFamily], SearchResult]:
     """All optimum-size witnesses up to isomorphism.
 
     Every family is isomorphic to one containing {1..k}, and the orbit
@@ -1051,7 +1033,7 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     likewise reach every isomorphism class, from the floor |G(n,k)| of the
     warm start; a family that two branches both reach is collected once.
     At r_min = 1 and 2 the floor is 0.  Every
-    class representative is re-verified before it is returned: it must be
+    form is re-verified as it is returned: it must be
     intersecting, have covering number at least r_min and as many members
     as the value; a failure raises ``AssertionError``.
 
@@ -1071,9 +1053,8 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
         _verify(result.witness, r_min)
     forms = _dedup_to_forms(n, k, raw)
     for form in forms:
-        rep = UniformFamily(n, k, form.masks)
-        if len(rep) != result.value:
-            raise AssertionError(f"a class of optima has {len(rep)} members, "
+        if len(form) != result.value:
+            raise AssertionError(f"a class of optima has {len(form)} members, "
                                  f"the value is {result.value}")
-        _verify(rep, r_min)
+        _verify(form, r_min)
     return forms, result

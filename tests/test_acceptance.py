@@ -99,7 +99,7 @@ def test_criterion_07_structure_suite():
     ps = {elements_of(v) for v in p_of_s()}
     ok = pr == {(1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)}
     ok = ok and ps == {(1, 2), (3, 4), (2, 4), (1, 6), (1, 4), (2, 5)}
-    graph = disjointness_graph(p_of_r(), n=6)
+    graph = disjointness_graph(p_of_r())
     reduced = graph.without((1, 5))
     ok = ok and reduced.n_vertices() == 6 and reduced.degrees() == [2] * 6
     adj = {i: set() for i in range(6)}

@@ -93,7 +93,7 @@ def test_suites_name_exactly_what_they_read():
 
 def test_certificate_json_schema():
     cert = verify_identity_suite("ID-F-REC", k_max=20)
-    payload = cert.to_json_dict()
+    payload = cert.to_json_dict(True)
     assert list(payload) == ["id", "statement", "params", "verdict",
                              "witnesses", "wall_time_ms"]
     json.dumps(payload)  # serialisable

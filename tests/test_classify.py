@@ -89,7 +89,7 @@ def test_p_of_r_disjointness_graph():
     pr = p_of_r()
     assert [elements_of(v) for v in pr] == [
         (1, 2), (1, 3), (2, 4), (3, 4), (1, 5), (2, 5), (3, 5)]
-    g = disjointness_graph(pr, n=6)
+    g = disjointness_graph(pr)
     assert len(g.edges) == 8
     edge_sets = {frozenset(e) for e in g.edge_sets()}
     assert edge_sets == {
@@ -100,7 +100,7 @@ def test_p_of_r_disjointness_graph():
 
 
 def test_p_of_r_minus_15_is_c6():
-    g = disjointness_graph(p_of_r(), n=6).without((1, 5))
+    g = disjointness_graph(p_of_r()).without((1, 5))
     assert g.n_vertices() == 6
     assert g.degrees() == [2] * 6
     # connected 2-regular on 6 vertices == C6
@@ -123,7 +123,7 @@ def test_p_of_s_partitions_into_three_disjoint_pairs():
     ps = p_of_s()
     assert {elements_of(v) for v in ps} == {(1, 2), (3, 4), (2, 4), (1, 6),
                                             (1, 4), (2, 5)}
-    g = disjointness_graph(ps, n=6)
+    g = disjointness_graph(ps)
     edge_sets = {frozenset(e) for e in g.edge_sets()}
     # the three displayed pairs are edges and form a perfect matching
     matching = [frozenset({(1, 2), (3, 4)}), frozenset({(2, 4), (1, 6)}),
@@ -143,7 +143,7 @@ def _check_partition(edges, leftover):
 
 
 def test_claim6_partition_cases():
-    g = disjointness_graph(p_of_r(), n=6)
+    g = disjointness_graph(p_of_r())
     edges, leftover = claim6_partition(g, [])
     assert leftover == (1, 5)
     _check_partition(edges, leftover)
@@ -158,7 +158,7 @@ def test_claim6_partition_cases():
 
 
 def test_claim6_rejects_dependent_sets():
-    g = disjointness_graph(p_of_r(), n=6)
+    g = disjointness_graph(p_of_r())
     with pytest.raises(ValueError):
         claim6_partition(g, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ def test_heavy_trace_vertices_independent_in_pr_graph():
     from ekrforge.generators import sample_saturated_tau3
 
     n, k = 9, 4
-    graph = disjointness_graph(p_of_r(), n=n)
+    graph = disjointness_graph(p_of_r())
     r_edges = [mask_of(e, n) for e in [(1, 2, 3), (1, 4, 5), (2, 3, 5)]]
     threshold = binom(n - 6, k - 3)
     checked = 0

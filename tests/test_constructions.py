@@ -6,11 +6,11 @@ import pytest
 
 from conftest import reference_build_G
 from ekrforge.binomial import binom
-from ekrforge.constructions import (_g_heads, build_F_H, build_G, build_HM, build_K34,
-                                    build_R, build_S, full_star, g_size_formula,
-                                    lex_family, lex_precedes)
+from ekrforge.constructions import (_g_heads, _star_with_base, build_F_H, build_G,
+                                    build_HM, build_K34, build_R, build_S, full_star,
+                                    g_size_formula, lex_family, lex_precedes)
 from ekrforge.covers import brute_force_tau, covers, is_saturated, tau
-from ekrforge.families import KSet, UniformFamily, is_intersecting
+from ekrforge.families import UniformFamily, elements_of, is_intersecting, ksets_colex, mask_of
 
 
 def test_binom_convention():
@@ -142,6 +142,23 @@ def test_full_star_and_hm():
     assert tau(hm) == 2
 
 
+def test_star_with_base_against_its_definition():
+    """{F : 1 ∈ F, F ∩ [2,ℓ+1] ≠ ∅} ∪ {[2,ℓ+1] ∪ T : T ⊆ [ℓ+2..n]}, filtered
+    out of every k-set, at every 2 <= ℓ <= k <= 6 and 2k < n <= 16; at
+    ℓ = k it is the Hilton-Milner family."""
+    points = 0
+    for k in range(2, 7):
+        for n in range(2 * k + 1, 17):
+            for ell in range(2, k + 1):
+                base = mask_of(range(2, ell + 2), n)
+                expected = tuple(m for m in ksets_colex(n, k)
+                                 if (m & base if m & 1 else m & base == base))
+                assert _star_with_base(n, k, ell).masks == expected, (n, k, ell)
+                points += 1
+            assert build_HM(n, k) == _star_with_base(n, k, k)
+    assert points == 100
+
+
 def test_lex_family_values():
     assert lex_family(5, 2, 4).sets() == [(1, 2), (1, 3), (1, 4), (1, 5)]
     assert len(lex_family(6, 3, 0)) == 0
@@ -168,13 +185,12 @@ def test_lex_nesting():
 
 
 def test_lex_precedes():
-    f = KSet.from_elements([1, 3, 5], 6)
-    g = KSet.from_elements([1, 4, 5], 6)
+    f = mask_of([1, 3, 5], 6)
+    g = mask_of([1, 4, 5], 6)
     assert lex_precedes(f, g)
     assert not lex_precedes(g, f)
     assert not lex_precedes(f, f)
     # total order consistent with the lex_family enumeration
-    ordered = [KSet.from_elements(s, 5) for s in lex_family(5, 3, binom(5, 3)).sets()]
-    by_lex = sorted(ordered, key=lambda s: s.elements())
+    by_lex = sorted(lex_family(5, 3, binom(5, 3)).masks, key=elements_of)
     for a, b in zip(by_lex, by_lex[1:]):
         assert lex_precedes(a, b)

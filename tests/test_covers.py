@@ -52,7 +52,7 @@ def test_tau_matches_brute_force_on_random_families():
     for _ in range(40):
         n, k = rng.choice(((6, 3), (7, 3), (8, 4)))
         fam = saturate_random(random_intersecting_seed(n, k, rng, size=3), rng)
-        assert tau(fam) == brute_force_tau(fam, k)
+        assert tau(fam) == brute_force_tau(fam)
 
 
 def test_has_cover_matches_brute_force_tau():

@@ -9,7 +9,7 @@ from conftest import (_reference_meets_all_mask, pairwise_is_intersecting, refer
 
 from ekrforge.binomial import binom
 from ekrforge.constructions import build_G, full_star, lex_family
-from ekrforge.families import (KSet, UniformFamily, are_cross_intersecting,
+from ekrforge.families import (UniformFamily, are_cross_intersecting,
                                elements_of, is_intersecting, ksets_colex, layer,
                                mask_of, max_degree, meeting, point_index, trace)
 
@@ -21,14 +21,6 @@ def test_mask_roundtrip():
         mask_of([0, 1], 5)
     with pytest.raises(ValueError):
         mask_of([1, 1, 2], 5)
-
-
-def test_kset_invariants():
-    s = KSet.from_elements([1, 3, 4], 6)
-    assert s.k == 3 and 3 in s and 2 not in s
-    assert KSet.from_elements([1, 3, 4], 6) == s
-    with pytest.raises(ValueError):
-        KSet(0b111, 6, 2)
 
 
 def test_family_colex_order_and_dedup():

@@ -49,12 +49,12 @@ def test_blocked_lift_guarantees_window():
 
 def test_lift_seed_traces():
     rng = random.Random(4)
-    seed = lift_seed(9, 4, rng, "R", partial=False)
+    seed = lift_seed(9, 4, rng, partial=False)
     w5 = mask_of([1, 2, 3, 4, 5], 9)
     r_edges = {mask_of(e, 9) for e in [(1, 2, 3), (1, 4, 5), (2, 3, 5)]}
     assert all(m & w5 in r_edges for m in seed.masks)
-    partial = lift_seed(9, 4, rng, "S", partial=True)
-    assert len(partial) >= 3
+    partial = lift_seed(9, 4, rng, partial=True)
+    assert len(partial) >= 3 and set(partial.masks) <= set(seed.masks)
     assert is_intersecting(partial)
 
 
@@ -82,7 +82,7 @@ def test_saturate_random_against_pairwise_scan(n, k):
     assert (binom(n, k) > TABLE_LIMIT) == ((n, k) == (14, 6))
     seeds = random.Random(n * 100 + k)
     families = [random_intersecting_seed(n, k, seeds, size=3 + i % 3) for i in range(3)]
-    families += [lift_seed(n, k, seeds, "R", partial=True), UniformFamily(n, k, ())]
+    families += [lift_seed(n, k, seeds, partial=True), UniformFamily(n, k, ())]
     if k >= 4 and n >= 2 * k + 1:
         families.append(blocked_lift_seed(n, k))
     for i, seed_family in enumerate(families):

@@ -458,6 +458,28 @@ def test_canonical_k34_placement_independent():
     assert canonical_form(moved) == base
 
 
+# families whose canonical forms must come back as checked families
+FORM_CASES = {
+    "empty": lambda: UniformFamily(6, 3),
+    "empty-set-k0": lambda: UniformFamily.from_masks(3, 0, [0]),
+    "S": build_S,
+    "R": build_R,
+    "K34": lambda: build_K34(6),
+    "G(8,4)-relabelled": lambda: _relabeled(build_G(8, 4), 5),
+}
+
+
+@pytest.mark.parametrize("case", FORM_CASES)
+def test_canonical_form_is_a_checked_family(case):
+    """A form is a plain family, equal to the one its masks build through
+    the checked constructor, and isomorphic to its input."""
+    fam = FORM_CASES[case]()
+    form = canonical_form(fam)
+    assert type(form) is UniformFamily
+    assert form == UniformFamily(fam.n, fam.k, form.masks)
+    assert are_isomorphic(form, fam)
+
+
 def _relabeled(fam: UniformFamily, seed: int) -> UniformFamily:
     perm = list(range(1, fam.n + 1))
     random.Random(seed).shuffle(perm)
@@ -531,8 +553,7 @@ def test_dedup_against_canonical_forms_alone(optima_raw):
 def test_are_isomorphic_on_the_optimum_classes(optima_raw):
     """Over the class forms of every benchmark point and a relabelled copy
     of each, isomorphic exactly within a class."""
-    reps = list(enumerate(UniformFamily(n, k, f.masks)
-                          for (n, k, _), raw in optima_raw.items()
+    reps = list(enumerate(f for (n, k, _), raw in optima_raw.items()
                           for f in _dedup_to_forms(n, k, raw)))
     assert len(reps) == sum(OPTIMA_POINTS.values()) == 36
     fams = reps + [(i, _relabeled(fam, 100 + i)) for i, fam in reps]
@@ -546,8 +567,7 @@ def test_canonical_form_against_brute_force():
     and each form is a relabeling of its family."""
     named = [build_S(6), build_R(6), build_K34(6), full_star(6, 3), build_HM(7, 3),
              build_G(7, 3), build_G(8, 4), prop34_equality_family()]
-    optima = [UniformFamily(f.n, f.k, f.masks)
-              for point in ((6, 3, 1), (7, 3, 3))
+    optima = [f for point in ((6, 3, 1), (7, 3, 3))
               for f in enumerate_optima(*point, budget=300)[0]]
     assert len(optima) == 13 + 7
     # families whose form depends on the search past the first leaf and
@@ -569,7 +589,7 @@ def test_canonical_form_against_brute_force():
             brutes.append((copy.n, copy.k, brute_canonical_form(copy)))
     assert len(set(forms)) == len(set(brutes)) == len(set(zip(forms, brutes)))
     for form, (_, _, brute) in set(zip(forms, brutes)):
-        assert brute_canonical_form(UniformFamily(form.n, form.k, form.masks)) == brute
+        assert brute_canonical_form(form) == brute
 
 
 def test_canonical_form_G_11_5():
@@ -578,7 +598,7 @@ def test_canonical_form_G_11_5():
     form = canonical_form(g)
     assert len(form.masks) == g_size_formula(11, 5) == 199
     assert all(canonical_form(_relabeled(g, seed)) == form for seed in range(3))
-    assert are_isomorphic(UniformFamily(11, 5, form.masks), g)
+    assert are_isomorphic(form, g)
 
 
 def test_enumerate_optima_6_3_1():
