@@ -37,6 +37,7 @@ reason and the number of cases each statement evaluated.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -83,7 +84,7 @@ def _parse_budget(text: str) -> float:
 def _emit(payload: str, out: str | None) -> None:
     if out:
         try:
-            Path(out).write_text(payload)
+            Path(out).write_text(payload, encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
@@ -425,7 +426,10 @@ def _add_output(p: argparse.ArgumentParser, *flags: str, array: bool = False) ->
         p.add_argument(flag, **options)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state,
+    and the handlers look up the library's names when they are called."""
     parser = argparse.ArgumentParser(
         prog="ekrforge",
         description="intersecting-family verification and search toolkit")

@@ -14,26 +14,37 @@ cardinality, an out-of-range element and an order error.
 After the header, the member lines go through a bulk path in chunks of
 whole lines, each cut at the first "\n" past ``CHUNK_CHARS`` characters
 by one ``str.find``, so that the per-member work runs in C and only one
-chunk's tokens are alive at a time; no list of all the lines is made.
-Each "\n" of a chunk becomes a newline token, the sentinel, and the
-chunk is split on single spaces; it is aligned when it has exactly k
-tokens per line plus one sentinel between lines, and the sentinels sit
-in every (k+1)-th slot.  It is accepted only if every line is canonical:
-every token the decimal text of a point of [n] without sign or leading
-zero (so no blank, doubled, leading or trailing space and no tab), and
-the points strictly increasing.  One duplicate test and one sort follow,
-and the family is built with ``UniformFamily._trusted``, since the bulk
-path has already proved each member.  When anything fails (a blank or
-non-canonical line, as every member line at k = 0 is, a count that
-disagrees with the header, a duplicate), the per-line reader runs from
-line 2 instead, over ``str.splitlines``.  It is the only path that
-reports errors, so the diagnostics, their line numbers and their
-precedence do not depend on the bulk path.  A text that does not end in
-"\n", or whose header line holds another line boundary ("\r\n", "\r",
-"\v", "\u2028", ...), goes to the per-line reader at once, since cutting
-at "\n" alone would see other lines than ``splitlines`` does; another
-boundary inside a member line is not a canonical token, so the bulk path
-declines it.
+chunk's lines are alive at a time; no list of all the lines is made.
+A bulk line must be canonical: every point the decimal text of a point
+of [n] without sign or leading zero, the points strictly increasing and
+separated by single spaces (so no blank, doubled, leading or trailing
+space and no tab).  In such a line the length fixes the layout: a line
+of length 2k - 1 + d holds k - d one-digit points, then d two-digit
+points.  So the chunk's lines are sorted by length, each length's lines
+are joined and encoded as ASCII, and every token position is read as
+one stride slice of those bytes, a column with one byte per line: the
+separator columns must be spaces, the others digits, no tens digit 0.
+Each point column becomes one byte per line (a tens column plus its
+units column, added as integers, since no point exceeds 99), the points
+must lie in [n], and neighbouring columns must increase (one subtraction
+of integers per pair, with 0x80 added to every byte so that no borrow
+crosses a byte).  Byte j of every mask is the sum of the point columns
+mapped through a table of the bits of the points 8j + 1 .. 8j + 8, the
+inverse of the writer's tables.  One sort and a strict-increase test
+(no duplicates) follow, and the family is built with
+``UniformFamily._trusted``, since the bulk path has already proved each
+member.  When anything fails (a blank or non-canonical line, as every
+member line at k = 0 is, a non-ASCII character, a count that disagrees
+with the header, a duplicate), the per-line reader runs from line 2
+instead, over ``str.splitlines``.  It is the only path that reports
+errors, so the diagnostics, their line numbers and their precedence do
+not depend on the bulk path.  A text that does not end in "\n", or
+whose header line holds another line boundary ("\r\n", "\r", "\v",
+"\u2028", ...), goes to the per-line reader at once, since cutting at
+"\n" alone would see other lines than ``splitlines`` does; another
+boundary inside a member line is not a canonical character, so the bulk
+path declines it.  Files are read and written as UTF-8, whatever the
+locale.
 
 The writer reads byte j of every mask as one C slice of the masks packed
 as little-endian 64-bit words, maps it through a 256-entry table of element texts for
@@ -43,7 +54,7 @@ the points 8j + 1 .. 8j + 8, and adds the columns up line by line.
 from __future__ import annotations
 
 import struct
-from itertools import chain, repeat
+from itertools import chain, groupby
 from operator import add, itemgetter, lt
 from pathlib import Path
 from typing import TextIO
@@ -51,6 +62,17 @@ from typing import TextIO
 from .families import UniformFamily
 
 CHUNK_CHARS = 1 << 16
+
+_DIGITS = b"0123456789"
+# the value of a digit byte, and ten times it for a tens digit
+_ONES = bytes.maketrans(_DIGITS, bytes(range(10)))
+_TENS = bytes.maketrans(_DIGITS, bytes(range(0, 100, 10)))
+# the bytes above 0x80, which the order test deletes
+_ABOVE_HALF = bytes(range(0x81, 0x100))
+# per 8 points 8j + 1 .. 8j + 8: the bit of each point byte in byte j of a
+# mask, 0 for the points outside; the inverse of render_family's tables
+_POINT_BITS = [bytes(8 * j + 1) + bytes(1 << b for b in range(8)) + bytes(247 - 8 * j)
+               for j in range(8)]
 
 
 class FamilyFormatError(ValueError):
@@ -88,17 +110,16 @@ def parse_family(text: str) -> UniformFamily:
         masks = _canonical_masks(text, cut + 1, n, k, m)
         if masks is not None:
             # the bulk path has shown each member a k-subset of [n], and all distinct
-            return UniformFamily._trusted(n, k, tuple(sorted(masks)))
+            return UniformFamily._trusted(n, k, tuple(masks))
     return UniformFamily(n, k, tuple(sorted(_checked_masks(text.splitlines(), n, k, m))))
 
 
 def _canonical_masks(text: str, start: int, n: int, k: int, m: int) -> list[int] | None:
     r"""The members of the member lines ``text[start:]``, each ended by
-    "\n", in file order if every member line is canonical and the m
-    members are distinct, else None."""
+    "\n", sorted, if every member line is canonical and the m members are
+    distinct, else None."""
     if text.count("\n", start) != m:
         return None
-    table = {str(x): 1 << (x - 1) for x in range(1, n + 1)}
     masks: list[int] = []
     while start < len(text):
         # a chunk of whole lines: up to the first "\n" past CHUNK_CHARS
@@ -106,36 +127,68 @@ def _canonical_masks(text: str, start: int, n: int, k: int, m: int) -> list[int]
         end = text.find("\n", start + CHUNK_CHARS)
         if end < 0:
             end = len(text) - 1
-        lines = text.count("\n", start, end) + 1
-        # a canonical chunk splits into k tokens per line with a "\n" sentinel
-        # between lines; at k = 0 a line is one token "", so a file with
+        lines = text[start:end].split("\n")
+        lines.sort(key=len)
+        # a canonical line of length 2k - 1 + d holds k - d one-digit points,
+        # then d two-digit points; at k = 0 a line is "", so a file with
         # members falls back
-        toks = text[start:end].replace("\n", " \n ").split(" ")
-        if len(toks) != lines * (k + 1) - 1:
-            return None
-        # with the count right, a sentinel outside the slots k::k+1 would
-        # be left behind below and fail the lookup: every line has k tokens
-        del toks[k::k + 1]
-        try:
-            bits = list(map(table.__getitem__, toks))
-        except KeyError:
-            return None
-        del toks
-        # bits[i*k + j] is the j-th point of the chunk's i-th line
-        if not _rising(bits, k):
-            return None
-        masks += map(sum, zip(*[iter(bits)] * k))
+        for width, same in groupby(lines, len):
+            twos = width - (2 * k - 1)
+            if not 0 <= twos <= k:
+                return None
+            try:
+                block = "".join(same).encode("ascii")
+            except UnicodeEncodeError:
+                return None
+            got = _block_masks(block, width, k - twos, twos, n)
+            if got is None:
+                return None
+            masks += got
         start = end + 1
-    return masks if len(set(masks)) == m else None
+    masks.sort()
+    return masks if all(map(lt, masks, masks[1:])) else None
 
 
-def _rising(bits: list[int], k: int) -> bool:
-    """True iff every run ``bits[i*k:(i+1)*k]`` strictly increases: one
-    comparison of each entry but a run's last with the next one.  The two
-    copies die on return, before the next chunk's tokens are made."""
-    firsts, lasts = bits[:], bits[:]
-    del firsts[k - 1::k], lasts[::k]
-    return all(map(lt, firsts, lasts))
+def _block_masks(block: bytes, width: int, ones: int, twos: int,
+                 n: int) -> tuple[int, ...] | None:
+    """The members of ``block``, lines of ``width`` characters joined with
+    no separator, if every line is ``ones`` one-digit points, then ``twos``
+    two-digit points, strictly increasing, in [n] and separated by single
+    spaces, else None.  Each check and each step reads one column, the
+    same position of every line, as one C slice."""
+    count = len(block) // width
+    starts = [2 * i for i in range(ones)] + [2 * ones + 3 * i for i in range(twos)]
+    # the only non-digits are spaces, as many as the separator columns hold,
+    # and every separator column is spaces
+    spaces = b" " * count
+    if (block.translate(None, _DIGITS) != spaces * (ones + twos - 1)
+            or any(block[c - 1::width] != spaces for c in starts[1:])):
+        return None
+    points = [block[c::width].translate(_ONES) for c in starts[:ones]]
+    for c in starts[ones:]:
+        tens = block[c::width]
+        if b"0" in tens:
+            return None
+        # a point is at most 99, so no byte carries into the next
+        points.append((int.from_bytes(tens.translate(_TENS), "big")
+                       + int.from_bytes(block[c + 1::width].translate(_ONES), "big")
+                       ).to_bytes(count, "big"))
+    if b"".join(points).translate(None, bytes(range(1, n + 1))):
+        return None
+    # the points lie in [1, 64], so each byte of next + 0x80 - previous lies in
+    # [65, 191] and no borrow crosses a byte; above 0x80 means increasing
+    half = int.from_bytes(b"\x80" * count, "big")
+    values = [int.from_bytes(p, "big") for p in points]
+    for lo, hi in zip(values, values[1:]):
+        if (hi + half - lo).to_bytes(count, "big").translate(None, _ABOVE_HALF):
+            return None
+    # byte j of each mask: the bits of its points in 8j + 1 .. 8j + 8, which
+    # are distinct, so their sum is their union and no byte carries
+    packed = bytearray(8 * count)
+    for j, table in enumerate(_POINT_BITS[:(n + 7) // 8]):
+        packed[j::8] = sum(int.from_bytes(p.translate(table), "big")
+                           for p in points).to_bytes(count, "big")
+    return struct.unpack(f"<{count}Q", packed)
 
 
 def _checked_masks(lines: list[str], n: int, k: int, m: int) -> list[int]:
@@ -191,7 +244,7 @@ def _first_duplicate(body: list[tuple[int, str]],
 
 
 def read_family(path: str | Path) -> UniformFamily:
-    return parse_family(Path(path).read_text())
+    return parse_family(Path(path).read_text(encoding="utf-8"))
 
 
 def render_family(family: UniformFamily) -> str:
@@ -218,4 +271,4 @@ def write_family(family: UniformFamily, path: str | Path | TextIO) -> None:
     if hasattr(path, "write"):
         path.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")

@@ -210,7 +210,7 @@ def blocked_lift_seed(n: int, k: int) -> UniformFamily:
 
 
 def random_saturated_family(n: int, k: int, rng: random.Random,
-                            mode: str = "free") -> UniformFamily:
+                            mode: str) -> UniformFamily:
     if mode == "free":
         seed = random_intersecting_seed(n, k, rng)
     elif mode in ("r_lift", "r_lift_partial"):

@@ -1,14 +1,18 @@
 """CLI surface: exit codes, file round trips, diagnostics, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import ekrforge.cli
 from conftest import fano_plane, reference_parse_family, reference_render_family
-from ekrforge import certify, properties
+from ekrforge import certify, familyio, properties
 from ekrforge.classify import classify_T3
 from ekrforge.cli import run
 from ekrforge.constructions import build_G, full_star, g_size_formula
@@ -182,6 +186,30 @@ def test_k0_family_file_through_the_cli(tmp_path, capsys):
     assert capsys.readouterr().out == "3 0 1\n\n"
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Family files and --out files are read and written as UTF-8 whatever
+    the locale's codec: under the C locale, with UTF-8 mode and locale
+    coercion off, verify --suite all writes the bytes (τ included) that it
+    writes in UTF-8 mode, and tau reads a member spelled in Arabic-Indic
+    digits."""
+    fam = tmp_path / "arabic-indic.fam"
+    fam.write_bytes("3 1 1\n\u0661\n".encode("utf-8"))
+    src = str(Path(ekrforge.cli.__file__).parents[1])
+    written = []
+    for name, env in (("c", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+                      ("utf8", {"PYTHONUTF8": "1"})):
+        env = {**os.environ, "PYTHONPATH": src, **env}
+        out = tmp_path / f"{name}.txt"
+        for argv in (["verify", "--suite", "all", "--out", str(out)],
+                     ["tau", str(fam), "--out", str(tmp_path / "tau.txt")]):
+            proc = subprocess.run([sys.executable, "-m", "ekrforge", *argv], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (name, argv, proc.stderr)
+        assert (tmp_path / "tau.txt").read_text() == "1\n"
+        written.append(out.read_bytes())
+    assert written[0] == written[1] and "τ".encode("utf-8") in written[0]
+
+
 def _outcome(reader, text):
     """The family a reader returns, or the (line_no, message) it raises."""
     try:
@@ -253,6 +281,82 @@ def test_parse_family_matches_reference_on_random_texts():
         assert outcome == _outcome(reference_parse_family, text), text
         read += not isinstance(outcome, tuple)
     assert 1000 < read < 3000
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+
+
+def _two_digit_edit(rng, lines, n):
+    """One edit, in place, of a random member line of ``lines`` (the header
+    first) or of the header's member count."""
+    at = rng.randrange(1, len(lines))
+    tokens = lines[at].split(" ")
+    edit = rng.randrange(9)
+    if edit == 0:
+        # a one-digit point swapped with a two-digit one: same length,
+        # another layout
+        ones = [i for i, t in enumerate(tokens) if len(t) == 1]
+        twos = [i for i, t in enumerate(tokens) if len(t) == 2]
+        if ones and twos:
+            i, j = rng.choice(ones), rng.choice(twos)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif edit == 1:
+        # two points of one width swapped: same layout, out of order
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif edit == 2:
+        tokens[rng.randrange(len(tokens))] = rng.choice(["07", "00", "0", "65", str(n + 1)])
+    elif edit == 3:
+        i = rng.randrange(len(tokens))
+        tokens[i] = tokens[i].translate(_ARABIC_INDIC)
+    elif edit == 4:
+        tokens[-1] += "\r"
+    elif edit == 5:
+        tokens[-1] += str(rng.randrange(10))
+    elif edit == 6:
+        # a line replaced by a copy of another: the count is kept
+        tokens = lines[rng.randrange(1, len(lines))].split(" ")
+    elif edit == 7:
+        _token_edit(rng, tokens, n)
+    else:
+        n_, k_, m_ = lines[0].split(" ")
+        lines[0] = f"{n_} {k_} {int(m_) + rng.choice([-1, 1])}"
+    lines[at] = " ".join(tokens)
+
+
+def test_parse_family_matches_reference_on_two_digit_texts():
+    """The same agreement for 10 <= n <= 64, where member lines of one file
+    differ in length by their number of two-digit points, read in shuffled
+    order with up to three edits per text."""
+    rng = random.Random(20261020)
+    read = 0
+    for _ in range(3000):
+        n = rng.randint(10, 64)
+        k = rng.randint(1, min(n, 9))
+        members = list({tuple(sorted(rng.sample(range(1, n + 1), k)))
+                        for _ in range(rng.randint(1, 24))})
+        rng.shuffle(members)
+        lines = [f"{n} {k} {len(members)}"] + [" ".join(map(str, s)) for s in members]
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            _two_digit_edit(rng, lines, n)
+        text = "\n".join(lines) + "\n"
+        outcome = _outcome(parse_family, text)
+        assert outcome == _outcome(reference_parse_family, text), text
+        read += not isinstance(outcome, tuple)
+    assert 700 < read < 2300
+
+
+@pytest.mark.parametrize("line", ["1 07", "1 \u0661\u0662", "1 12\r", "1\t12", "1  2",
+                                  "12 3", "12 10", "1 1", "1 65", "0 12", "3 2"])
+def test_bulk_path_declines_non_canonical_lines(line):
+    """The bulk path reads only canonical lines, each point the decimal text
+    of a point of [n] without sign or leading zero; "07", which ``int``
+    reads as 7, and every other line goes to the per-line reader."""
+    text = f"64 2 2\n1 2\n{line}\n"
+    assert familyio._canonical_masks(text, 7, 64, 2, 2) is None
+    assert familyio._canonical_masks("64 2 2\n1 2\n1 12\n", 7, 64, 2, 2) == [
+        0b11, 1 << 11 | 1]
 
 
 def _swap_two(line):
