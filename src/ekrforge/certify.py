@@ -34,14 +34,17 @@ class Certificate:
     id: str
     statement: str
     params: dict
-    verdict: str                      # "pass" | "fail"
     witnesses: list = field(default_factory=list)
     wall_time_ms: int = 0
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not self.witnesses
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.witnesses else "pass"
 
     def to_json_dict(self, include_timing: bool) -> dict:
         return {
@@ -62,7 +65,6 @@ def make_certificate(cert_id: str, statement: str, params: dict,
         id=cert_id,
         statement=statement,
         params=params,
-        verdict="pass" if not witnesses else "fail",
         witnesses=witnesses,
         details=details or {},
     )

@@ -2,8 +2,9 @@
 
 Subcommands: construct | tau | covers | saturate | trace | classify |
 verify | oracle | lex.  Exit codes: 0 on success / all certificates
-passing, 1 when any certificate fails, 2 on usage or input errors, 3 when
-an internal check fails (a bug in ekrforge, not in the input).
+passing, 1 when any certificate fails, 2 on usage or input errors and on
+output that stdout's encoding cannot write, 3 when an internal check
+fails (a bug in ekrforge, not in the input).
 
 Determinism: with a fixed invocation (including verify's --seed) the
 output is byte-identical across runs; wall times, in JSON and in verify's
@@ -57,7 +58,7 @@ from .familyio import FamilyFormatError, read_family, render_family
 from .families import MAX_GROUND, elements_of, is_intersecting, trace
 from .oracles import trace_bound_check
 from .properties import SUITES, list_suites, range_refusal, verify_identity_suite
-from .search import max_intersecting, max_intersecting_degcap
+from .search import PROVED, max_intersecting, max_intersecting_degcap
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -88,7 +89,12 @@ def _emit(payload: str, out: str | None) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(payload)
+        # one write: an encoding failure leaves nothing on stdout
+        try:
+            sys.stdout.write(payload)
+        except UnicodeEncodeError as exc:
+            raise UsageError(f"stdout's {exc.encoding} encoding cannot write this output; use "
+                             f"--out FILE or set PYTHONIOENCODING=utf-8") from None
 
 
 def _emit_certs(certs: list[Certificate], args) -> None:
@@ -366,7 +372,7 @@ def _cmd_oracle(args) -> int:
         statement += f"tau >= {r}"
     params.update({"value": result.value, "status": result.status,
                    "nodes": result.nodes, "budget_s": budget})
-    witnesses = [] if result.status == "proved-optimal" else \
+    witnesses = [] if result.status == PROVED else \
         [{"status": result.status, "lower_bound": result.value}]
     cert = replace(make_certificate(ident, statement, params, witnesses),
                    wall_time_ms=int(result.elapsed * 1000))

@@ -57,9 +57,8 @@ import struct
 from itertools import chain, groupby
 from operator import add, itemgetter, lt
 from pathlib import Path
-from typing import TextIO
 
-from .families import UniformFamily
+from .families import MAX_GROUND, UniformFamily
 
 CHUNK_CHARS = 1 << 16
 
@@ -98,8 +97,8 @@ def parse_family(text: str) -> UniformFamily:
         n, k, m = (int(x) for x in head)
     except ValueError:
         raise FamilyFormatError(1, f"non-integer header field in {header!r}") from None
-    if n < 1 or n > 64:
-        raise FamilyFormatError(1, f"ground size {n} outside [1, 64]")
+    if n < 1 or n > MAX_GROUND:
+        raise FamilyFormatError(1, f"ground size {n} outside [1, {MAX_GROUND}]")
     if not 0 <= k <= n:
         raise FamilyFormatError(1, f"uniformity {k} outside [0, {n}]")
     if m < 0:
@@ -266,9 +265,5 @@ def render_family(family: UniformFamily) -> str:
                            map(itemgetter(slice(-1)), texts), [""]))
 
 
-def write_family(family: UniformFamily, path: str | Path | TextIO) -> None:
-    text = render_family(family)
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+def write_family(family: UniformFamily, path: str | Path) -> None:
+    Path(path).write_text(render_family(family), encoding="utf-8")

@@ -58,7 +58,7 @@ def _enumerate_fix_a(n: int, a: int, b: int):
 
     def half_table(items):
         table = [(0, full_b)]
-        for idx, cm in enumerate(items):
+        for cm in items:
             table += [(cnt + 1, acc & cm) for cnt, acc in table]
         return table
 
@@ -80,7 +80,6 @@ def ft92_oracle(n: int, a: int, b: int) -> tuple[int, Certificate]:
         raise ValueError(f"ft92_oracle needs n >= a+b and a <= b, got {(n, a, b)}")
     bound = binom(n, b) - binom(n - a, b) + 1
     best = 0
-    best_pair = (0, 0)
     best_nontrivial = 0  # max over |A| >= 2 and |B| >= 2
     for cnt_a, bmax in _enumerate_fix_a(n, a, b):
         if cnt_a == 0:
@@ -90,7 +89,7 @@ def ft92_oracle(n: int, a: int, b: int) -> tuple[int, Certificate]:
             continue
         total = cnt_a + cnt_b
         if total > best:
-            best, best_pair = total, (cnt_a, cnt_b)
+            best = total
         if cnt_a >= 2 and cnt_b >= 2 and total > best_nontrivial:
             best_nontrivial = total
     witnesses = []

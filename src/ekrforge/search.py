@@ -27,8 +27,9 @@ k-sets in colex order:
     excluded candidate still there meets v, so domination is unchanged;
     and a candidate disjoint from another stays unforced.  So only the
     one-member groups are tested.
-  * a chosen candidate satisfies the constraints it avoids, a row of one
-    table read off ``meeting`` at set-up.
+  * a branch keeps only the constraints that no forced member avoids, and
+    a chosen candidate satisfies those it avoids, a row of one table read
+    off ``meeting`` at set-up.
 
 The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 (r = 3) follow the proof's case split instead (``_structural_branches``):
@@ -79,7 +80,7 @@ from itertools import combinations
 from .binomial import binom
 from .constructions import _star_with_base, build_G, build_HM, full_star
 from .covers import is_intersecting, tau
-from .families import (UniformFamily, elements_of, ksets_colex, mask_of, max_degree,
+from .families import (UniformFamily, _met, elements_of, ksets_colex, mask_of, max_degree,
                        meeting, point_index)
 
 PROVED = "proved-optimal"
@@ -88,12 +89,14 @@ TIMEBOXED = "timeboxed-lower-bound"
 
 @dataclass(frozen=True)
 class SearchResult:
-    value: int
     witness: UniformFamily
     status: str
     nodes: int
     elapsed: float
-    budget: float
+
+    @property
+    def value(self) -> int:
+        return len(self.witness)
 
 
 class _Budget(Exception):
@@ -118,12 +121,10 @@ class _Run:
     notes.
     """
 
-    __slots__ = ("budget", "t_start", "deadline", "nodes", "best", "best_masks",
-                 "optima", "status")
+    __slots__ = ("t_start", "deadline", "nodes", "best", "best_masks", "optima", "status")
 
     def __init__(self, budget: float, incumbent: UniformFamily | None = None,
                  collect: bool = False):
-        self.budget = budget
         self.t_start = time.perf_counter()
         self.deadline = self.t_start + budget
         self.nodes = 0
@@ -174,8 +175,7 @@ class _Run:
         witness = UniformFamily.from_masks(n, k, self.best_masks)
         if len(witness) != value:
             raise AssertionError("witness size disagrees with the proven value")
-        return SearchResult(value, witness, self.status, self.nodes,
-                            time.perf_counter() - self.t_start, self.budget)
+        return SearchResult(witness, self.status, self.nodes, time.perf_counter() - self.t_start)
 
 
 def canonical_form(family: UniformFamily) -> UniformFamily:
@@ -550,21 +550,24 @@ def _colour_classes(cand: int, disj: list[int]) -> list[int]:
     return classes
 
 
-def _candidate_graph(n: int, universe, forced) -> tuple[list[int], list[int], list[int]]:
+def _candidate_graph(n: int, universe, forced
+                     ) -> tuple[list[int], list[int], list[int], list[int]]:
     """The candidates (universe members other than the forced ones that
     meet each of them) with their intersecting and disjoint bitsets, read
-    off ``meeting``.  Neither bitset holds a candidate's own bit, not even
-    at k = 0, where the one candidate, ∅, does not meet itself."""
+    off their ``point_index``, which is returned last.  Neither bitset
+    holds a candidate's own bit, not even at k = 0, where the one
+    candidate, ∅, does not meet itself."""
     forced_set = set(forced)
     cand_masks = [m for m in universe
                   if m not in forced_set and all(m & f for f in forced)]
     full = (1 << len(cand_masks)) - 1
+    through = point_index(cand_masks, n)
     compat, disj = [], []
-    for i, met in enumerate(meeting(cand_masks, cand_masks, n)):
-        bit = 1 << i
+    for i, m in enumerate(cand_masks):
+        met, bit = _met(through, m), 1 << i
         compat.append(met & ~bit)
         disj.append(full & ~(met | bit))
-    return cand_masks, compat, disj
+    return cand_masks, compat, disj, through
 
 
 def _default_incumbent(n: int, k: int, r_min: int) -> UniformFamily | None:
@@ -696,17 +699,16 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
     that is a union of cells is only a branching choice, kept because it
     prunes: without it the (9,4) split walks about a fifth more nodes.
     """
-    forced, constraints = branch.forced, branch.constraints
-    cand_masks, compat, disj = _candidate_graph(n, branch.universe, forced)
+    forced = branch.forced
+    # the open constraints: those that no forced member avoids
+    constraints = [c for c in branch.constraints if all(c & f for f in forced)]
+    cand_masks, compat, disj, through = _candidate_graph(n, branch.universe, forced)
     full = (1 << len(cand_masks)) - 1
-    avoiders = [full & ~met for met in meeting(constraints, cand_masks, n)]
-    # avoids[v]: the constraints that candidate v avoids, so satisfies once
-    # chosen; sat0: those that a forced member avoids
-    all_sat = (1 << len(constraints)) - 1
-    avoids = [all_sat & ~met for met in meeting(cand_masks, constraints, n)]
-    sat0 = 0
-    for met in meeting(forced, constraints, n):
-        sat0 |= all_sat & ~met
+    avoiders = [full & ~_met(through, c) for c in constraints]
+    # avoids[v]: the open constraints that candidate v avoids, so satisfies
+    # once chosen
+    all_open = (1 << len(constraints)) - 1
+    avoids = [all_open & ~met for met in meeting(cand_masks, constraints, n)]
     collect = run.optima is not None
     tick, note = run.tick, run.note
 
@@ -808,7 +810,7 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
         if forced_now:
             del chosen[size:]
 
-    return run.timebox(recurse, list(forced), full, all_sat & ~sat0, 0, branch.cells)
+    return run.timebox(recurse, list(forced), full, all_open, 0, branch.cells)
 
 
 def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
@@ -915,9 +917,8 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     tick, note = run.tick, run.note
 
     first = mask_of(range(1, k + 1), n)
-    cand_masks, compat, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
+    cand_masks, compat, disj, through = _candidate_graph(n, ksets_colex(n, k), (first,))
     points = [[x - 1 for x in elements_of(m)] for m in cand_masks]
-    through = point_index(cand_masks, n)
     degs = [1 if x < k else 0 for x in range(n)]
     # the candidates by least point, which lies in {1..k}: every candidate
     # meets the forced member

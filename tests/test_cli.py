@@ -191,7 +191,9 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     the locale's codec: under the C locale, with UTF-8 mode and locale
     coercion off, verify --suite all writes the bytes (τ included) that it
     writes in UTF-8 mode, and tau reads a member spelled in Arabic-Indic
-    digits."""
+    digits.  Output to stdout follows the locale: τ on an ASCII stdout is
+    a usage error (exit 2, nothing on stdout, a hint on stderr), and in
+    UTF-8 mode it is written."""
     fam = tmp_path / "arabic-indic.fam"
     fam.write_bytes("3 1 1\n\u0661\n".encode("utf-8"))
     src = str(Path(ekrforge.cli.__file__).parents[1])
@@ -207,6 +209,13 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
             assert proc.returncode == 0, (name, argv, proc.stderr)
         assert (tmp_path / "tau.txt").read_text() == "1\n"
         written.append(out.read_bytes())
+        proc = subprocess.run([sys.executable, "-m", "ekrforge", "verify", "--suite", "PROP-22",
+                               "--samples", "3"], env=env, capture_output=True, encoding="utf-8")
+        if name == "c":
+            assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+            assert "PYTHONIOENCODING" in proc.stderr and "internal" not in proc.stderr
+        else:
+            assert proc.returncode == 0 and "τ" in proc.stdout, proc.stderr
     assert written[0] == written[1] and "τ".encode("utf-8") in written[0]
 
 

@@ -13,7 +13,7 @@ import ekrforge.search
 from conftest import (_apply_perm, _reference_cover_bound, brute_canonical_form,
                       brute_max_by_cliques, intersect_compat, maximal_cliques,
                       prop34_equality_family, reference_candidate_graph,
-                      reference_degcap, unforced_branch_a)
+                      reference_degcap, reference_point_index, unforced_branch_a)
 from ekrforge.binomial import binom
 from ekrforge.cli import run
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
@@ -382,8 +382,11 @@ def _graph_inputs():
                                                for label, *args in _graph_inputs()])
 def test_candidate_graph_against_pairwise_builder(n, universe, forced):
     """The candidates, ``compat`` and ``disj`` read off the point index
-    equal those of the pairwise builder."""
-    assert _candidate_graph(n, universe, forced) == reference_candidate_graph(universe, forced)
+    equal those of the pairwise builder, and the returned index is the
+    candidates' point index."""
+    cand_masks, compat, disj, through = _candidate_graph(n, universe, forced)
+    assert (cand_masks, compat, disj) == reference_candidate_graph(universe, forced)
+    assert through == reference_point_index(cand_masks, n)
 
 
 def test_colour_classes_partition():
@@ -393,7 +396,7 @@ def test_colour_classes_partition():
     rng = random.Random(3)
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
-        cand_masks, _, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
+        cand_masks, _, disj, _ = _candidate_graph(n, ksets_colex(n, k), (first,))
         for _ in range(40):
             cand = rng.getrandbits(len(cand_masks))
             classes = _colour_classes(cand, disj)
@@ -420,7 +423,7 @@ def test_forced_candidates_open_singleton_groups():
     seen_forced = 0
     for n, k in ((9, 3), (9, 4)):
         first = mask_of(range(1, k + 1), n)
-        cand_masks, _, disj = _candidate_graph(n, ksets_colex(n, k), (first,))
+        cand_masks, _, disj, _ = _candidate_graph(n, ksets_colex(n, k), (first,))
         for density in range(1, 7):
             for _ in range(40):
                 cand = -1
@@ -806,7 +809,7 @@ def test_enumerate_optima_reverifies_classes(monkeypatch, members, problem):
     below r_min or is not of the optimum size raises ``AssertionError``."""
     witness = build_G(7, 3)
     bad = UniformFamily.from_sets(7, 3, members)
-    result = ekrforge.search.SearchResult(10, witness, "proved-optimal", 1, 0.0, 1.0)
+    result = ekrforge.search.SearchResult(witness, "proved-optimal", 1, 0.0)
     monkeypatch.setattr(ekrforge.search, "_search",
                         lambda *args, **kwargs: (result, [witness.masks, bad.masks]))
     with pytest.raises(AssertionError, match=problem):
