@@ -1,13 +1,9 @@
 """Acceptance criteria, one test per criterion, one printed pass/fail line each.
 
-Budgets are asserted as hard limits.  The stretch criterion is optional
-and gated behind EKRFORGE_STRETCH=1.
+Budgets are asserted as hard limits.
 """
 
-import os
 import time
-
-import pytest
 
 from ekrforge.binomial import binom
 from ekrforge.properties import verify_identity_suite
@@ -170,17 +166,13 @@ def test_criterion_11_degree_cap():
     _report("11 degree-cap", ok, time.perf_counter() - t0, 2 * 600, str(values))
 
 
-@pytest.mark.stretch
-@pytest.mark.skipif(os.environ.get("EKRFORGE_STRETCH") != "1",
-                    reason="hours-scale stretch goal; set EKRFORGE_STRETCH=1")
-def test_criterion_12_stretch():
-    budget = float(os.environ.get("EKRFORGE_STRETCH_BUDGET", "7200"))
+def test_criterion_12_m_9_4_3():
     t0 = time.perf_counter()
-    # one collecting run of the structural split proves the value and
-    # finds the classes of optima
-    forms, res = enumerate_optima(9, 4, 3, budget=budget)
+    # one collecting run of the structural split proves m(9,4,3) = 48 and
+    # finds the classes of optima: G(9,4) alone
+    forms, res = enumerate_optima(9, 4, 3, budget=60)
     ok = res.value == 48 and res.status == "proved-optimal"
     detail = (f"value={res.value} status={res.status} nodes={res.nodes} "
               f"optima-classes={len(forms)}")
     ok = ok and len(forms) == 1 and forms[0] == canonical_form(build_G(9, 4))
-    _report("12 stretch", ok, time.perf_counter() - t0, 2 * budget + 3600, detail)
+    _report("12 m(9,4,3)", ok, time.perf_counter() - t0, 60, detail)

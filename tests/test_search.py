@@ -18,7 +18,7 @@ from ekrforge.binomial import binom
 from ekrforge.cli import run
 from ekrforge.constructions import (build_G, build_HM, build_K34, build_R, build_S,
                                     full_star, g_size_formula)
-from ekrforge.covers import is_intersecting, tau
+from ekrforge.covers import brute_force_tau, is_intersecting, tau
 from ekrforge.families import UniformFamily, ksets_colex, mask_of
 from ekrforge.search import (_avoidance, _candidate_graph, _colour_classes,
                              _dedup_to_forms, _default_incumbent,
@@ -36,62 +36,78 @@ def _digest(masks) -> str:
 # class forms' masks).  A change that only speeds up a node keeps every
 # row; one that changes a tree must record the new rows and say why.
 PINNED_TREES = [
-    (("plain", 7, 3, 1), 15, 84, "ce6c1f8df3fae08a"),
-    (("plain", 8, 3, 1), 21, 92, "a2016b0e742b5387"),
-    (("plain", 9, 3, 1), 28, 89, "12acd51aad0b6811"),
-    (("plain", 10, 3, 1), 36, 109, "18d051dc002255ef"),
-    (("plain", 11, 3, 1), 45, 141, "3886e29f9ec26726"),
+    # every count below moved when _candidate_graph began to list the
+    # candidates fewest-met first (by the number of other candidates each
+    # one meets, ties in colex order) instead of in colex order; the values,
+    # the witnesses and the class lists did not move, except the seeded
+    # k = 3 witness, which is now (7,11,13,14,22,25,37,42,67,76) instead of
+    # C([5],3), another τ = 3 optimum of 10 members, the colex-least of
+    # those the reordered tree notes.  The counts before, row by row: plain
+    # r = 1 84, 92, 89, 109, 141; r = 2 84, 72, 105, 90, 129; r = 3 103,
+    # 131, 150, 156, 160; cold 103, 131; degcap 41, 68, 983, 4853, 33375,
+    # 688290, 60467; seeded 131, 156, 188, 204, 212, 4; optima 484, 485,
+    # 1534, 400.  In colex order degcap (11,3,2) and (10,3,3) ran out of
+    # 120 s and 60 s budgets, and seeded (10,4) took 493595 nodes and 15 s
+    (("plain", 7, 3, 1), 15, 80, "ce6c1f8df3fae08a"),
+    (("plain", 8, 3, 1), 21, 80, "a2016b0e742b5387"),
+    (("plain", 9, 3, 1), 28, 61, "12acd51aad0b6811"),
+    (("plain", 10, 3, 1), 36, 49, "18d051dc002255ef"),
+    (("plain", 11, 3, 1), 45, 41, "3886e29f9ec26726"),
     # plain r = 2, 3 and cold node counts fell (309, 467, 1105, 1744, 3117;
     # 795, 2648, 6644, 14180, 26928; cold 795 and 2648 before) when the
     # plain branch got the cells ({1..k}, [k+1..n]) and its first-avoider
     # splits began to skip an avoider in the orbit of an earlier sibling;
     # r = 1 has no split, and the values and witnesses did not move
-    (("plain", 7, 3, 2), 13, 84, "74c45d4c2748e6dc"),
-    (("plain", 8, 3, 2), 16, 72, "a3f84757c42a60b9"),
-    (("plain", 9, 3, 2), 19, 105, "29435be259ceab3b"),
-    (("plain", 10, 3, 2), 22, 90, "6c5f6b023b85c35f"),
-    (("plain", 11, 3, 2), 25, 129, "0395b43489ffdac6"),
-    (("plain", 7, 3, 3), 10, 103, "f64d28a646e075aa"),
-    (("plain", 8, 3, 3), 10, 131, "f64d28a646e075aa"),
-    (("plain", 9, 3, 3), 10, 150, "f64d28a646e075aa"),
-    (("plain", 10, 3, 3), 10, 156, "f64d28a646e075aa"),
-    (("plain", 11, 3, 3), 10, 160, "f64d28a646e075aa"),
-    (("cold", 7, 3, 3), 10, 103, "f64d28a646e075aa"),
-    (("cold", 8, 3, 3), 10, 131, "f64d28a646e075aa"),
+    (("plain", 7, 3, 2), 13, 44, "74c45d4c2748e6dc"),
+    (("plain", 8, 3, 2), 16, 70, "a3f84757c42a60b9"),
+    (("plain", 9, 3, 2), 19, 94, "29435be259ceab3b"),
+    (("plain", 10, 3, 2), 22, 114, "6c5f6b023b85c35f"),
+    (("plain", 11, 3, 2), 25, 155, "0395b43489ffdac6"),
+    (("plain", 7, 3, 3), 10, 138, "f64d28a646e075aa"),
+    (("plain", 8, 3, 3), 10, 163, "f64d28a646e075aa"),
+    (("plain", 9, 3, 3), 10, 166, "f64d28a646e075aa"),
+    (("plain", 10, 3, 3), 10, 169, "f64d28a646e075aa"),
+    (("plain", 11, 3, 3), 10, 172, "f64d28a646e075aa"),
+    (("cold", 7, 3, 3), 10, 142, "f64d28a646e075aa"),
+    (("cold", 8, 3, 3), 10, 167, "f64d28a646e075aa"),
     # degcap node counts fell (173, 272, 9087 and 34962 before) when the
     # search began to skip a candidate in the orbit of a sibling already
     # tried, under the symmetric groups on the cells of the node; the
     # values and witnesses did not move
-    (("degcap", 7, 3, 2), 13, 41, "33a0a136144eef5b"),
-    (("degcap", 7, 3, 3), 13, 68, "74c45d4c2748e6dc"),
-    (("degcap", 8, 3, 2), 16, 983, "70331c4cca1fab12"),
-    (("degcap", 8, 3, 3), 16, 4853, "a3f84757c42a60b9"),
+    (("degcap", 7, 3, 2), 13, 49, "33a0a136144eef5b"),
+    (("degcap", 7, 3, 3), 13, 66, "74c45d4c2748e6dc"),
+    (("degcap", 8, 3, 2), 16, 351, "70331c4cca1fab12"),
+    (("degcap", 8, 3, 3), 16, 851, "a3f84757c42a60b9"),
     # degcap (9,3,3) fell from 762697 nodes, and (9,3,2) from 60403 and
     # (10,3,2) from 2628483, when a node began to stop once the room left
     # under the cap at the points of {1..k}, which every candidate meets,
     # could not lift it past the incumbent; the values and witnesses did
-    # not move.  (10,3,2) proves 22 = C(9,2) - C(7,2) + C(7,1), the theorem
-    # bound
-    (("degcap", 9, 3, 2), 19, 33375, "de0cc02610fb0428"),
-    (("degcap", 9, 3, 3), 19, 688290, "29435be259ceab3b"),
-    (("degcap", 10, 3, 2), 22, 60467, "073847309d419e64"),
+    # not move.  (10,3,2), (11,3,2) and (10,3,3) prove the theorem bound
+    # C(n-1,2) - C(n-ℓ-1,2) + C(n-ℓ-1,3-ℓ): 22, 25 and 22
+    (("degcap", 9, 3, 2), 19, 1651, "de0cc02610fb0428"),
+    (("degcap", 9, 3, 3), 19, 7902, "29435be259ceab3b"),
+    (("degcap", 10, 3, 2), 22, 7360, "073847309d419e64"),
+    (("degcap", 11, 3, 2), 25, 46111, "693e2d88195f4c32"),
+    (("degcap", 10, 3, 3), 22, 72827, "6c5f6b023b85c35f"),
     # seeded and r = 3 optima node counts fell (192, 318, 470, 648, 721
     # and 985 before) when every first-avoider split of the structural
     # branches began to skip an avoider in the orbit of an earlier sibling,
     # under the symmetric groups on the cells of the node; the values,
     # witnesses and class lists did not move
-    (("seeded", 7, 3), 10, 131, "f64d28a646e075aa"),
-    (("seeded", 8, 3), 10, 156, "f64d28a646e075aa"),
-    (("seeded", 9, 3), 10, 188, "f64d28a646e075aa"),
-    (("seeded", 10, 3), 10, 204, "f64d28a646e075aa"),
-    (("seeded", 11, 3), 10, 212, "f64d28a646e075aa"),
+    (("seeded", 7, 3), 10, 101, "d77fb70ed5fd4699"),
+    (("seeded", 8, 3), 10, 122, "d77fb70ed5fd4699"),
+    (("seeded", 9, 3), 10, 145, "d77fb70ed5fd4699"),
+    (("seeded", 10, 3), 10, 172, "d77fb70ed5fd4699"),
+    (("seeded", 11, 3), 10, 203, "d77fb70ed5fd4699"),
     # the only cheap point with a covering-number-4 branch B_i
     (("seeded", 8, 4), 35, 4, "07a2d32be7225d5a"),
-    (("optima", 7, 3, 3), 10, 484, "92b94b2f9e14842c"),
-    (("optima", 8, 3, 3), 10, 485, "a4faba33be548ef5"),
+    # m(10,4,3) = 61 = |G(10,4)|: the split's four branches A_1..A_3, B_1
+    (("seeded", 10, 4), 61, 213303, "8b59b67279d49446"),
+    (("optima", 7, 3, 3), 10, 426, "92b94b2f9e14842c"),
+    (("optima", 8, 3, 3), 10, 447, "a4faba33be548ef5"),
     # r != 3 collects over the plain branch from floor 0
     (("optima", 6, 3, 1), 10, 1534, "2494be960751ea29"),
-    (("optima", 7, 3, 2), 13, 400, "c76226c510f8b6b6"),
+    (("optima", 7, 3, 2), 13, 225, "c76226c510f8b6b6"),
 ]
 
 
@@ -116,7 +132,7 @@ def test_pinned_trees(point, value, nodes, digest):
 def test_pinned_oracle_output(tmp_path):
     out = tmp_path / "out"
     assert run(["oracle", "--n", "9", "--k", "3", "--r", "3", "--out", str(out)]) == 0
-    assert out.read_bytes() == b"value 10 status proved-optimal nodes 150\n"
+    assert out.read_bytes() == b"value 10 status proved-optimal nodes 166\n"
 
 
 def test_values_against_closed_forms():
@@ -282,18 +298,18 @@ def test_degcap_cold_start_against_reference(monkeypatch):
 
 def test_degcap_timeboxed():
     """An exhausted budget stops the search with a lower bound that still
-    respects the cap.  (11,3,2) ran for more than 120 s without a proof."""
-    res = max_intersecting_degcap(11, 3, 2, budget=0.01)
+    respects the cap.  (9,4,4) takes about 20 s to prove."""
+    res = max_intersecting_degcap(9, 4, 4, budget=0.01)
     assert res.status == "timeboxed-lower-bound"
-    cap = binom(10, 2) - binom(8, 2)
+    cap = binom(8, 3) - binom(4, 3)
     assert is_intersecting(res.witness) and len(res.witness) == res.value > 0
-    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 12)]
+    degs = [sum(1 for s in res.witness.sets() if x in s) for x in range(1, 10)]
     assert max(degs) <= cap
 
 
 @pytest.mark.parametrize("search,params,budget", [
     (max_intersecting, (9, 4, 3), 0.01),
-    (max_intersecting_seeded, (9, 4), 0.5),
+    (max_intersecting_seeded, (9, 4), 0.1),
 ], ids=["plain 9 4 3", "seeded 9 4"])
 def test_tau_search_timeboxed(search, params, budget):
     """The budget stops the τ-searches too, though forced inclusions move
@@ -381,11 +397,18 @@ def _graph_inputs():
 @pytest.mark.parametrize("n,universe,forced", [pytest.param(*args, id=label)
                                                for label, *args in _graph_inputs()])
 def test_candidate_graph_against_pairwise_builder(n, universe, forced):
-    """The candidates, ``compat`` and ``disj`` read off the point index
-    equal those of the pairwise builder, and the returned index is the
-    candidates' point index."""
+    """The candidates are those of the pairwise builder, listed by the
+    number of other candidates each one meets, ties in colex order; on that
+    order ``compat`` and ``disj`` read off the point index equal those of
+    the pairwise builder, and the returned index is the candidates' point
+    index."""
     cand_masks, compat, disj, through = _candidate_graph(n, universe, forced)
-    assert (cand_masks, compat, disj) == reference_candidate_graph(universe, forced)
+    colex, _, _ = reference_candidate_graph(universe, forced)
+    reference = reference_candidate_graph(cand_masks, ())
+    assert sorted(cand_masks) == sorted(colex)
+    keys = [(row.bit_count(), colex.index(m)) for row, m in zip(reference[1], cand_masks)]
+    assert keys == sorted(keys)
+    assert (cand_masks, compat, disj) == reference
     assert through == reference_point_index(cand_masks, n)
 
 
@@ -637,16 +660,23 @@ def test_enumerate_optima_r3_split_matches_plain():
 def test_forced_split_against_unforced_branch_a():
     """At k = 3 the split is the branches A_j alone.  With or without the
     warm start they prove the value of branch A with nothing forced, and of
-    the clique oracle, and release the same witness, in fewer nodes."""
+    the clique oracle, in fewer nodes.  Each releases the colex-least
+    optimum that its own tree notes, so the witnesses may differ; each is
+    intersecting, has covering number 3 by brute force and the proved
+    size, and is isomorphic to a class of ``enumerate_optima``."""
     for n in (7, 8, 9):
         value = brute_max_by_cliques(n, 3, 3)
+        forms, _ = enumerate_optima(n, 3, 3)
         for incumbent in (_default_incumbent(n, 3, 3), None):
             forced, _ = _search(n, 3, _structural_branches(n, 3), 300, incumbent)
             unforced, _ = _search(n, 3, [unforced_branch_a(n, 3)], 300, incumbent)
             assert forced.status == unforced.status == "proved-optimal"
-            assert forced.witness.masks == unforced.witness.masks
             assert forced.value == unforced.value == value
             assert forced.nodes < unforced.nodes
+            for witness in (forced.witness, unforced.witness):
+                assert is_intersecting(witness) and brute_force_tau(witness) == 3
+                assert len(witness) == value
+                assert any(are_isomorphic(witness, form) for form in forms)
 
 
 def test_branches_a_reach_every_maximal_tau3_class():
@@ -695,7 +725,7 @@ def test_seeded_33_3():
     most 33 points; so m(33,3,3) = 10 rules out 11 members at every n."""
     res = max_intersecting_seeded(33, 3)
     assert res.status == "proved-optimal"
-    assert (res.value, res.nodes) == (10, 212)
+    assert (res.value, res.nodes) == (10, 1897)
     assert is_intersecting(res.witness) and tau(res.witness) == 3
 
 
@@ -846,7 +876,7 @@ def test_seeded_search_structure():
     48 at (9,4): every forced branch A_j is proved, and their maximum is 48.
     The node counts pin the orbit-pruned trees: a split that drops its
     preference for a constraint that is a union of cells stays sound but
-    walks 239,994 / 378,275 / 277,790 nodes."""
+    walks 27,815 / 36,842 / 74,698 nodes."""
     incumbent = _default_incumbent(9, 4, 3)
     branches = [b for b in _structural_branches(9, 4)
                 if b.constraints == _avoidance(9, 3)]
@@ -854,4 +884,4 @@ def test_seeded_search_structure():
     results = [_search(9, 4, [b], 600, incumbent)[0] for b in branches]
     assert all(res.status == "proved-optimal" for res in results)
     assert max(res.value for res in results) == 48
-    assert [res.nodes for res in results] == [239994, 364946, 261243]
+    assert [res.nodes for res in results] == [27815, 36842, 52086]
