@@ -10,6 +10,7 @@ star-with-base construction, which also seeds the degree-capped search.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from itertools import chain, combinations, islice, repeat
 from operator import ge
@@ -38,6 +39,9 @@ def build_K34(n: int = 4) -> UniformFamily:
     if n < 4:
         raise ValueError("K3(4) needs an ambient ground set of size at least 4")
     return UniformFamily.from_sets(n, 3, combinations(range(1, 5), 3))
+
+
+_ONE_LANE = (1).to_bytes(8, "little")  # a 64-bit little-endian lane holding 1
 
 
 def _g_blockers(k: int) -> tuple[int, int, int]:
@@ -77,12 +81,19 @@ def build_G(n: int, k: int) -> UniformFamily:
     filter: they are disjoint from the core and so from every blocker, and
     whether a set meets the blockers is decided by its head alone.  Only
     the heads, at most 2^(2k-1) of them, are tested one by one, once per k
-    (``_g_heads``); the members are then built in C, one
-    ``map(tail.__add__, heads[j])`` per tail.  Every tail bit lies above
-    every head bit, so taking the tails in increasing mask order lists A
-    in increasing (colex) order already.  The blockers lie below 2^(2k)
-    and merge into the tail-free prefix only; the whole list is never
-    sorted.
+    (``_g_heads``); the members are then built in C, a tail joined to all
+    its heads at once.  Each ``heads[j]`` is packed into one integer of
+    64-bit little-endian lanes, so the joins of a tail t are
+    ``packed + t * ones``, with ones the integer holding 1 in each lane: no
+    lane carries, as a member lies below 2^n <= 2^64.  One unpack of its
+    bytes, by a ``struct.Struct`` made once per call and head list, then
+    feeds the member tuple, tail by tail, with no list in between;
+    unpacking all of A at once from one buffer would hold its bytes as
+    well as its members.  Every tail
+    bit lies above every head bit, so taking the tails in increasing mask
+    order lists A in increasing (colex) order already.  The blockers lie
+    below 2^(2k) and merge into the tail-free prefix only; the whole list
+    is never sorted.
 
     The members are checked through their parts, in O(#heads + #tails)
     rather than per member: the tail-free prefix as a family, each
@@ -104,10 +115,19 @@ def build_G(n: int, k: int) -> UniformFamily:
             0 < t.bit_count() < k and not t & core_bits and not t >> n for t in tails):
         raise ValueError(f"G({n},{k}): tails must be strictly increasing sets of "
                          f"1..{k - 1} points inside [{2 * k + 1}..{n}]")
-    members = list(prefix.masks)
-    for tail in tails:
-        members += map(tail.__add__, heads[k - 1 - tail.bit_count()])
-    return UniformFamily._trusted(n, k, tuple(members))
+    # heads[j] as one integer of 64-bit little-endian lanes, the integer
+    # with a 1 in each lane, and the unpacker of its bytes; heads[k-1]
+    # takes only the empty tail, in the prefix
+    lanes = [(int.from_bytes(struct.pack(f"<{len(head)}Q", *head), "little"),
+              int.from_bytes(_ONE_LANE * len(head), "little"),
+              8 * len(head), struct.Struct(f"<{len(head)}Q").unpack) for head in heads[:-1]]
+
+    def joins():
+        for tail in tails:
+            packed, ones, size, unpack = lanes[k - 1 - tail.bit_count()]
+            yield unpack((packed + tail * ones).to_bytes(size, "little"))
+
+    return UniformFamily._trusted(n, k, tuple(chain(prefix.masks, chain.from_iterable(joins()))))
 
 
 def g_size_formula(n: int, k: int) -> int:

@@ -78,6 +78,16 @@ def _exists_cover(masks: Sequence[int], inc: Sequence[int], rest: int, budget: i
     if budget == 1:
         return any(row & rest == rest for row in inc)
     pivot = masks[(rest & -rest).bit_length() - 1]
+    if budget == 2:
+        # the children are leaves: test each point x of the first member
+        # left, whose one remaining point must meet all that x misses
+        while pivot:
+            b = pivot & -pivot
+            pivot ^= b
+            left = rest & ~inc[b.bit_length() - 1]
+            if not left or any(row & left == left for row in inc):
+                return True
+        return False
     # branch on the points of the first member left, least frequent first:
     # cheap propagation
     children = []
@@ -93,7 +103,12 @@ def _exists_cover(masks: Sequence[int], inc: Sequence[int], rest: int, budget: i
 
 def has_cover(family: UniformFamily, ell: int) -> bool:
     """True iff some set of at most ℓ points meets every member; the empty
-    family is covered by the empty set."""
+    family is covered by the empty set.
+
+    Branch-and-bound on the points of the first member not yet met, on the
+    family's point index (``_exists_cover``).  At ℓ = 2, the τ ≥ 3 gate,
+    the children are leaves: each point x of that member is tested
+    directly, by whether one point meets all members that x misses."""
     if ell < 0:
         raise ValueError(f"cover size {ell} is negative")
     masks = family.masks

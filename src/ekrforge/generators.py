@@ -15,10 +15,15 @@ grow them from structured seeds:
 
 Seeds are completed to maximal families by a saturation scan in a
 seeded-random candidate order, and rejection sampling enforces τ ≥ 3.
-The scan builds its result from k-sets it listed itself and members of
-the checked seed, so the result skips the per-member checks
-(``UniformFamily._trusted``); its point index, built once by the τ ≥ 3
-test, is the one that the trace-bound checker's gates read again.
+The full lift and the blocked lift are one cached family per (n, k).
+Up to ``TABLE_LIMIT`` k-sets the scan keeps one byte flag per colex
+position, set from per-(n, k) lists of the positions of the k-sets
+disjoint from each k-set, so a candidate costs one byte test and a kept
+one C(n-k, k) flag writes.  The scan builds its result from k-sets it
+listed itself and members of the checked seed, so the result skips the
+per-member checks (``UniformFamily._trusted``); its point index, built
+once by the τ ≥ 3 test, is the one that the trace-bound checker's gates
+read again.
 Everything is driven by an explicit ``random.Random`` so runs are
 deterministic given the seed.
 """
@@ -33,12 +38,12 @@ from typing import Iterable, Optional
 
 from .constructions import build_R
 from .covers import _added, has_cover, is_intersecting
-from .families import UniformFamily, ksets_colex, mask_of, meeting
+from .families import UniformFamily, ksets_colex, mask_of
 
 
-# saturate_random looks candidates up in a disjointness table up to this
-# many k-sets; the table holds up to C(n,k)^2 / 8 bytes of bitsets (288 KB
-# at (13,6), 1,716 k-sets)
+# saturate_random tests candidates against per-(n, k) lists of disjoint
+# positions up to this many k-sets; the lists hold C(n,k) * C(n-k,k)
+# positions (12,012 at (13,6), 1,716 k-sets)
 TABLE_LIMIT = 2048
 
 
@@ -48,17 +53,18 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     The order is a shuffle of the colex positions of all k-sets; a shuffle
     draws by length alone, so the result and the state of ``rng`` do not
     depend on how a candidate is tested.  Up to ``TABLE_LIMIT`` k-sets a
-    candidate is one bit test: ``blocked`` holds the positions of the
-    members so far and of every k-set disjoint from one of them, and a
-    candidate is kept iff its bit is clear; the same test on the input's
-    members checks that it is intersecting.  Above that size the table
-    would not fit, and the point-indexed scan ``covers._added`` decides.
-    The table scan stops as soon as every position is blocked.  Both
-    branches shuffle through ``_shuffle``, which makes the draws of
+    candidate is one byte test: ``blocked`` flags the positions of the
+    members so far and of every k-set disjoint from one of them, set from
+    the per-(n, k) lists of disjoint positions (``_disjoint_positions``),
+    and a candidate is kept iff its flag is clear; the same test on the
+    input's members checks that it is intersecting.  Above that size the
+    lists are not built, and the point-indexed scan ``covers._added``
+    decides.  The flag scan stops as soon as every position is blocked.
+    Both branches shuffle through ``_shuffle``, which makes the draws of
     ``rng.shuffle`` with one Python call less per draw, so ``rng`` must be
     a ``random.Random``.  The result's members are the seed's and colex
     k-sets, distinct since a member's position is blocked (or, above the
-    table, present), so it is built without the per-member checks.
+    cut-off, present), so it is built without the per-member checks.
     """
     n, k = family.n, family.k
     sets = _colex_order(n, k)
@@ -69,21 +75,24 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
         _shuffle(order, rng)
         added = _added(family, [sets[i] for i in order])
         return UniformFamily._trusted(n, k, tuple(sorted([*family.masks, *added])))
-    disjoint = _disjoint_table(n, k)
-    blocked = 0
+    disjoint = _disjoint_positions(n, k)
+    blocked = bytearray(len(sets))
     for m in family.masks:
         i = bisect_left(sets, m)
-        if blocked >> i & 1:  # m is disjoint from an earlier member
+        if blocked[i]:  # m is disjoint from an earlier member
             raise ValueError("saturate_random requires an intersecting family")
-        blocked |= disjoint[i] | 1 << i
+        blocked[i] = 1
+        for j in disjoint[i]:
+            blocked[j] = 1
     _shuffle(order, rng)
-    full = (1 << len(sets)) - 1
     added = []
     for i in order:
-        if not blocked >> i & 1:
+        if not blocked[i]:
             added.append(sets[i])
-            blocked |= disjoint[i] | 1 << i
-            if blocked == full:
+            blocked[i] = 1
+            for j in disjoint[i]:
+                blocked[j] = 1
+            if 0 not in blocked:
                 break
     return UniformFamily._trusted(n, k, tuple(sorted([*family.masks, *added])))
 
@@ -151,47 +160,51 @@ def _colex_order(n: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=16)
-def _disjoint_table(n: int, k: int) -> tuple[int, ...]:
-    """For each colex position i of a k-set of [n], the bitset of the
-    positions of the k-sets disjoint from it.
-
-    The complement of ``meeting``: the k-sets disjoint from the i-th are
-    those whose position is missing from its bitset.
-    """
+def _disjoint_positions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """For each colex position i of a k-set of [n], the colex positions of
+    the C(n-k, k) k-sets disjoint from it, in increasing order: the
+    k-subsets of its complement, listed once per (n, k)."""
     sets = _colex_order(n, k)
-    full = (1 << len(sets)) - 1
-    return tuple(full & ~met for met in meeting(sets, sets, n))
+    position = dict(zip(sets, range(len(sets))))
+    points = [1 << x for x in range(n)]
+    return tuple(tuple(sorted(position[sum(c)]
+                              for c in combinations([b for b in points if not b & m], k)))
+                 for m in sets)
 
 
 @lru_cache(maxsize=16)
-def _lift_masks(n: int, k: int) -> tuple[int, ...]:
-    """All k-sets over [n] whose trace in the window [5] is an edge of R."""
+def _full_lift(n: int, k: int) -> UniformFamily:
+    """All k-sets over [n] whose trace in the window [5] is an edge of R,
+    as one checked family per (n, k)."""
     window = mask_of(range(1, 6), n)
     edges = set(build_R(5).masks)
-    return tuple(m for m in _colex_order(n, k) if m & window in edges)
+    return UniformFamily(n, k, tuple(m for m in _colex_order(n, k) if m & window in edges))
 
 
 def lift_seed(n: int, k: int, rng: random.Random, partial: bool = False) -> UniformFamily:
     """Seed whose traces in the window [5] are edges of R.
 
     The full lift forces every later addition to meet the window in at
-    least two points; a partial lift keeps a random nonempty slice of
+    least two points; it is one cached family per (n, k) and draws
+    nothing from ``rng``.  A partial lift keeps a random nonempty slice of
     each edge's tails instead, for sample variety.
     """
-    lift = _lift_masks(n, k)
+    lift = _full_lift(n, k)
     if not partial:
-        return UniformFamily.from_masks(n, k, lift)
+        return lift
     window = mask_of(range(1, 6), n)
     chosen: list[int] = []
     for edge in build_R(5).masks:
-        tails = [m for m in lift if m & window == edge]
+        tails = [m for m in lift.masks if m & window == edge]
         take = rng.randint(1, len(tails))
         chosen.extend(rng.sample(tails, take))
     return UniformFamily.from_masks(n, k, chosen)
 
 
+@lru_cache(maxsize=16)
 def blocked_lift_seed(n: int, k: int) -> UniformFamily:
-    """Full R-lift on [5] plus the blockers {[4] ∪ T : T ⊆ [n]\\[5], |T| = k-4}.
+    """Full R-lift on [5] plus the blockers {[4] ∪ T : T ⊆ [n]\\[5], |T| = k-4},
+    one cached family per (n, k).
 
     For n ≥ 2k+1 and k ≥ 4 the blockers exclude every k-set meeting [5]
     in fewer than two points from any intersecting completion: a set with
@@ -202,7 +215,7 @@ def blocked_lift_seed(n: int, k: int) -> UniformFamily:
     """
     if k < 4 or n < 2 * k + 1:
         raise ValueError("blocked lift needs k >= 4 and n >= 2k+1")
-    masks = list(_lift_masks(n, k))
+    masks = list(_full_lift(n, k).masks)
     base = mask_of([1, 2, 3, 4], n)
     for tail in combinations(range(6, n + 1), k - 4):
         masks.append(base | mask_of(tail, n))

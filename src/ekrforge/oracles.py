@@ -196,6 +196,18 @@ def _sperner_violations(stats: TraceStats) -> tuple[int, list[tuple[int, int, Fr
     return len(plan), found
 
 
+@lru_cache(maxsize=32)
+def _window_pairs(n: int, window: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                                 tuple[tuple[int, int, int, int], ...]]:
+    """The points of the window U, its 2-subsets P as masks in
+    lexicographic order, and its disjoint pairs (P, Q) in that order,
+    each with U \\ P and U \\ Q; listed once per (n, U)."""
+    u_elems = elements_of(window)
+    pair_masks = tuple(mask_of(p, n) for p in combinations(u_elems, 2))
+    return u_elems, pair_masks, tuple((p, q, window & ~p, window & ~q)
+                                      for p, q in combinations(pair_masks, 2) if not p & q)
+
+
 def trace_bound_check(family: UniformFamily, window) -> Certificate:
     """Evaluate every applicable trace inequality of the window machinery.
 
@@ -236,10 +248,7 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
     stats = trace(family, u_mask)
     f = stats.counts.get
     window_ok = all(s.bit_count() >= 2 for s in stats.counts)
-
-    u_elems = elements_of(u_mask)
-    pair_masks = [mask_of(p, n) for p in combinations(u_elems, 2)]
-    disjoint = [(p, q) for p, q in combinations(pair_masks, 2) if not p & q]
+    u_elems, pair_masks, disjoint = _window_pairs(n, u_mask)
 
     witnesses: list[dict] = []
     skipped: list[dict] = []
@@ -288,10 +297,10 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
         elif window_ok and fits:
             skipped.append({"statement": name, "reason": reason})
 
-    for p, q in disjoint:
+    for p, q, rest_p, rest_q in disjoint:
         fp, fq = f(p, 0), f(q, 0)
         two = fp + fq
-        four_sum = two + f(u_mask & ~p, 0) + f(u_mask & ~q, 0)
+        four_sum = two + f(rest_p, 0) + f(rest_q, 0)
         for name, bound, four, found in active:
             total = four_sum if four else two
             if total > bound:
@@ -313,8 +322,8 @@ def trace_bound_check(family: UniformFamily, window) -> Certificate:
 
     return make_certificate(
         "TRACE-BOUNDS",
-        f"window trace inequalities on U={elements_of(u_mask)}",
-        {"n": n, "k": k, "window": list(elements_of(u_mask)),
+        f"window trace inequalities on U={u_elems}",
+        {"n": n, "k": k, "window": list(u_elems),
          "family_size": len(family), "window_hypothesis": window_ok},
         witnesses,
         details={"skipped": skipped,

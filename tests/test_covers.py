@@ -5,13 +5,14 @@ import random
 import pytest
 
 from ekrforge.binomial import binom
-from ekrforge.constructions import build_G, build_K34, build_R, build_S, full_star
+from ekrforge.constructions import build_G, build_HM, build_K34, build_R, build_S, full_star
 from conftest import (fano_plane, pairwise_added, reference_covers, reference_has_cover,
                       reference_point_index, reference_saturate, reference_tau)
 from ekrforge.covers import (_added, all_covers, brute_force_tau, covers, has_cover,
                              is_saturated, saturate, tau)
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex
-from ekrforge.generators import TABLE_LIMIT, random_intersecting_seed, saturate_random
+from ekrforge.generators import (TABLE_LIMIT, random_intersecting_seed, random_saturated_family,
+                                 saturate_random)
 
 
 def test_covers_of_R_matches_listed_pairs():
@@ -96,6 +97,31 @@ def test_point_indexed_covers_against_member_scans(family):
         assert has_cover(family, ell) == reference_has_cover(family, ell)
     if family.masks:
         assert tau(family) == reference_tau(family)
+
+
+def test_has_cover_2_against_member_scans():
+    """``has_cover(F, 2)``, whose children are leaves tested point by point,
+    agrees with the member-list scan on 200 seeded draws at (9,4) and at
+    (11,5), cycling the four generation modes, and on families of τ = 1, 2
+    and 3, the empty family and both families at k = 0.  Every 2-cover of
+    the last τ = 2 family holds the point 1, which its first member,
+    {2,3,4,5}, avoids."""
+    rng = random.Random(2)
+    modes = ("free", "r_lift", "r_lift_partial", "r_lift_blocked")
+    families = [random_saturated_family(n, k, rng, modes[i % 4])
+                for n, k in ((9, 4), (11, 5)) for i in range(200)]
+    base = 0b11110
+    first_avoids_1 = UniformFamily.from_masks(
+        9, 4, [base] + [m for m in ksets_colex(9, 4) if m & 1 and m & base and m >> 5])
+    families += [full_star(9, 4), build_HM(9, 4), build_G(9, 4), build_G(11, 5),
+                 UniformFamily(9, 4), UniformFamily(9, 0), UniformFamily(9, 0, (0,)),
+                 first_avoids_1]
+    assert first_avoids_1.masks[0] == base and tau(first_avoids_1) == 2
+    answers = [has_cover(fam, 2) for fam in families]
+    assert answers == [reference_has_cover(fam, 2) for fam in families]
+    taus = {tau(fam) for fam in families if fam.masks and fam.k}
+    assert {1, 2, 3} <= taus
+    assert True in answers[:400] and False in answers[:400]
 
 
 def test_point_indexed_covers_of_G_24_7():

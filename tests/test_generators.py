@@ -1,6 +1,7 @@
 """Seeded random family generation."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import pairwise_added
 from ekrforge.binomial import binom
 from ekrforge.covers import is_saturated, tau
 from ekrforge.families import UniformFamily, is_intersecting, ksets_colex, mask_of
-from ekrforge.generators import (TABLE_LIMIT, _disjoint_table, _shuffle,
+from ekrforge.generators import (TABLE_LIMIT, _disjoint_positions, _shuffle,
                                  blocked_lift_seed, lift_seed,
                                  random_intersecting_seed,
                                  random_saturated_family, sample_saturated_tau3,
@@ -78,13 +79,16 @@ SATURATION_POINTS = ((6, 3), (7, 3), (8, 3), (9, 4), (11, 5), (13, 6), (14, 6))
 def test_saturate_random_against_pairwise_scan(n, k):
     """The same family and the same rng state afterwards as the pairwise
     saturation scan over a shuffle of the colex k-sets, drawn from an equal
-    stream; seeds of every generation mode that fits the point."""
+    stream; seeds of every generation mode that fits the point, and the
+    star at 1 without its two colex-first members, whose completion ends
+    at position 0 wherever the shuffle puts the second of them first."""
     assert (binom(n, k) > TABLE_LIMIT) == ((n, k) == (14, 6))
     seeds = random.Random(n * 100 + k)
     families = [random_intersecting_seed(n, k, seeds, size=3 + i % 3) for i in range(3)]
     families += [lift_seed(n, k, seeds, partial=True), UniformFamily(n, k, ())]
     if k >= 4 and n >= 2 * k + 1:
         families.append(blocked_lift_seed(n, k))
+    families.append(UniformFamily(n, k, tuple(m for m in ksets_colex(n, k) if m & 1)[2:]))
     for i, seed_family in enumerate(families):
         rng, twin = random.Random(i), random.Random(i)
         fam = saturate_random(seed_family, rng)
@@ -98,13 +102,35 @@ def test_saturate_random_against_pairwise_scan(n, k):
 
 @pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 4), (11, 5), (13, 6)])
 def test_disjoint_table_against_pairwise_scan(n, k):
-    """Position i of the table holds exactly the colex positions of the
-    k-sets disjoint from the i-th."""
+    """Position i of the table of disjoint positions lists exactly the
+    colex positions of the k-sets disjoint from the i-th, in increasing
+    order."""
     sets = list(ksets_colex(n, k))
-    table = _disjoint_table(n, k)
+    table = _disjoint_positions(n, k)
     assert len(table) == len(sets)
     for a, row in zip(sets, table):
-        assert row == sum(1 << j for j, b in enumerate(sets) if not a & b)
+        assert list(row) == [j for j, b in enumerate(sets) if not a & b]
+        assert len(row) == binom(n - k, k)
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (11, 5), (13, 6)])
+def test_cached_lifts_equal_their_definitions(n, k):
+    """The full lift and the blocked lift are one cached family per (n, k),
+    equal to a fresh family of their definitions, and the full lift draws
+    nothing from ``rng``."""
+    window = mask_of(range(1, 6), n)
+    edges = {mask_of(e, n) for e in [(1, 2, 3), (1, 4, 5), (2, 3, 5)]}
+    lift = [m for m in ksets_colex(n, k) if m & window in edges]
+    blockers = [mask_of([1, 2, 3, 4, *t], n) for t in combinations(range(6, n + 1), k - 4)]
+    rng = random.Random(n)
+    state = rng.getstate()
+    full = lift_seed(n, k, rng)
+    assert rng.getstate() == state
+    assert full == UniformFamily.from_masks(n, k, lift)
+    assert lift_seed(n, k, random.Random(0)) is full
+    blocked = blocked_lift_seed(n, k)
+    assert blocked == UniformFamily.from_masks(n, k, lift + blockers)
+    assert blocked_lift_seed(n, k) is blocked
 
 
 @pytest.mark.parametrize("seed", (0, 1, 7, 13, 2024))
