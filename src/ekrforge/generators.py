@@ -16,14 +16,15 @@ grow them from structured seeds:
 Seeds are completed to maximal families by a saturation scan in a
 seeded-random candidate order, and rejection sampling enforces τ ≥ 3.
 The full lift and the blocked lift are one cached family per (n, k).
-Up to ``TABLE_LIMIT`` k-sets the scan keeps one byte flag per colex
-position, set from per-(n, k) lists of the positions of the k-sets
-disjoint from each k-set, so a candidate costs one byte test and a kept
-one C(n-k, k) flag writes.  The scan builds its result from k-sets it
-listed itself and members of the checked seed, so the result skips the
-per-member checks (``UniformFamily._trusted``); its point index, built
-once by the τ ≥ 3 test, is the one that the trace-bound checker's gates
-read again.
+The scan keeps one byte flag per colex position, set from per-(n, k)
+lists of the positions of the k-sets disjoint from each k-set, while those
+lists hold at most ``TABLE_LIMIT`` positions in all: a candidate then
+costs one byte test and a kept one C(n-k, k) flag writes.  Past the limit
+the point-indexed scan of ``covers`` decides.  The scan builds its result
+from k-sets it listed itself and members of the checked seed, so the
+result skips the per-member checks (``UniformFamily._trusted``); its point
+index, built once by the τ ≥ 3 test, is the one that the trace-bound
+checker's gates read again.
 Everything is driven by an explicit ``random.Random`` so runs are
 deterministic given the seed.
 """
@@ -36,15 +37,19 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
+from .binomial import binom
 from .constructions import build_R
 from .covers import _added, has_cover, is_intersecting
 from .families import UniformFamily, ksets_colex, mask_of
 
 
 # saturate_random tests candidates against per-(n, k) lists of disjoint
-# positions up to this many k-sets; the lists hold C(n,k) * C(n-k,k)
-# positions (12,012 at (13,6), 1,716 k-sets)
-TABLE_LIMIT = 2048
+# positions while the lists hold at most this many positions, C(n,k) *
+# C(n-k,k) (12,012 at (13,6), the largest point a suite draws; about 8
+# bytes each); past it, where C(n-k,k) is large against C(n,k) (2,691,920
+# at (24,3)), the lists would cost megabytes and a kept candidate many
+# flag writes
+TABLE_LIMIT = 1 << 16
 
 
 def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
@@ -52,14 +57,15 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
 
     The order is a shuffle of the colex positions of all k-sets; a shuffle
     draws by length alone, so the result and the state of ``rng`` do not
-    depend on how a candidate is tested.  Up to ``TABLE_LIMIT`` k-sets a
-    candidate is one byte test: ``blocked`` flags the positions of the
-    members so far and of every k-set disjoint from one of them, set from
-    the per-(n, k) lists of disjoint positions (``_disjoint_positions``),
-    and a candidate is kept iff its flag is clear; the same test on the
-    input's members checks that it is intersecting.  Above that size the
-    lists are not built, and the point-indexed scan ``covers._added``
-    decides.  The flag scan stops as soon as every position is blocked.
+    depend on how a candidate is tested.  While the lists hold at most
+    ``TABLE_LIMIT`` positions, C(n,k) * C(n-k,k), a candidate is one byte
+    test: ``blocked`` flags the positions of the members so far and of
+    every k-set disjoint from one of them, set from the per-(n, k) lists of
+    disjoint positions (``_disjoint_positions``), and a candidate is kept
+    iff its flag is clear; the same test on the input's members checks that
+    it is intersecting.  Past that limit the lists are not built, and the
+    point-indexed scan ``covers._added`` decides.  The flag scan stops as
+    soon as every position is blocked.
     Both branches shuffle through ``_shuffle``, which makes the draws of
     ``rng.shuffle`` with one Python call less per draw, so ``rng`` must be
     a ``random.Random``.  The result's members are the seed's and colex
@@ -69,7 +75,7 @@ def saturate_random(family: UniformFamily, rng: random.Random) -> UniformFamily:
     n, k = family.n, family.k
     sets = _colex_order(n, k)
     order = list(range(len(sets)))
-    if len(sets) > TABLE_LIMIT:
+    if len(sets) * binom(n - k, k) > TABLE_LIMIT:
         if not is_intersecting(family):
             raise ValueError("saturate_random requires an intersecting family")
         _shuffle(order, rng)

@@ -15,6 +15,9 @@ one set-up of both search cores:
     split), a union of the node's cells first when there is one, skipping
     an avoider in the orbit of an earlier sibling under the symmetric
     groups on the cells of the node, ({1..k}, [k+1..n]) at the root;
+  * once no constraint is open (the clique phase) a node includes its
+    lowest candidate, or excludes that candidate's whole orbit under the
+    same groups (orbital branching, Ostrowski et al. 2011);
   * the upper bound is a greedy clique cover of the remaining candidates
     by groups of pairwise-disjoint sets, listed by ``_colour_classes``;
   * a candidate compatible with every other remaining candidate and all
@@ -55,10 +58,12 @@ members and its removed candidates are unions of, and skips a candidate
 in the orbit of a sibling already tried under the symmetric groups on the
 cells (``_refine_cells``).  The τ-searches list the same groups but
 read only their number and their one-member groups; listing them takes
-the same time as counting them.  They do not branch in colour order: at
-k = 3, r = 3 they never reach a plain clique phase, where colour order
-could cut nodes, and there it cut no node and made each node 10-30%
-slower.
+the same time as counting them.  They do not branch in colour order.  It
+was measured at k = 3, r = 3, where a warm-started search never reaches a
+plain clique phase, in which colour order could cut nodes; there it cut
+no node and made each node 10-30% slower.  That holds only at r = 3: at
+r = 1 the clique phase is the whole tree, and at r = 2 most of it, and
+there the searches branch on orbits instead.
 
 Both search cores keep their bookkeeping in one run record, ``_Run``:
 the clock, read once every ``_CLOCK_STRIDE`` nodes, the node count, the
@@ -524,6 +529,35 @@ def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
+def _orbit(mask: int, cells: tuple[int, ...], through: list[int]) -> int:
+    """The candidates in the orbit of the k-set ``mask`` under the product
+    of the symmetric groups on ``cells``: those that meet every cell in as
+    many points as ``mask`` does, as a bitset over the candidates whose
+    point index is ``through``.
+
+    For each cell that ``mask`` meets in a ≥ 1 points, an "at least a"
+    counter runs over the cell's rows of ``through``: ``at_least[j]`` holds
+    the candidates with at least j points of the cell among the rows seen.
+    The sizes sum to k on both sides, so meeting each such cell in at
+    least as many points forces equality everywhere.
+    """
+    orbit = -1
+    for cell in cells:
+        a = (mask & cell).bit_count()
+        if not a:
+            continue
+        at_least = [-1] + [0] * a
+        rows = cell
+        while rows:
+            b = rows & -rows
+            rows ^= b
+            row = through[b.bit_length() - 1]
+            for j in range(a, 0, -1):
+                at_least[j] |= at_least[j - 1] & row
+        orbit &= at_least[a]
+    return orbit
+
+
 def _colour_classes(cand: int, disj: list[int]) -> list[int]:
     """Greedy partition of the candidate bitset into pairwise-disjoint
     groups (the colour classes of MCQ), listed as bitsets in the order they
@@ -672,23 +706,29 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
     plain branch, and the cells of ``_structural_branches`` for the split.
     A node's group is the product of the symmetric groups on its cells.  It
     maps the universe and the constraint set onto themselves and fixes every
-    forced member of the branch, every member chosen at a split above the
-    node and every avoider passed at a split above it, tried or skipped; it
-    maps the forced inclusions onto themselves as a set, since they are
-    defined from the candidate set alone.  So it maps the node's chosen
-    members, candidates, open constraints and excluded candidates onto
-    themselves, and with them the node's space of families.  A split node
-    branches on C, the tightest open constraint, preferring the tightest
-    one that is a union of cells when there is one.  Two avoiders lie in
-    one orbit exactly when they meet every cell in the same number of
-    points; an avoider whose vector of those numbers matches that of an
-    earlier sibling is skipped, and still joins ``prefix``.  A child's cells
-    are the node's refined by its own avoider and by every avoider passed
-    before it (``_refine_cells``), so its group is a subgroup that also
-    fixes those; a discrete partition has the trivial group, so its node
-    gets ``None`` and skips nothing.  Forced inclusions do not refine, and a
-    clique-phase child gets ``None``: unsat is 0 there and in every node
-    below it, so no split below reads the cells.
+    forced member of the branch, every member chosen at a split or taken
+    by an include child above the node and every avoider passed at a split
+    above it, tried or skipped.  The forced inclusions, defined from the
+    candidate set alone, and ``excluded``, made of passed avoiders and of
+    whole orbits dropped above the node, are unions of its orbits.  So it
+    maps the node's chosen members, candidates, open constraints and
+    excluded candidates onto themselves, and with them the node's space of
+    families.
+
+    A split node branches on C, the tightest open constraint, preferring
+    the tightest one that is a union of cells when there is one.  Two
+    avoiders lie in one orbit exactly when they meet every cell in the same
+    number of points; an avoider whose vector of those numbers matches that
+    of an earlier sibling is skipped, and still joins ``prefix``.  A child's
+    cells are the node's refined by its own avoider and by every avoider
+    passed before it (``_refine_cells``), so its group is a subgroup that
+    also fixes those.  A node with no open constraint (the clique phase)
+    branches on its lowest candidate v instead: the include child takes v,
+    with the cells refined by v; the exclude child drops v's whole orbit
+    (``_orbit``; v alone when v is a union of cells) from the candidates
+    into ``excluded``, and keeps the cells.  A discrete partition has the
+    trivial group, so its node gets ``None`` and skips nothing; forced
+    inclusions do not refine.
 
     Why the skips are sound, by induction on the position in the loop:
     take a family of the node's space whose first avoider of C in loop
@@ -698,8 +738,16 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
     intersections).  g(family) holds ``w``, which avoids C by construction,
     so its first avoider of C comes earlier.  That avoider was tried, and
     its subtree covers g(family), or was skipped, and the induction applies
-    again.  So every subtree that is dropped holds only families of which
-    a searched subtree holds an isomorphic copy: the value is unchanged.
+    again.  In the clique phase, a family of the node's space that holds
+    no member of v's orbit lies in the exclude child's space; one that
+    holds some u of the orbit maps, under an element g of the node's group
+    with g(u) = v, onto g(family), of the same size, in the node's space
+    and holding v: the include child's space.  The domination prune stays
+    sound: an excluded orbit member that meets a completion and every
+    candidate left extends it to a larger family in the parent's space, so
+    the completion is not optimal.  So every subtree that is dropped holds
+    only families of which a searched subtree holds an isomorphic copy:
+    the value is unchanged.
     Collection stays exact up to isomorphism for the same reason: every
     optimum of the branch has an image under the root's group, a
     relabelling that keeps the branch, among the collected optima (the
@@ -811,14 +859,18 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
                 chosen.pop()
                 prefix |= vb
         elif cand:
-            # plain clique phase: include/exclude the lowest candidate; no
-            # split lies below, so the cells would never be read again
+            # plain clique phase: include the lowest candidate, or exclude
+            # its whole orbit under the node's group
             vb = cand & -cand
             v = vb.bit_length() - 1
-            chosen.append(cand_masks[v])
-            recurse(chosen, cand & compat[v], 0, excluded & compat[v], None)
+            m = cand_masks[v]
+            inner = cells and _refine_cells(cells, m)
+            # v alone when v is a union of cells: refining by v keeps them
+            orbit = vb if inner == cells else _orbit(m, cells, through) & cand
+            chosen.append(m)
+            recurse(chosen, cand & compat[v], 0, excluded & compat[v], inner)
             chosen.pop()
-            recurse(chosen, cand & ~vb, 0, excluded | vb, None)
+            recurse(chosen, cand & ~orbit, 0, excluded | orbit, cells)
         if forced_now:
             del chosen[size:]
 
@@ -1050,12 +1102,15 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     intersecting, have covering number at least r_min and as many members
     as the value; a failure raises ``AssertionError``.
 
-    Memory holds every collected optimum before deduplication.  At n = 2k
-    that is every maximal intersecting family with τ ≥ r_min: each takes
-    one set of every complementary pair, so all have C(2k-1,k-1) members
-    and all are optima, and no floor prunes them.  (8,4,3) is already out
-    of reach: its first branch alone outgrew a 1.5 GB memory cap.  Keep
-    n = 2k to k ≤ 3.
+    Memory holds every collected optimum before deduplication: each class
+    as often as the orbit skips leave labelled copies of it, 118 optima for
+    the 13 classes of (6,3,1).  The skips drop only copies under the
+    groups of the nodes' cells, which shrink as members are chosen, so at
+    n = 2k memory still grows with the number of maximal intersecting
+    families with τ ≥ r_min: each takes one set of every complementary
+    pair, so all have C(2k-1,k-1) members and all are optima, and no floor
+    prunes them.  (8,4,3) is already out of reach: its first branch alone
+    outgrew a 1.5 GB memory cap.  Keep n = 2k to k ≤ 3.
     """
     if r_min == 3:
         result, raw = _search(n, k, _structural_branches(n, k), budget,

@@ -179,7 +179,7 @@ def test_saturation_leaves_the_family_index_unchanged():
     """``_added`` grows a copy of the family's cached point index: after
     ``saturate``, ``is_saturated`` and ``saturate_random`` above the table
     (at (14,6)) the family's own index is still that of its members."""
-    assert binom(14, 6) > TABLE_LIMIT
+    assert binom(14, 6) * binom(8, 6) > TABLE_LIMIT
     rng = random.Random(41)
     above_table = [random_intersecting_seed(14, 6, rng, size=3), UniformFamily(14, 6)]
     for fam in _saturation_cases() + above_table:

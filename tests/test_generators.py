@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import ekrforge.generators
 from conftest import pairwise_added
 from ekrforge.binomial import binom
 from ekrforge.covers import is_saturated, tau
@@ -71,18 +72,27 @@ def test_common_free_seed():
         random_intersecting_seed(8, 3, rng, size=2)
 
 
-# the generators' grid points, all inside the table, and (14,6), above it
-SATURATION_POINTS = ((6, 3), (7, 3), (8, 3), (9, 4), (11, 5), (13, 6), (14, 6))
+# the generators' grid points, all inside the table, and (14,6), (20,3) and
+# (24,3), past it; at (24,3) the lists would hold 2,691,920 positions
+SATURATION_POINTS = ((6, 3), (7, 3), (8, 3), (9, 4), (11, 5), (13, 6), (14, 6),
+                     (20, 3), (24, 3))
 
 
 @pytest.mark.parametrize("n,k", SATURATION_POINTS)
-def test_saturate_random_against_pairwise_scan(n, k):
+def test_saturate_random_against_pairwise_scan(monkeypatch, n, k):
     """The same family and the same rng state afterwards as the pairwise
     saturation scan over a shuffle of the colex k-sets, drawn from an equal
     stream; seeds of every generation mode that fits the point, and the
     star at 1 without its two colex-first members, whose completion ends
-    at position 0 wherever the shuffle puts the second of them first."""
-    assert (binom(n, k) > TABLE_LIMIT) == ((n, k) == (14, 6))
+    at position 0 wherever the shuffle puts the second of them first.  Past
+    the limit no list of disjoint positions is built."""
+    past = binom(n, k) * binom(n - k, k) > TABLE_LIMIT
+    assert past == ((n, k) in ((14, 6), (20, 3), (24, 3)))
+    if past:
+        def unlisted(*args):
+            raise AssertionError("lists of disjoint positions built past the limit")
+
+        monkeypatch.setattr(ekrforge.generators, "_disjoint_positions", unlisted)
     seeds = random.Random(n * 100 + k)
     families = [random_intersecting_seed(n, k, seeds, size=3 + i % 3) for i in range(3)]
     families += [lift_seed(n, k, seeds, partial=True), UniformFamily(n, k, ())]
