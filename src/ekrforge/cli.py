@@ -363,6 +363,9 @@ def _cmd_oracle(args) -> int:
         r = 1 if args.r is None else args.r
         if r not in (1, 2, 3):
             raise UsageError(f"oracle --r must be 1, 2 or 3, got {r}")
+        if args.k == 0 and r >= 2:
+            raise UsageError(f"oracle --r {r} needs --k >= 1: at k = 0 the only member "
+                             "is the empty set, which has no covering number")
         if args.n < 2 * args.k:
             raise UsageError(f"oracle needs --n >= 2 * --k, got --n {args.n} --k {args.k}")
         result = max_intersecting(args.n, args.k, r, budget,

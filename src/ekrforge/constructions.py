@@ -87,7 +87,8 @@ def build_G(n: int, k: int) -> UniformFamily:
     ``packed + t * ones``, with ones the integer holding 1 in each lane: no
     lane carries, as a member lies below 2^n <= 2^64.  One unpack of its
     bytes, by a ``struct.Struct`` made once per call and head list, then
-    feeds the member tuple, tail by tail, with no list in between;
+    feeds the members, tail by tail, with no list in between, into a tuple
+    allocated once at its final size (``_Counted``);
     unpacking all of A at once from one buffer would hold its bytes as
     well as its members.  Every tail
     bit lies above every head bit, so taking the tails in increasing mask
@@ -127,7 +128,31 @@ def build_G(n: int, k: int) -> UniformFamily:
             packed, ones, size, unpack = lanes[k - 1 - tail.bit_count()]
             yield unpack((packed + tail * ones).to_bytes(size, "little"))
 
-    return UniformFamily._trusted(n, k, tuple(chain(prefix.masks, chain.from_iterable(joins()))))
+    count = len(prefix.masks) + sum(len(heads[k - 1 - t.bit_count()]) for t in tails)
+    members = chain(prefix.masks, chain.from_iterable(joins()))
+    return UniformFamily._trusted(n, k, tuple(_Counted(members, count)))
+
+
+class _Counted:
+    """An iterator's items with their number, which ``tuple()`` reads
+    through ``__length_hint__`` to allocate its result once.
+
+    Over a bare iterator ``tuple()`` grows its buffer step by step.  Once
+    a first large tuple has been freed, the allocator serves the next ones
+    from its heap rather than by a fresh mapping, and there a grown buffer
+    may be copied, so the peak memory of repeated builds would depend on
+    the heap layout."""
+
+    __slots__ = ("items", "count")
+
+    def __init__(self, items, count: int):
+        self.items, self.count = items, count
+
+    def __iter__(self):
+        return self.items
+
+    def __length_hint__(self) -> int:
+        return self.count
 
 
 def g_size_formula(n: int, k: int) -> int:

@@ -12,12 +12,16 @@ one set-up of both search cores:
     must still be avoidable": a branch dies when some small set can no
     longer be avoided by any chosen or remaining candidate, and the
     tightest open constraint is branched on directly (first-avoider
-    split), a union of the node's cells first when there is one, skipping
-    an avoider in the orbit of an earlier sibling under the symmetric
-    groups on the cells of the node, ({1..k}, [k+1..n]) at the root;
+    split), a union of the node's cells first when there is one;
   * once no constraint is open (the clique phase) a node includes its
-    lowest candidate, or excludes that candidate's whole orbit under the
-    same groups (orbital branching, Ostrowski et al. 2011);
+    lowest candidate, or excludes it with its whole orbit;
+  * one orbit rule prunes by symmetry at both kinds of node, and in the
+    loop of the degree-capped search below (orbital branching, Ostrowski
+    et al. 2011): a node carries a partition of [n] into cells,
+    ({1..k}, [k+1..n]) at the root, and once the child of a candidate w
+    has been searched, the candidates in w's orbit under the symmetric
+    groups on the node's cells (``_orbit``) leave every later sibling;
+    a child's cells are the node's refined by its own member;
   * the upper bound is a greedy clique cover of the remaining candidates
     by groups of pairwise-disjoint sets, listed by ``_colour_classes``;
   * a candidate compatible with every other remaining candidate and all
@@ -40,9 +44,9 @@ The τ ≥ 3 searches ``max_intersecting_seeded`` and ``enumerate_optima``
 branches A_j, where {1,2,3} is a cover and two members are forced, one per
 size j of their intersection, and branches B_i, covering number at least 4,
 each with a forced second member.  Each branch carries the cells of the
-symmetry its forced members leave, and its first-avoider splits skip
-orbits in the same way.  ``_search`` runs a list of branches, one for the
-plain search, as one search.
+symmetry its forced members leave, and the same orbit rule prunes its
+tree.  ``_search`` runs a list of branches, one for the plain search, as
+one search.
 
 The degree-capped search (``max_intersecting_degcap``) cannot force or
 dominate, since a cap can make a compatible candidate unusable.  It
@@ -52,18 +56,15 @@ and tries them from the last group down, stopping once the groups left
 cannot lift the family past the incumbent; candidates through a point at
 the cap leave the candidate set, and a node stops at once when the room
 left under the cap at the points of {1..k}, which every candidate meets,
-cannot lift it past the incumbent.  It prunes by symmetry instead of by
-domination: a node carries a partition of [n] into cells that its
-members and its removed candidates are unions of, and skips a candidate
-in the orbit of a sibling already tried under the symmetric groups on the
-cells (``_refine_cells``).  The τ-searches list the same groups but
-read only their number and their one-member groups; listing them takes
-the same time as counting them.  They do not branch in colour order.  It
-was measured at k = 3, r = 3, where a warm-started search never reaches a
-plain clique phase, in which colour order could cut nodes; there it cut
-no node and made each node 10-30% slower.  That holds only at r = 3: at
-r = 1 the clique phase is the whole tree, and at r = 2 most of it, and
-there the searches branch on orbits instead.
+cannot lift it past the incumbent.  It prunes by symmetry, through the
+same orbit rule, instead of by domination.  The τ-searches list the same
+groups but read only their number and their one-member groups; listing
+them takes the same time as counting them.  They do not branch in colour
+order.  It was measured at k = 3, r = 3, where a warm-started search
+never reaches a plain clique phase, in which colour order could cut
+nodes; there it cut no node and made each node 10-30% slower.  That
+holds only at r = 3: at r = 1 the clique phase is the whole tree, and at
+r = 2 most of it, and there the searches branch on orbits instead.
 
 Both search cores keep their bookkeeping in one run record, ``_Run``:
 the clock, read once every ``_CLOCK_STRIDE`` nodes, the node count, the
@@ -440,14 +441,23 @@ def _avoidance(n: int, r_min: int) -> tuple[int, ...]:
     return tuple(mask_of(c, n) for c in combinations(range(1, n + 1), r_min - 1))
 
 
+def _check_r_min(k: int, r_min: int) -> None:
+    """Refuse an r_min that no search here takes: one outside 1..3, or one
+    of 2 or more at k = 0, where the only k-set is ∅, which no set meets,
+    so a nonempty family has no covering number."""
+    if r_min not in (1, 2, 3):
+        raise ValueError("r_min must be 1, 2, or 3")
+    if k == 0 and r_min >= 2:
+        raise ValueError(f"covering number >= {r_min} is undefined at k = 0: "
+                         "no set meets the empty set")
+
+
 def _plain_branch(n: int, k: int, r_min: int) -> _Branch:
     """Every k-set, with the first member forced to {1..k}.
 
     Its cells are ({1..k}, [k+1..n]): S_n maps the k-sets and the
     (r_min-1)-sets onto themselves, and S_k × S_{n-k} also fixes {1..k}.
     """
-    if r_min not in (1, 2, 3):
-        raise ValueError("r_min must be 1, 2, or 3")
     first = mask_of(range(1, k + 1), n)
     return _Branch(tuple(ksets_colex(n, k)), (first,), _avoidance(n, r_min),
                    _refine_cells(((1 << n) - 1,), first))
@@ -529,11 +539,13 @@ def _refine_cells(cells: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _orbit(mask: int, cells: tuple[int, ...], through: list[int]) -> int:
-    """The candidates in the orbit of the k-set ``mask`` under the product
-    of the symmetric groups on ``cells``: those that meet every cell in as
-    many points as ``mask`` does, as a bitset over the candidates whose
-    point index is ``through``.
+def _orbit(bit: int, mask: int, cells: tuple[int, ...] | None, through: list[int]) -> int:
+    """The candidates in the orbit of the candidate ``mask``, whose bit is
+    ``bit``, under the product of the symmetric groups on ``cells``: those
+    that meet every cell in as many points as ``mask`` does, as a bitset
+    over the candidates whose point index is ``through``.  The group fixes
+    a union of cells, so the orbit of one is ``bit`` alone, as is every
+    orbit when ``cells`` is ``None``.
 
     For each cell that ``mask`` meets in a ≥ 1 points, an "at least a"
     counter runs over the cell's rows of ``through``: ``at_least[j]`` holds
@@ -541,6 +553,8 @@ def _orbit(mask: int, cells: tuple[int, ...], through: list[int]) -> int:
     The sizes sum to k on both sides, so meeting each such cell in at
     least as many points forces equality everywhere.
     """
+    if cells is None or all(cell & mask in (0, cell) for cell in cells):
+        return bit
     orbit = -1
     for cell in cells:
         a = (mask & cell).bit_count()
@@ -598,7 +612,7 @@ def _candidate_graph(n: int, universe, forced
     order that clique branch-and-bound starts from (Carraghan & Pardalos,
     1990).  Every later step reads candidate positions only, so this order
     decides which candidate is lowest, how the greedy groups open and in
-    which order avoiders are tried; the orbit skips hold in any fixed
+    which order avoiders are tried; the orbit rule holds in any fixed
     order."""
     forced_set = set(forced)
     cand_masks = [m for m in universe
@@ -702,62 +716,60 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
     non-strict when collecting) would prune it too; and a family below
     ``best`` is never noted, so the node leaves no trace but its count.
 
-    Orbit skips, when the branch has ``cells``: ({1..k}, [k+1..n]) for the
-    plain branch, and the cells of ``_structural_branches`` for the split.
-    A node's group is the product of the symmetric groups on its cells.  It
-    maps the universe and the constraint set onto themselves and fixes every
-    forced member of the branch, every member chosen at a split or taken
-    by an include child above the node and every avoider passed at a split
-    above it, tried or skipped.  The forced inclusions, defined from the
-    candidate set alone, and ``excluded``, made of passed avoiders and of
-    whole orbits dropped above the node, are unions of its orbits.  So it
-    maps the node's chosen members, candidates, open constraints and
-    excluded candidates onto themselves, and with them the node's space of
-    families.
+    The orbit rule, when the branch has ``cells``: ({1..k}, [k+1..n]) for
+    the plain branch, and the cells of ``_structural_branches`` for the
+    split.  A node's group G is the product of the symmetric groups on its
+    cells.  It maps the universe and the constraint set onto themselves and
+    fixes every forced member of the branch and every member chosen at a
+    split or taken by an include child above the node.  The forced
+    inclusions, defined from the candidate set alone, and ``excluded``,
+    made of orbits dropped above the node under the larger groups there,
+    are unions of its orbits.  So G maps the node's chosen members,
+    candidates, open constraints and excluded candidates onto themselves,
+    and with them the node's space of families.  A child's cells are the
+    node's refined by its own member (``_refine_cells``), so its group is
+    the subgroup of G that also fixes that member; a discrete partition has
+    the trivial group, so its node gets ``None``, and forced inclusions do
+    not refine.
 
     A split node branches on C, the tightest open constraint, preferring
-    the tightest one that is a union of cells when there is one.  Two
-    avoiders lie in one orbit exactly when they meet every cell in the same
-    number of points; an avoider whose vector of those numbers matches that
-    of an earlier sibling is skipped, and still joins ``prefix``.  A child's
-    cells are the node's refined by its own avoider and by every avoider
-    passed before it (``_refine_cells``), so its group is a subgroup that
-    also fixes those.  A node with no open constraint (the clique phase)
-    branches on its lowest candidate v instead: the include child takes v,
-    with the cells refined by v; the exclude child drops v's whole orbit
-    (``_orbit``; v alone when v is a union of cells) from the candidates
-    into ``excluded``, and keeps the cells.  A discrete partition has the
-    trivial group, so its node gets ``None`` and skips nothing; forced
-    inclusions do not refine.
+    the tightest one that is a union of cells when there is one: a child
+    per avoider of C, in order.  A node with no open constraint (the clique
+    phase) branches on its lowest candidate v instead: the include child
+    takes v, the exclude child takes nothing.  At both, once the child of
+    a candidate w has been searched, D, the candidates in w's orbit under
+    G (``_orbit``), leaves every later sibling: D moves from the later
+    children's candidates into their ``excluded``, and no later child takes
+    a member of D.  Two candidates lie in one orbit exactly when they meet
+    every cell in the same number of points.
 
-    Why the skips are sound, by induction on the position in the loop:
-    take a family of the node's space whose first avoider of C in loop
-    order is a skipped ``v``.  An element g of the node's group maps ``v``
-    onto an earlier sibling ``w`` with the same vector and maps the family
-    onto g(family), of the same size, in the node's space (g keeps
-    intersections).  g(family) holds ``w``, which avoids C by construction,
-    so its first avoider of C comes earlier.  That avoider was tried, and
-    its subtree covers g(family), or was skipped, and the induction applies
-    again.  In the clique phase, a family of the node's space that holds
-    no member of v's orbit lies in the exclude child's space; one that
-    holds some u of the orbit maps, under an element g of the node's group
-    with g(u) = v, onto g(family), of the same size, in the node's space
-    and holding v: the include child's space.  The domination prune stays
-    sound: an excluded orbit member that meets a completion and every
-    candidate left extends it to a larger family in the parent's space, so
-    the completion is not optimal.  So every subtree that is dropped holds
-    only families of which a searched subtree holds an isomorphic copy:
-    the value is unchanged.
+    Why the rule is sound, one argument for both kinds of node and for the
+    loop of ``max_intersecting_degcap``.  Let D₁, D₂, … be the dropped
+    sets, in the order the children w₁, w₂, … are tried.  Each Dᵢ is
+    G-invariant: an orbit of G met with the G-invariant candidate set.
+    Take a family F in the node's space, and let i be the least index with
+    F ∩ Dᵢ ≠ ∅.  Some g ∈ G maps a member of F ∩ Dᵢ onto wᵢ, and g(F), of
+    the same size (g keeps intersections), lies in the node's space and
+    misses D₁..Dᵢ₋₁, so it lies in child i's space.  A family that meets
+    no Dᵢ is left to the last child: at a split there is none, for it holds
+    an avoider of C, and every avoider is tried or lies in the orbit of one
+    tried before it; in the clique phase it lies in the exclude child's
+    space.  The domination prune stays sound: an excluded candidate that
+    meets a completion and every candidate left extends it to a larger
+    family in the space of the node that dropped it, so the completion is
+    not optimal.  So every subtree that is dropped holds only families of
+    which a searched subtree holds an isomorphic copy: the value is
+    unchanged.
     Collection stays exact up to isomorphism for the same reason: every
     optimum of the branch has an image under the root's group, a
     relabelling that keeps the branch, among the collected optima (the
     composite of the group elements met along the way), so every class of
     optima is still collected, only fewer labelled copies of it.  The
     argument never needs g to map C onto itself, so the cells are not
-    refined by C; nor would that change an avoider's orbit, as its vector
-    would only gain zeros for the parts of cells inside C.  Preferring a C
-    that is a union of cells is only a branching choice, kept because it
-    prunes: without it the (9,4) split walks 209,565 nodes, not 152,999.
+    refined by C, and an orbit dropped at a split may hold candidates that
+    do not avoid C.  Preferring a C that is a union of cells is only a
+    branching choice, kept because it prunes: without it the (9,4) split
+    walks 109,339 nodes, not 96,922.
     """
     forced = branch.forced
     # the open constraints: those that no forced member avoids
@@ -834,42 +846,30 @@ def _walk_branch(n: int, branch: _Branch, run: _Run) -> bool:
                             break
                 if key < pick_key:
                     pick_av, pick_key = av, key
-            # orbits of the children tried so far, and the cells refined by
-            # every avoider passed so far (the next child's)
-            tried = set()
-            rest = cells
-            prefix = 0
+            # the orbits of the avoiders tried so far, which later children drop
+            dropped = 0
             av = pick_av
             while av:
                 vb = av & -av
                 v = vb.bit_length() - 1
-                av ^= vb
                 m = cand_masks[v]
-                if cells is not None:
-                    if rest is not None:
-                        rest = _refine_cells(rest, m)
-                    orbit = tuple([(m & cell).bit_count() for cell in cells])
-                    if orbit in tried:
-                        prefix |= vb
-                        continue
-                    tried.add(orbit)
                 chosen.append(m)
-                recurse(chosen, cand & compat[v] & ~prefix, unsat & ~avoids[v],
-                        (excluded | prefix) & compat[v], rest)
+                recurse(chosen, cand & compat[v] & ~dropped, unsat & ~avoids[v],
+                        (excluded | dropped) & compat[v], cells and _refine_cells(cells, m))
                 chosen.pop()
-                prefix |= vb
+                dropped |= _orbit(vb, m, cells, through) & cand
+                av &= ~dropped
         elif cand:
             # plain clique phase: include the lowest candidate, or exclude
             # its whole orbit under the node's group
             vb = cand & -cand
             v = vb.bit_length() - 1
             m = cand_masks[v]
-            inner = cells and _refine_cells(cells, m)
-            # v alone when v is a union of cells: refining by v keeps them
-            orbit = vb if inner == cells else _orbit(m, cells, through) & cand
             chosen.append(m)
-            recurse(chosen, cand & compat[v], 0, excluded & compat[v], inner)
+            recurse(chosen, cand & compat[v], 0, excluded & compat[v],
+                    cells and _refine_cells(cells, m))
             chosen.pop()
+            orbit = _orbit(vb, m, cells, through) & cand
             recurse(chosen, cand & ~orbit, 0, excluded | orbit, cells)
         if forced_now:
             del chosen[size:]
@@ -884,6 +884,7 @@ def max_intersecting(n: int, k: int, r_min: int = 1, budget: float = 600.0,
     ``seed_incumbent`` warm-starts the bound with a known feasible family
     (the star, Hilton-Milner, or G(n,k)).
     """
+    _check_r_min(k, r_min)
     branch = _plain_branch(n, k, r_min)
     incumbent = _default_incumbent(n, k, r_min) if seed_incumbent else None
     result, _ = _search(n, k, [branch], budget, incumbent)
@@ -903,8 +904,9 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     forced first member {1..k}.  Every candidate a node holds still fits
     under the cap.  The node splits them once into the greedy disjoint
     groups of ``_colour_classes`` and adds them one at a time, from the
-    last group down; after its subtree a candidate leaves the node's set,
-    so each family is reached once.  The child of ``u`` keeps the
+    last group down; after its subtree a candidate leaves the node's set
+    with its whole orbit (the orbit rule below), so each family is reached
+    at most once.  The child of ``u`` keeps the
     candidates that meet ``u``, minus every candidate through a point that
     ``u`` has just brought up to the cap.  Domination pruning and forced
     inclusion are unsound under a degree cap, so this search does not
@@ -933,41 +935,33 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
     added below the node is one of its candidates and lies in exactly one
     L_x, so no family in its subtree beats the incumbent.  Like the colour
     stop, it cuts only subtrees that hold no family beating ``best``, and
-    it changes the family and candidates of no node it keeps, so the
-    orbit-skip induction and the argument that the witness stays the seed
-    (both below) hold with it unchanged.
+    it changes the family and candidates of no node it keeps, so the orbit
+    rule (below) holds with it unchanged.
 
-    Orbit skips.  A node carries a partition of [n] into cells, {1..k} and
-    the rest at the root; its group is the product of the symmetric groups
-    on the cells.  Every chosen member and every candidate removed above
-    the node (a sibling tried or skipped at an ancestor) is a union of
-    cells, so the group fixes each of them, and with them the degrees, the
-    removals at the cap and the candidate set.  Two candidates lie in one
-    orbit exactly when they meet every cell in the same number of points.
-    In the loop, a candidate whose vector of those numbers, taken over the
-    node's own cells, matches that of a sibling already tried or skipped is
-    skipped, and leaves the candidate set as a tried one does.  A child's
-    cells are the node's refined by its own member and by every sibling
-    removed before it (``_refine_cells``); a discrete partition has the
-    trivial group, so its node gets ``None`` and skips nothing.
+    The orbit rule of ``_walk_branch``.  A node carries a partition of [n]
+    into cells, {1..k} and the rest at the root; its group G is the product
+    of the symmetric groups on the cells.  Every chosen member is a union
+    of cells, so G fixes each of them, and with them the degrees and the
+    removals at the cap; the candidates dropped above the node are orbits
+    of the larger groups there, so G maps the candidate set onto itself.
+    Once the child of a candidate u has been searched, the candidates in
+    u's orbit under G (``_orbit``) leave the node's candidate set, and a
+    member of a group that has left it is passed over, after the same stop
+    test.  A child's cells are the node's refined by its own member
+    (``_refine_cells``); a discrete partition has the trivial group, so its
+    node gets ``None`` and drops only u itself.  The soundness argument of
+    ``_walk_branch`` holds here as written (g also keeps degrees), with
+    the families that meet no dropped set left to the colour stop: they
+    are made of candidates still untried there, which lie in the first
+    ``colour`` groups.
 
-    Why the skips are sound, by induction on the position in the loop: take
-    a family of the node whose earliest member in loop order is a skipped
-    ``u``.  An element of the node's group maps ``u`` onto an earlier
-    sibling with the same vector and maps the family onto one of the same
-    size in the node's space (it keeps intersections, degrees and the
-    candidate set), holding that earlier sibling, so with an earlier
-    earliest member.  That family's own earliest member was tried, and its
-    subtree covers it, or was skipped, and the induction applies again.
-    Families made only of candidates still untried at the stop lie in the
-    first ``colour`` groups and are ruled out by the colour bound as
-    before.
-
-    Why the witness stays the seed: skipping and the capacity stop only
-    drop nodes, and every node that is kept has the same family and
-    candidates as without them.  At every point proved so far the value is
-    |``_degcap_seed``|, the theorem bound, and the search without skips
-    never replaced the seed, so neither does the search with them.
+    The witness: ``_Run.note`` keeps the seed unless the tree notes a
+    colex-smaller family of the same size.  At every point proved so far
+    the value is |``_degcap_seed``|, the theorem bound, and the released
+    witness is the seed, which the pinned digests check; but the orbit
+    rule and the capacity stop change which families the tree notes, so
+    nothing here proves that the seed must stay: a tree that noted a
+    colex-smaller optimum would release it.
     """
     if not 2 <= ell <= k:
         raise ValueError("degree-cap parameter must satisfy 2 <= ell <= k")
@@ -1007,10 +1001,6 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
         if size + room <= best:
             return
         classes = _colour_classes(cand, disj)
-        # orbits of the siblings tried so far, and the cells refined by
-        # every sibling removed so far, tried or skipped (the next child's)
-        tried: set[tuple[int, ...]] = set()
-        rest = cells
         for colour in range(len(classes), 0, -1):
             group = classes[colour - 1]
             while group:
@@ -1018,25 +1008,21 @@ def max_intersecting_degcap(n: int, k: int, ell: int, budget: float = 600.0
                     return
                 u = group.bit_length() - 1
                 group ^= 1 << u
-                cand ^= 1 << u
+                # a member of the orbit of a sibling already tried
+                if not cand >> u & 1:
+                    continue
                 m = cand_masks[u]
-                if cells is not None:
-                    if rest is not None:
-                        rest = _refine_cells(rest, m)
-                    orbit = tuple([(m & cell).bit_count() for cell in cells])
-                    if orbit in tried:
-                        continue
-                    tried.add(orbit)
                 child = cand & compat[u]
                 for x in points[u]:
                     degs[x] += 1
                     if degs[x] == cap:
                         child &= ~through[x]
                 chosen.append(m)
-                expand(chosen, child, rest)
+                expand(chosen, child, cells and _refine_cells(cells, m))
                 chosen.pop()
                 for x in points[u]:
                     degs[x] -= 1
+                cand &= ~_orbit(1 << u, m, cells, through)
 
     # cap >= C(n-2,k-2) + C(n-3,k-2) >= 2, so after the forced member
     # (degrees at most 1) every candidate still fits
@@ -1069,6 +1055,7 @@ def max_intersecting_seeded(n: int, k: int, budget: float = 3600.0) -> SearchRes
     B_i.  No branch beats |G(n,k)|, so each walks the tree it walks alone
     and the node count is the sum over the branches; the budget covers
     them all, and once it is spent no further branch starts."""
+    _check_r_min(k, 3)
     result, _ = _search(n, k, _structural_branches(n, k), budget,
                         _default_incumbent(n, k, 3))
     _verify(result.witness, 3)
@@ -1089,8 +1076,8 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     """All optimum-size witnesses up to isomorphism.
 
     Every family is isomorphic to one containing {1..k}, and the orbit
-    skips of the search drop only subtrees whose families have isomorphic
-    copies in a searched one (``_search``), so collecting the optima
+    rule of the search drops only subtrees whose families have isomorphic
+    copies in a searched one (``_walk_branch``), so collecting the optima
     through the forced-first-member search and deduplicating by canonical
     form covers every isomorphism class.  At r_min = 3 the
     collection runs over the structural case split of
@@ -1103,8 +1090,8 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     as the value; a failure raises ``AssertionError``.
 
     Memory holds every collected optimum before deduplication: each class
-    as often as the orbit skips leave labelled copies of it, 118 optima for
-    the 13 classes of (6,3,1).  The skips drop only copies under the
+    as often as the orbit rule leaves labelled copies of it, 118 optima for
+    the 13 classes of (6,3,1).  The rule drops only copies under the
     groups of the nodes' cells, which shrink as members are chosen, so at
     n = 2k memory still grows with the number of maximal intersecting
     families with τ ≥ r_min: each takes one set of every complementary
@@ -1112,6 +1099,7 @@ def enumerate_optima(n: int, k: int, r_min: int, budget: float = 600.0
     prunes them.  (8,4,3) is already out of reach: its first branch alone
     outgrew a 1.5 GB memory cap.  Keep n = 2k to k ≤ 3.
     """
+    _check_r_min(k, r_min)
     if r_min == 3:
         result, raw = _search(n, k, _structural_branches(n, k), budget,
                               _default_incumbent(n, k, 3), collect=True)

@@ -612,6 +612,10 @@ BAD_ORACLE = [
     (["--n", "5", "--k", "3"], "needs --n >= 2 * --k, got --n 5 --k 3"),
     (["--n", "7", "--k", "3", "--r", "4"], "--r must be 1, 2 or 3, got 4"),
     (["--n", "7", "--k", "3", "--r", "0"], "--r must be 1, 2 or 3, got 0"),
+    # the one 0-set, ∅, meets no set, so it has no covering number
+    (["--n", "4", "--k", "0", "--r", "2"], "--r 2 needs --k >= 1"),
+    (["--n", "4", "--k", "0", "--r", "3"], "--r 3 needs --k >= 1"),
+    (["--n", "1", "--k", "0", "--r", "2"], "--r 2 needs --k >= 1"),
     (["--n", "8", "--k", "3", "--degree-cap-ell", "1"], "--degree-cap-ell must lie in [2, --k=3]"),
     (["--n", "8", "--k", "3", "--degree-cap-ell", "4"], "--degree-cap-ell must lie in [2, --k=3]"),
     (["--n", "6", "--k", "3", "--degree-cap-ell", "2"], "--degree-cap-ell needs --n > 2 * --k"),

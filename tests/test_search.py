@@ -54,7 +54,22 @@ PINNED_TREES = [
     # carry the node's cells and to exclude the lowest candidate's whole
     # orbit under them.  The r = 3 trees at k = 3 and those of the (9,4)
     # split did not move, nor did the values, the witnesses or the class
-    # lists
+    # lists.
+    # 28 counts below fell when every branching site of both search
+    # cores took the clique phase's orbit rule: once a child has been
+    # searched, its member's whole orbit under the node's cells leaves
+    # the later siblings, and a child's cells are the node's refined by
+    # its own member only (a split and the degcap loop used to skip a
+    # candidate whose vector of cell counts matched an earlier sibling's,
+    # and to refine each child's cells by every sibling passed before it).
+    # The counts before, row by row: plain r = 2 42, 57, 82 at n = 7, 9,
+    # 11; r = 3 138, 163, 166, 169, 172; cold 142, 167; degcap 49, 66,
+    # 351, 851, 1651, 7902, 7360, 46111, 72827; seeded 101, 122, 145, 172,
+    # 203 and (10,4) 211445; optima (7,3,3) 426, (8,3,3) 447, (7,3,2)
+    # 166.  No count rose.  The values, the class lists and every other
+    # witness did not move; the seeded k = 3 witness is C([5],3) again
+    # (digest f64d28a646e075aa, as in the plain r = 3 rows; it was
+    # d77fb70ed5fd4699), the colex-least of the optima the new tree notes
     (("plain", 7, 3, 1), 15, 15, "ce6c1f8df3fae08a"),
     (("plain", 8, 3, 1), 21, 7, "a2016b0e742b5387"),
     (("plain", 9, 3, 1), 28, 7, "12acd51aad0b6811"),
@@ -69,56 +84,56 @@ PINNED_TREES = [
     # plain branch got the cells ({1..k}, [k+1..n]) and its first-avoider
     # splits began to skip an avoider in the orbit of an earlier sibling;
     # r = 1 has no split, and the values and witnesses did not move
-    (("plain", 7, 3, 2), 13, 42, "74c45d4c2748e6dc"),
+    (("plain", 7, 3, 2), 13, 32, "74c45d4c2748e6dc"),
     (("plain", 8, 3, 2), 16, 39, "a3f84757c42a60b9"),
-    (("plain", 9, 3, 2), 19, 57, "29435be259ceab3b"),
+    (("plain", 9, 3, 2), 19, 43, "29435be259ceab3b"),
     (("plain", 10, 3, 2), 22, 52, "6c5f6b023b85c35f"),
-    (("plain", 11, 3, 2), 25, 82, "0395b43489ffdac6"),
-    (("plain", 7, 3, 3), 10, 138, "f64d28a646e075aa"),
-    (("plain", 8, 3, 3), 10, 163, "f64d28a646e075aa"),
-    (("plain", 9, 3, 3), 10, 166, "f64d28a646e075aa"),
-    (("plain", 10, 3, 3), 10, 169, "f64d28a646e075aa"),
-    (("plain", 11, 3, 3), 10, 172, "f64d28a646e075aa"),
-    (("cold", 7, 3, 3), 10, 142, "f64d28a646e075aa"),
-    (("cold", 8, 3, 3), 10, 167, "f64d28a646e075aa"),
+    (("plain", 11, 3, 2), 25, 64, "0395b43489ffdac6"),
+    (("plain", 7, 3, 3), 10, 99, "f64d28a646e075aa"),
+    (("plain", 8, 3, 3), 10, 118, "f64d28a646e075aa"),
+    (("plain", 9, 3, 3), 10, 118, "f64d28a646e075aa"),
+    (("plain", 10, 3, 3), 10, 118, "f64d28a646e075aa"),
+    (("plain", 11, 3, 3), 10, 118, "f64d28a646e075aa"),
+    (("cold", 7, 3, 3), 10, 103, "f64d28a646e075aa"),
+    (("cold", 8, 3, 3), 10, 122, "f64d28a646e075aa"),
     # degcap node counts fell (173, 272, 9087 and 34962 before) when the
     # search began to skip a candidate in the orbit of a sibling already
     # tried, under the symmetric groups on the cells of the node; the
     # values and witnesses did not move
-    (("degcap", 7, 3, 2), 13, 49, "33a0a136144eef5b"),
-    (("degcap", 7, 3, 3), 13, 66, "74c45d4c2748e6dc"),
-    (("degcap", 8, 3, 2), 16, 351, "70331c4cca1fab12"),
-    (("degcap", 8, 3, 3), 16, 851, "a3f84757c42a60b9"),
+    (("degcap", 7, 3, 2), 13, 37, "33a0a136144eef5b"),
+    (("degcap", 7, 3, 3), 13, 47, "74c45d4c2748e6dc"),
+    (("degcap", 8, 3, 2), 16, 147, "70331c4cca1fab12"),
+    (("degcap", 8, 3, 3), 16, 334, "a3f84757c42a60b9"),
     # degcap (9,3,3) fell from 762697 nodes, and (9,3,2) from 60403 and
     # (10,3,2) from 2628483, when a node began to stop once the room left
     # under the cap at the points of {1..k}, which every candidate meets,
     # could not lift it past the incumbent; the values and witnesses did
     # not move.  (10,3,2), (11,3,2) and (10,3,3) prove the theorem bound
     # C(n-1,2) - C(n-ℓ-1,2) + C(n-ℓ-1,3-ℓ): 22, 25 and 22
-    (("degcap", 9, 3, 2), 19, 1651, "de0cc02610fb0428"),
-    (("degcap", 9, 3, 3), 19, 7902, "29435be259ceab3b"),
-    (("degcap", 10, 3, 2), 22, 7360, "073847309d419e64"),
-    (("degcap", 11, 3, 2), 25, 46111, "693e2d88195f4c32"),
-    (("degcap", 10, 3, 3), 22, 72827, "6c5f6b023b85c35f"),
+    (("degcap", 9, 3, 2), 19, 528, "de0cc02610fb0428"),
+    (("degcap", 9, 3, 3), 19, 2786, "29435be259ceab3b"),
+    (("degcap", 10, 3, 2), 22, 1730, "073847309d419e64"),
+    (("degcap", 11, 3, 2), 25, 7569, "693e2d88195f4c32"),
+    (("degcap", 10, 3, 3), 22, 24949, "6c5f6b023b85c35f"),
     # seeded and r = 3 optima node counts fell (192, 318, 470, 648, 721
     # and 985 before) when every first-avoider split of the structural
     # branches began to skip an avoider in the orbit of an earlier sibling,
     # under the symmetric groups on the cells of the node; the values,
     # witnesses and class lists did not move
-    (("seeded", 7, 3), 10, 101, "d77fb70ed5fd4699"),
-    (("seeded", 8, 3), 10, 122, "d77fb70ed5fd4699"),
-    (("seeded", 9, 3), 10, 145, "d77fb70ed5fd4699"),
-    (("seeded", 10, 3), 10, 172, "d77fb70ed5fd4699"),
-    (("seeded", 11, 3), 10, 203, "d77fb70ed5fd4699"),
+    (("seeded", 7, 3), 10, 93, "f64d28a646e075aa"),
+    (("seeded", 8, 3), 10, 96, "f64d28a646e075aa"),
+    (("seeded", 9, 3), 10, 96, "f64d28a646e075aa"),
+    (("seeded", 10, 3), 10, 96, "f64d28a646e075aa"),
+    (("seeded", 11, 3), 10, 96, "f64d28a646e075aa"),
     # the only cheap point with a covering-number-4 branch B_i
     (("seeded", 8, 4), 35, 4, "07a2d32be7225d5a"),
     # m(10,4,3) = 61 = |G(10,4)|: the split's four branches A_1..A_3, B_1
-    (("seeded", 10, 4), 61, 211445, "8b59b67279d49446"),
-    (("optima", 7, 3, 3), 10, 426, "92b94b2f9e14842c"),
-    (("optima", 8, 3, 3), 10, 447, "a4faba33be548ef5"),
+    (("seeded", 10, 4), 61, 90570, "8b59b67279d49446"),
+    (("optima", 7, 3, 3), 10, 414, "92b94b2f9e14842c"),
+    (("optima", 8, 3, 3), 10, 414, "a4faba33be548ef5"),
     # r != 3 collects over the plain branch from floor 0
     (("optima", 6, 3, 1), 10, 373, "2494be960751ea29"),
-    (("optima", 7, 3, 2), 13, 166, "c76226c510f8b6b6"),
+    (("optima", 7, 3, 2), 13, 157, "c76226c510f8b6b6"),
 ]
 
 
@@ -143,7 +158,8 @@ def test_pinned_trees(point, value, nodes, digest):
 def test_pinned_oracle_output(tmp_path):
     out = tmp_path / "out"
     assert run(["oracle", "--n", "9", "--k", "3", "--r", "3", "--out", str(out)]) == 0
-    assert out.read_bytes() == b"value 10 status proved-optimal nodes 166\n"
+    # 166 nodes before one orbit rule at every branching site
+    assert out.read_bytes() == b"value 10 status proved-optimal nodes 118\n"
 
 
 def test_values_against_closed_forms():
@@ -193,6 +209,21 @@ def test_preconditions():
         max_intersecting(5, 3, 1)
     with pytest.raises(ValueError):
         max_intersecting(7, 3, 4)
+
+
+@pytest.mark.parametrize("search", [
+    lambda r: max_intersecting(4, 0, r), lambda r: enumerate_optima(4, 0, r),
+    lambda r: max_intersecting(1, 0, r), lambda r: max_intersecting_seeded(4, 0)],
+    ids=["plain", "optima", "plain n = 1", "seeded"])
+def test_k0_refuses_covering_number(search):
+    """At k = 0 the only member is ∅, which no set meets, so no family of
+    it has a covering number: r_min >= 2 is refused at entry, naming it,
+    before a search notes {∅} and its check asks for τ.  r_min = 1 still
+    proves 1."""
+    for r in (2, 3):
+        with pytest.raises(ValueError, match="covering number >= . is undefined at k = 0"):
+            search(r)
+    assert max_intersecting(4, 0, 1).value == enumerate_optima(4, 0, 1)[1].value == 1
 
 
 def test_empty_optimum_is_proved():
@@ -309,7 +340,8 @@ def test_degcap_cold_start_against_reference(monkeypatch):
 
 def test_degcap_timeboxed():
     """An exhausted budget stops the search with a lower bound that still
-    respects the cap.  (9,4,4) takes about 20 s to prove."""
+    respects the cap.  (9,4,4) takes 710,246 nodes and about 13 s to
+    prove."""
     res = max_intersecting_degcap(9, 4, 4, budget=0.01)
     assert res.status == "timeboxed-lower-bound"
     cap = binom(8, 3) - binom(4, 3)
@@ -736,7 +768,8 @@ def test_seeded_33_3():
     most 33 points; so m(33,3,3) = 10 rules out 11 members at every n."""
     res = max_intersecting_seeded(33, 3)
     assert res.status == "proved-optimal"
-    assert (res.value, res.nodes) == (10, 1897)
+    # 1897 nodes before one orbit rule at every branching site
+    assert (res.value, res.nodes) == (10, 96)
     assert is_intersecting(res.witness) and tau(res.witness) == 3
 
 
@@ -889,9 +922,11 @@ def test_optima_7_3_3_against_clique_enumeration():
 def test_seeded_search_structure():
     """Branch A of the structural split, the covering-number-3 case, proves
     48 at (9,4): every forced branch A_j is proved, and their maximum is 48.
-    The node counts pin the orbit-pruned trees: a split that drops its
-    preference for a constraint that is a union of cells stays sound but
-    walks 27,815 / 36,842 / 74,698 nodes."""
+    The node counts pin the orbit-pruned trees (27,815 / 36,842 / 52,086
+    before one orbit rule at every branching site).  A split that drops
+    its preference for a constraint that is a union of cells stays sound
+    and walks 22,768 / 25,660 / 28,965 nodes here, about as many, but
+    31,946 instead of 19,454 in B_1, the covering-number-4 branch."""
     incumbent = _default_incumbent(9, 4, 3)
     branches = [b for b in _structural_branches(9, 4)
                 if b.constraints == _avoidance(9, 3)]
@@ -899,4 +934,4 @@ def test_seeded_search_structure():
     results = [_search(9, 4, [b], 600, incumbent)[0] for b in branches]
     assert all(res.status == "proved-optimal" for res in results)
     assert max(res.value for res in results) == 48
-    assert [res.nodes for res in results] == [27815, 36842, 52086]
+    assert [res.nodes for res in results] == [22845, 25627, 28996]
